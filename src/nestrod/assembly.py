@@ -282,11 +282,6 @@ class PiecewiseAngularRouting:
         return r, rdot, rddot
 
 
-def routing_eval(path, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Offset and its first two arc-length derivatives at station ``s``."""
-    return path.eval(s)
-
-
 # ---------------------------------------------------------------------------
 # tendons, strategies, assembly
 # ---------------------------------------------------------------------------

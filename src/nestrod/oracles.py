@@ -1,19 +1,20 @@
 """Independent reference models used to cross-check the main solver.
 
 Everything in this module is implemented from first principles on purpose:
-its own skew map, its own single-tube cross-section assembly, an energy-
-minimizing planar chain, and closed-form overlap curvature. None of it
-calls into :mod:`nestrod.statics` or :mod:`nestrod.shooting` except inside
-:func:`run_validate`, whose whole job is to compare the two routes.
+its own skew map, its own single-tube and nested-stack cross-section
+assemblies, an energy-minimizing planar chain, and closed-form overlap
+curvature. None of it calls into :mod:`nestrod.statics`,
+:mod:`nestrod.shooting` or :mod:`nestrod.so3` except inside
+:func:`run_validate`, whose whole job is to compare the two routes. scipy
+is imported by the routines that use it, so importing the package does not
+load it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import minimize, root
 
 
 def _hat(v):
@@ -103,6 +104,62 @@ def single_tube_system(u, v, kse_diag, kbt_diag, ustar, ustar_dot,
     return a, b
 
 
+def stack_system(u1, v1, theta, u_d3, beta, sections):
+    """Direct (2k+4)-square assembly of a k-tube cross-section, scalar
+    throughout, composed from each tube's :func:`single_tube_system`.
+
+    ``theta``, ``u_d3`` and ``beta`` hold one entry per inner tube.
+    ``sections`` lists the tubes outermost first, each as the arguments of
+    :func:`single_tube_system` that follow the strains: (kse_diag, kbt_diag,
+    ustar, ustar_dot, vstar, vstar_dot, tendons). Inner tube i bends with
+    the stack and twists and dilates on its own: u_i = R_z(θ_i)ᵀ u₁ with
+    the third component replaced by u_d3,i, and v_i = β_i R_z(θ_i)ᵀ v₁.
+    Unknown order is [u̇₁, v̇₁, u̇_d3 per inner tube, β̇ per inner tube];
+    rows are [stack moment d1, d2 | each tube's own moment d3 | stack force
+    d1, d2 | each tube's own force d3], the stack rows summed in the
+    outermost tube's frame.
+    """
+    u1 = np.asarray(u1, dtype=float)
+    v1 = np.asarray(v1, dtype=float)
+    k = len(sections)
+    m = 2 * k + 4
+    thetas = np.concatenate([[0.0], theta])
+    betas = np.concatenate([[1.0], beta])
+    spin = _hat([0.0, 0.0, 1.0]).T      # d/dθ R_z(θ)ᵀ = spin R_z(θ)ᵀ
+    a = np.zeros((m, m))
+    b = np.zeros(m)
+    for i, section in enumerate(sections):
+        rot = _rotz(thetas[i])
+        u_i = rot.T @ u1
+        v_i = betas[i] * (rot.T @ v1)
+        # The tube's own rates as an affine map of the unknowns:
+        # [u̇_i, v̇_i] = sel @ x + shift.
+        sel = np.zeros((6, m))
+        shift = np.zeros(6)
+        sel[0:3, 0:3] = rot.T
+        sel[3:6, 3:6] = betas[i] * rot.T
+        if i:
+            u_i[2] = u_d3[i - 1]
+            theta_dot = u_d3[i - 1] - u1[2]
+            sel[2, 0:3] = 0.0
+            sel[2, 5 + i] = 1.0
+            sel[3:6, 4 + k + i] = rot.T @ v1
+            shift[0:3] = theta_dot * spin @ rot.T @ u1
+            shift[3:6] = betas[i] * theta_dot * spin @ rot.T @ v1
+        a_i, b_i = single_tube_system(u_i, v_i, *section)
+        a_x = a_i @ sel
+        b_x = b_i - a_i @ shift
+        a[2 + i] = a_x[2]
+        b[2 + i] = b_x[2]
+        a[4 + k + i] = a_x[5]
+        b[4 + k + i] = b_x[5]
+        a[0:2] += (rot @ a_x[0:3])[0:2]
+        b[0:2] += (rot @ b_x[0:3])[0:2]
+        a[2 + k:4 + k] += (rot @ a_x[3:6])[0:2]
+        b[2 + k:4 + k] += (rot @ b_x[3:6])[0:2]
+    return a, b
+
+
 @dataclass
 class SingleTubeResult:
     base_strains: np.ndarray     # converged [u(0), v(0)]
@@ -118,6 +175,8 @@ def single_tube_shoot(length, kse_diag, kbt_diag, rest, tendons,
     the tip. Uses scipy's RK45 and hybrid-Powell root finding; nothing is
     shared with the production shooting code path.
     """
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import root
 
     def odes(s, y):
         rmat = y[3:12].reshape(3, 3)
@@ -230,6 +289,8 @@ def planar_energy_minimize(length, bending_stiffness, axial_stiffness,
     ``grad_inf`` is an independent equilibrium residual, not the
     minimizer's own stopping criterion.
     """
+    from scipy.optimize import minimize, root
+
     h = length / n_segments
     args = (n_segments, h, bending_stiffness, axial_stiffness, offset, tension)
     x0 = np.zeros(2 * n_segments)
@@ -349,16 +410,20 @@ def run_validate(mutation: float = 1.0, checks=_CHECK_NAMES,
                  include_scenarios: bool = False) -> ValidationReport:
     """Cross-check the production solver against every oracle in this module.
 
-    ``mutation`` scales the solver-side section stiffness only; the oracles
-    keep the true physics, so any systematic solver perturbation shows up
-    as failed comparisons. ``include_scenarios`` additionally re-solves all
-    bundled scenarios and checks their terminal balance.
+    ``mutation`` scales the section stiffness of every tube handed to the
+    solver; the oracles keep the true physics, so any systematic solver
+    perturbation shows up as failed comparisons. ``include_scenarios``
+    additionally re-solves all bundled scenarios and checks their terminal
+    balance.
     """
     from .assembly import (ArcRest, AssemblySpec, HelicalRouting,
                            PiecewiseAngularRouting, StraightRouting,
                            StraightRest, TendonSpec, TubeSpec, section_stiffness)
     from .shooting import SolverOptions, shoot, twist_consistency
     from .statics import RodState, SegmentContext, TendonContext, TubeContext, assemble_system
+
+    def mutated(tube: TubeSpec) -> TubeSpec:
+        return replace(tube, stiffness=section_stiffness(tube).scaled(mutation))
 
     results: list[CheckResult] = []
 
@@ -453,10 +518,10 @@ def run_validate(mutation: float = 1.0, checks=_CHECK_NAMES,
         offset = 3e-3
         worst = 0.0
         for tension in (0.5, 1.0, 2.0):
-            asm = AssemblySpec(tubes=[tube], tendons=[
+            asm = AssemblySpec(tubes=[mutated(tube)], tendons=[
                 TendonSpec(routing=StraightRouting(offset=(0.0, offset)),
                            tension=tension)])
-            sol = shoot(asm, SolverOptions(stiffness_scale=mutation))
+            sol = shoot(asm, SolverOptions())
             eq = planar_energy_minimize(length, stiff.kbt_diag[0],
                                         stiff.kse_diag[2], offset, tension)
             tip_solver = sol.tip_position
@@ -474,8 +539,8 @@ def run_validate(mutation: float = 1.0, checks=_CHECK_NAMES,
                       stiffness=stiff)
         t2 = TubeSpec(length=0.15, rest_shape=ArcRest(kappa=2.0),
                       stiffness=stiff.scaled(2.0))
-        sol = shoot(AssemblySpec(tubes=[t1, t2]),
-                    SolverOptions(stiffness_scale=mutation))
+        sol = shoot(AssemblySpec(tubes=[mutated(t1), mutated(t2)]),
+                    SolverOptions())
         seg = sol.segments[0]
         expected = ctr_overlap_curvature(stiff.kbt_diag, 2.0 * stiff.kbt_diag,
                                          [kap, 0, 0], [2.0, 0, 0], 0.0)
@@ -489,7 +554,7 @@ def run_validate(mutation: float = 1.0, checks=_CHECK_NAMES,
         worst = 0.0
         for name in preset_names():
             assembly, options = preset(name, allow_placeholders=True)
-            options.stiffness_scale = mutation
+            assembly.tubes = [mutated(t) for t in assembly.tubes]
             sol = shoot(assembly, options)
             worst = max(worst, sol.report.scaled_residual,
                         twist_consistency(sol) / 1e-8)

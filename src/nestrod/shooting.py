@@ -17,14 +17,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import AssemblySpec, SegmentPlan, assign_tendons, section_stiffness, segment_plan
-from .errors import (DegenerateTendon, IllConditioned, NoConvergence,
-                     SingularTransition)
-
-_RECOVERABLE = (SingularTransition, DegenerateTendon, IllConditioned)
+from .errors import (Degenerate, DegenerateTendon, IllConditioned,
+                     NoConvergence, SingularTransition)
 from .so3 import hat, reorthonormalize, rot_d3
-from .statics import (RodState, SegmentContext, StateDerivative, TendonContext,
-                      TubeContext, derived_strains, pack_state, state_derivative,
+from .statics import (RodState, SegmentContext, TendonContext, TubeContext,
+                      derived_strains, pack_state, state_derivative,
                       tube_wrench, unpack_state)
+
+# Failures of one trial state (a frame drifting off the rotation group, a
+# collapsed tendon tangent, a singular rate system or boundary transfer):
+# Newton and the ramp back off from them instead of aborting the solve.
+_RECOVERABLE = (Degenerate, SingularTransition, DegenerateTendon,
+                IllConditioned)
 
 # Backtracking halves the Newton step at most this many times (down to 2^-10).
 _LINE_SEARCH_HALVINGS = 10
@@ -51,7 +55,6 @@ class SolverOptions:
     fd_step_curvature: float = 1e-6
     fd_step_strain: float = 1e-8
     fd_step_beta: float = 1e-8
-    stiffness_scale: float = 1.0     # validation hook: scales section stiffness
 
 
 @dataclass
@@ -94,7 +97,7 @@ def build_problem(assembly: AssemblySpec, options: SolverOptions,
 
     tube_ctx = []
     for i, tube in enumerate(assembly.tubes):
-        stiff = section_stiffness(tube).scaled(options.stiffness_scale)
+        stiff = section_stiffness(tube)
         tube_ctx.append(TubeContext(index=i, kse_diag=stiff.kse_diag,
                                     kbt_diag=stiff.kbt_diag,
                                     rest=tube.rest_shape,
@@ -153,16 +156,17 @@ def integrate_segment(state: RodState, ctx: SegmentContext, steps: int,
     h = (ctx.end - ctx.start) / steps
     k = ctx.n_active
     y = pack_state(state)
+    batch = y.shape[:-1]
     cond_max = 0.0
     trail = [y.copy()] if record else None
 
     def rhs(yv: np.ndarray, s: float, diagnostics: bool = False) -> np.ndarray:
         nonlocal cond_max
-        deriv = state_derivative(unpack_state(yv, k, s), ctx,
-                                 diagnostics=diagnostics)
+        dy, cond = state_derivative(unpack_state(yv, k, s), ctx,
+                                    diagnostics=diagnostics)
         if diagnostics:
-            cond_max = max(cond_max, float(np.max(deriv.cond)))
-        return deriv.packed()
+            cond_max = max(cond_max, float(np.max(cond)))
+        return dy
 
     for i in range(steps):
         s = ctx.start + i * h
@@ -173,9 +177,8 @@ def integrate_segment(state: RodState, ctx: SegmentContext, steps: int,
         k3 = rhs(y + 0.5 * h * k2, s + 0.5 * h)
         k4 = rhs(y + h * k3, s + h)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        st = unpack_state(y, k, s + h)
-        st.R = reorthonormalize(st.R)
-        y = pack_state(st)
+        y[..., 3:12] = reorthonormalize(
+            y[..., 3:12].reshape(batch + (3, 3))).reshape(batch + (9,))
         if record:
             trail.append(y.copy())
 

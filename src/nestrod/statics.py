@@ -13,12 +13,8 @@ for k active tubes, giving 2k + 4 equations for 2k + 4 unknowns. Tendon
 loads enter each tube's rows through that tube's assigned tendons; the
 rate-proportional parts of the tendon load land in A and the rest in b.
 
-Two assembly routes coexist on purpose. ``tube_balance_blocks`` +
-``assemble_system_reference`` compose the system tube by tube and stay
-close to the derivation — unit tests exercise individual blocks through
-them. ``assemble_system`` computes the identical system with all tubes
-stacked on one array axis, which is what makes shooting affordable; a
-regression test keeps the two routes byte-compatible.
+``nestrod.oracles.stack_system`` assembles the same system tube by tube
+from first principles; a regression test pins this module against it.
 
 Every function accepts a leading batch shape on the state arrays, so a
 whole finite-difference Jacobian stencil integrates as one batch.
@@ -31,13 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTendon, IllConditioned
-from .so3 import E3, E33, hat, rot_d3
+from .so3 import E33, hat, rot_d3
 
 PB_DOT_MIN = 1e-9
 COND_LIMIT = 1e12
 
-# [e3]ᵀ, which equals d/dθ of rot_d3(θ)ᵀ composed with rot_d3(θ)ᵀ itself.
-_E3_HAT_T = hat(E3).T
 _EYE3 = np.eye(3)
 _DIAG = np.arange(3)
 _ZERO = np.zeros(())
@@ -141,12 +135,8 @@ def unpack_state(y: np.ndarray, n_active: int, s: float) -> RodState:
 
 
 # ---------------------------------------------------------------------------
-# derived per-tube strains and tendon kinematics
+# derived per-tube strains
 # ---------------------------------------------------------------------------
-
-
-def _mat_vec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("...ij,...j->...i", m, v)
 
 
 def _mat_t_vec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -173,191 +163,8 @@ def derived_strains(state: RodState) -> tuple[list[np.ndarray], list[np.ndarray]
     return us, vs
 
 
-@dataclass
-class TendonKinematics:
-    """Per-tendon quantities reused across the row blocks."""
-
-    r: np.ndarray          # (3,) offset in the assigned tube's frame
-    rdot: np.ndarray       # (3,)
-    rddot: np.ndarray      # (3,)
-    tension: float
-    pb_dot: np.ndarray     # (..., 3) tendon-path tangent in the tube frame
-    scale: np.ndarray      # (...,) tension / ‖pb_dot‖³
-    pw: np.ndarray         # (..., 3, 3) scale * hat(pb_dot)²
-
-
-def tendon_kinematics(
-    state: RodState,
-    strains: tuple[list[np.ndarray], list[np.ndarray]],
-    ctx: SegmentContext,
-) -> list[list[TendonKinematics]]:
-    """Evaluate each assigned tendon's path tangent in its tube's frame."""
-    us, vs = strains
-    out: list[list[TendonKinematics]] = []
-    for i in range(ctx.n_active):
-        per_tube = []
-        for tendon in (ctx.loads[i] if ctx.loads else []):
-            r, rdot, rddot = tendon.routing.eval(state.s)
-            pb = _mat_vec(hat(us[i]), np.broadcast_to(r, us[i].shape)) + rdot + vs[i]
-            norm = np.linalg.norm(pb, axis=-1)
-            if np.any(norm < PB_DOT_MIN):
-                raise DegenerateTendon(
-                    f"tendon path tangent collapsed (‖ṗᵇ‖ < {PB_DOT_MIN}) "
-                    f"at station {state.s:.6f} m"
-                )
-            scale = tendon.tension / norm**3
-            hp = hat(pb)
-            pw = scale[..., None, None] * (hp @ hp)
-            per_tube.append(TendonKinematics(r, rdot, rddot, tendon.tension,
-                                             pb, scale, pw))
-        out.append(per_tube)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# reference assembly, one tube at a time
-# ---------------------------------------------------------------------------
-
-
-def tube_balance_blocks(state, i, u_i, v_i, tube: TubeContext, tks):
-    """Operator blocks of tube i's own moment and force balance.
-
-    Returned operators act on the tube's OWN rate variables (u̇_i, v̇_i);
-    composition onto the global unknowns happens in the assembler.
-    Everything is in tube i's material frame: moment rows are
-    (K_bt + Mu)·u̇_i − Mv·v̇_i + known, force rows Fu·u̇_i +
-    (K_se − Fv)·v̇_i + known, with the tendon operators Mu, Mv, Fu, Fv
-    accumulated over the tube's assigned tendons.
-    """
-    kbt = tube.kbt_diag
-    kse = tube.kse_diag
-    ustar, ustar_dot = tube.rest.curvature(state.s + tube.offset)
-    vstar, vstar_dot = tube.rest.stretch(state.s + tube.offset)
-
-    batch = u_i.shape[:-1]
-    mu = np.zeros(batch + (3, 3))
-    mv = np.zeros(batch + (3, 3))
-    fu = np.zeros(batch + (3, 3))
-    fv = np.zeros(batch + (3, 3))
-    m_w = np.zeros(batch + (3,))
-    f_w = np.zeros(batch + (3,))
-    hu = hat(u_i)
-    for tk in tks:
-        hr = hat(tk.r)
-        pw_hr = tk.pw @ hr
-        mu += hr @ pw_hr
-        mv += hr @ tk.pw
-        fu += pw_hr
-        fv += tk.pw
-        w = _mat_vec(hu, tk.pb_dot + tk.rdot) + tk.rddot
-        f_w += _mat_vec(tk.pw, w)
-        m_w += _mat_vec(hr @ tk.pw, w)
-
-    m_int = kbt * (u_i - ustar)        # bending/torsion moment
-    n_int = kse * (v_i - vstar)        # shear/extension force
-    bmom = (kbt * ustar_dot - _mat_vec(hu, m_int) - _mat_vec(hat(v_i), n_int)
-            + m_w)
-    bfor = kse * vstar_dot - _mat_vec(hu, n_int) + f_w
-
-    op_m_u = mu + np.diag(kbt)
-    op_m_v = -mv
-    op_f_u = fu
-    op_f_v = -fv + np.diag(kse)
-    return op_m_u, op_m_v, op_f_u, op_f_v, bmom, bfor
-
-
-def assemble_system_reference(state: RodState, ctx: SegmentContext):
-    """Tube-by-tube assembly kept deliberately close to the derivation.
-
-    Row layout: [stack moment d1,d2 | per-tube moment d3 | stack force
-    d1,d2 | per-tube force d3]. Column layout: [u̇₁, v̇₁, u̇_d3 inner
-    tubes, β̇ inner tubes].
-    """
-    k = ctx.n_active
-    m = 2 * k + 4
-    us, vs = derived_strains(state)
-    tks = tendon_kinematics(state, (us, vs), ctx)
-    batch = state.u1.shape[:-1]
-    a_sys = np.zeros(batch + (m, m))
-    b_sys = np.zeros(batch + (m,))
-
-    for i in range(k):
-        op_m_u, op_m_v, op_f_u, op_f_v, bmom, bfor = tube_balance_blocks(
-            state, i, us[i], vs[i], ctx.tubes[i], tks[i])
-
-        if i == 0:
-            c_uu = np.broadcast_to(np.eye(3), batch + (3, 3))
-            c_vv = c_uu
-            k_u = np.zeros(batch + (3,))
-            k_v = k_u
-        else:
-            th = state.theta[..., i - 1]
-            rt = rot_d3(th)
-            rt_t = np.swapaxes(rt, -1, -2)
-            thdot = state.u_d3[..., i - 1] - state.u1[..., 2]
-            c_uu = rt_t - E33
-            c_vv = state.beta[..., i - 1, None, None] * rt_t
-            c_vb = _mat_vec(rt_t, state.v1)
-            k_u = thdot[..., None] * _mat_vec(_E3_HAT_T, _mat_t_vec(rt, state.u1))
-            k_v = (state.beta[..., i - 1] * thdot)[..., None] * _mat_vec(
-                _E3_HAT_T, _mat_t_vec(rt, state.v1))
-
-        # Compose the tube operators with u̇_i = c_uu·u̇₁ + e₃·u̇_d3 + k_u
-        # and v̇_i = c_vv·v̇₁ + c_vb·β̇ + k_v.
-        a_m_u1 = op_m_u @ c_uu
-        a_m_v1 = op_m_v @ c_vv
-        a_f_u1 = op_f_u @ c_uu
-        a_f_v1 = op_f_v @ c_vv
-        b_m = bmom - _mat_vec(op_m_u, k_u) - _mat_vec(op_m_v, k_v)
-        b_f = bfor - _mat_vec(op_f_u, k_u) - _mat_vec(op_f_v, k_v)
-
-        # Per-tube third-component rows (rotation-invariant, so unrotated).
-        a_sys[..., 2 + i, 0:3] = a_m_u1[..., 2, :]
-        a_sys[..., 2 + i, 3:6] = a_m_v1[..., 2, :]
-        a_sys[..., 4 + k + i, 0:3] = a_f_u1[..., 2, :]
-        a_sys[..., 4 + k + i, 3:6] = a_f_v1[..., 2, :]
-        b_sys[..., 2 + i] = b_m[..., 2]
-        b_sys[..., 4 + k + i] = b_f[..., 2]
-
-        if i > 0:
-            a_m_uz = op_m_u[..., :, 2]
-            a_m_b = _mat_vec(op_m_v, c_vb)
-            a_f_uz = op_f_u[..., :, 2]
-            a_f_b = _mat_vec(op_f_v, c_vb)
-            col_uz = 5 + i
-            col_b = 4 + k + i
-            a_sys[..., 2 + i, col_uz] = a_m_uz[..., 2]
-            a_sys[..., 2 + i, col_b] = a_m_b[..., 2]
-            a_sys[..., 4 + k + i, col_uz] = a_f_uz[..., 2]
-            a_sys[..., 4 + k + i, col_b] = a_f_b[..., 2]
-
-        # Stack rows: rotate into the reference frame and keep d1, d2.
-        if i == 0:
-            def into_ref(x):
-                return x
-        else:
-            rot = rot_d3(state.theta[..., i - 1])
-
-            def into_ref(x, rot=rot):
-                return rot @ x if x.ndim >= rot.ndim else _mat_vec(rot, x)
-
-        a_sys[..., 0:2, 0:3] += into_ref(a_m_u1)[..., 0:2, :]
-        a_sys[..., 0:2, 3:6] += into_ref(a_m_v1)[..., 0:2, :]
-        a_sys[..., 2 + k:4 + k, 0:3] += into_ref(a_f_u1)[..., 0:2, :]
-        a_sys[..., 2 + k:4 + k, 3:6] += into_ref(a_f_v1)[..., 0:2, :]
-        b_sys[..., 0:2] += into_ref(b_m)[..., 0:2]
-        b_sys[..., 2 + k:4 + k] += into_ref(b_f)[..., 0:2]
-        if i > 0:
-            a_sys[..., 0:2, col_uz] += into_ref(a_m_uz)[..., 0:2]
-            a_sys[..., 0:2, col_b] += into_ref(a_m_b)[..., 0:2]
-            a_sys[..., 2 + k:4 + k, col_uz] += into_ref(a_f_uz)[..., 0:2]
-            a_sys[..., 2 + k:4 + k, col_b] += into_ref(a_f_b)[..., 0:2]
-
-    return a_sys, b_sys
-
-
-# ---------------------------------------------------------------------------
-# stacked assembly (hot path)
+# stacked assembly
 # ---------------------------------------------------------------------------
 
 
@@ -460,8 +267,8 @@ def _rest_arrays(comp: _Compiled, s: float):
 def assemble_system(state: RodState, ctx: SegmentContext):
     """Build the (2k+4)-square system A x = b at the current station.
 
-    Identical system to :func:`assemble_system_reference`, computed with
-    every tube stacked on one axis so batched shooting stays cheap.
+    Every tube is stacked on one array axis so batched shooting stays
+    cheap.
     """
     comp = _compile(ctx)
     k = comp.k
@@ -656,130 +463,60 @@ def assemble_system(state: RodState, ctx: SegmentContext):
 # ---------------------------------------------------------------------------
 
 
-def solve_rates(a_sys: np.ndarray, b_sys: np.ndarray):
-    """Minimum-norm least-squares solution of A x = b.
+def solve_rates(a_sys: np.ndarray, b_sys: np.ndarray,
+                condition: bool = False):
+    """LU solve of A x = b. Returns (x, condition estimate).
 
-    Singular values at rounding level are truncated (exact rank deficiency
-    is tolerated); a surviving spread above COND_LIMIT raises
-    :class:`IllConditioned`. Returns (x, residual_norm, condition_estimate).
+    With ``condition`` the solve also yields A⁻¹, which gives the
+    infinity-norm condition estimate; without it the estimate is zero. A
+    singular or non-finite system, or an estimate above COND_LIMIT, raises
+    :class:`IllConditioned`.
     """
-    u_svd, s_svd, vt_svd = np.linalg.svd(a_sys)
-    smax = s_svd[..., 0]
-    cut = smax * a_sys.shape[-1] * np.finfo(float).eps
-    keep = s_svd > cut[..., None]
-    s_inv = np.where(keep, 1.0 / np.where(keep, s_svd, 1.0), 0.0)
-    s_kept = np.where(keep, s_svd, smax[..., None])
-    cond = smax / np.min(s_kept, axis=-1)
-    if np.any(cond > COND_LIMIT):
-        raise IllConditioned(
-            f"strain-rate system condition estimate {np.max(cond):.3e} "
-            f"exceeds {COND_LIMIT:.0e}"
-        )
-    x = _mat_t_vec(vt_svd, s_inv * _mat_t_vec(u_svd, b_sys))
-    residual = np.linalg.norm(_mat_vec(a_sys, x) - b_sys, axis=-1)
-    return x, residual, cond
-
-
-def _solve_rates_fast(a_sys: np.ndarray, b_sys: np.ndarray):
-    """LU route of :func:`solve_rates` with an infinity-norm condition
-    estimate; falls back to the rank-revealing route on exact singularity."""
-    m = a_sys.shape[-1]
-    rhs = np.empty(a_sys.shape[:-1] + (m + 1,))
-    rhs[..., 0] = b_sys
-    rhs[..., 1:] = _np_eye(m)
+    if condition:
+        m = a_sys.shape[-1]
+        rhs = np.empty(a_sys.shape[:-1] + (m + 1,))
+        rhs[..., 0] = b_sys
+        rhs[..., 1:] = np.eye(m)
+    else:
+        rhs = b_sys[..., None]
     try:
         sol = np.linalg.solve(a_sys, rhs)
     except np.linalg.LinAlgError:
-        return solve_rates(a_sys, b_sys)
+        raise IllConditioned("strain-rate system is singular") from None
     if not np.all(np.isfinite(sol)):
-        return solve_rates(a_sys, b_sys)
+        raise IllConditioned("strain-rate system has no finite solution")
     x = sol[..., 0]
-    inv = sol[..., 1:]
+    if not condition:
+        return x, _ZERO
     cond = (np.abs(a_sys).sum(axis=-1).max(axis=-1)
-            * np.abs(inv).sum(axis=-1).max(axis=-1))
+            * np.abs(sol[..., 1:]).sum(axis=-1).max(axis=-1))
     if np.any(cond > COND_LIMIT):
         raise IllConditioned(
             f"strain-rate system condition estimate {np.max(cond):.3e} "
             f"exceeds {COND_LIMIT:.0e}"
         )
-    residual = np.linalg.norm(_mat_vec(a_sys, x) - b_sys, axis=-1)
-    return x, residual, cond
-
-
-_EYE_CACHE: dict[int, np.ndarray] = {}
-
-
-def _np_eye(m: int) -> np.ndarray:
-    if m not in _EYE_CACHE:
-        _EYE_CACHE[m] = np.eye(m)
-    return _EYE_CACHE[m]
-
-
-@dataclass
-class StateDerivative:
-    """d/ds of every RodState field, plus solver diagnostics."""
-
-    p: np.ndarray
-    R: np.ndarray
-    u1: np.ndarray
-    v1: np.ndarray
-    theta: np.ndarray
-    u_d3: np.ndarray
-    beta: np.ndarray
-    residual: np.ndarray
-    cond: np.ndarray
-
-    def packed(self) -> np.ndarray:
-        batch = self.p.shape[:-1]
-        return np.concatenate(
-            [self.p, self.R.reshape(batch + (9,)), self.u1, self.v1,
-             self.theta, self.u_d3, self.beta], axis=-1)
+    return x, cond
 
 
 def state_derivative(state: RodState, ctx: SegmentContext,
-                     diagnostics: bool = True) -> StateDerivative:
+                     diagnostics: bool = True):
     """Full ODE right-hand side: pose kinematics plus solved strain rates.
 
-    With ``diagnostics=False`` the conditioning/residual fields come back
-    as zeros and the solve skips the extra work of estimating them.
+    Returns (dy, cond): dy is d/ds of the packed state, in the layout of
+    :func:`pack_state`; cond is the rate system's condition estimate, or
+    zero with ``diagnostics=False``, which skips estimating it.
     """
     k = ctx.n_active
     a_sys, b_sys = assemble_system(state, ctx)
-    if diagnostics:
-        x, residual, cond = _solve_rates_fast(a_sys, b_sys)
-    else:
-        try:
-            x = np.linalg.solve(a_sys, b_sys[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            x = None
-        if x is None or not np.all(np.isfinite(x)):
-            x, residual, cond = solve_rates(a_sys, b_sys)
-        else:
-            residual = cond = _ZERO
-    return StateDerivative(
-        p=(state.R @ state.v1[..., None])[..., 0],
-        R=state.R @ hat(state.u1),
-        u1=x[..., 0:3],
-        v1=x[..., 3:6],
-        theta=state.u_d3 - state.u1[..., 2:3],
-        u_d3=x[..., 6:5 + k],
-        beta=x[..., 5 + k:4 + 2 * k],
-        residual=residual,
-        cond=cond,
-    )
-
-
-def distributed_load(tk: TendonKinematics, u_i, udot_i, vdot_i):
-    """Pointwise tendon force/moment per unit length (post-processing only).
-
-    Needs the assigned tube's curvature and converged rates to rebuild the
-    tendon-path second derivative that assembly never materializes.
-    """
-    pddot = (_mat_vec(hat(u_i), tk.pb_dot + tk.rdot)
-             - _mat_vec(hat(tk.r), udot_i) + vdot_i + tk.rddot)
-    f_t = -_mat_vec(tk.pw, pddot)
-    tau_t = _mat_vec(hat(tk.r), f_t)
-    return f_t, tau_t
+    x, cond = solve_rates(a_sys, b_sys, condition=diagnostics)
+    batch = x.shape[:-1]
+    dy = np.empty(batch + (18 + 3 * (k - 1),))
+    dy[..., 0:3] = (state.R @ state.v1[..., None])[..., 0]
+    dy[..., 3:12] = (state.R @ hat(state.u1)).reshape(batch + (9,))
+    dy[..., 12:18] = x[..., 0:6]                             # u̇₁, v̇₁
+    dy[..., 18:17 + k] = state.u_d3 - state.u1[..., 2:3]     # θ̇
+    dy[..., 17 + k:] = x[..., 6:]                            # u̇_d3, β̇
+    return dy, cond
 
 
 def tube_wrench(state: RodState, ctx: SegmentContext):

@@ -21,7 +21,6 @@ from nestrod.assembly import (
     TendonSpec,
     TubeSpec,
     assign_tendons,
-    routing_eval,
     section_stiffness,
     segment_plan,
 )
@@ -185,10 +184,6 @@ class TestRoutingPaths:
             PiecewiseAngularRouting([(0.0, 0.0, 1e-3), (0.0, 1.0, 1e-3)])
         with pytest.raises(ValidationError):
             PiecewiseAngularRouting([(0.0, 0.0, 1e-3), (0.1, 1.0, -1e-3)])
-
-    def test_routing_eval_helper(self):
-        path = StraightRouting([1e-3, 2e-3])
-        assert routing_eval(path, 0.0)[0][1] == 2e-3
 
 
 class TestValidation:

@@ -132,6 +132,20 @@ class TestSolveCommand:
         assert failed["report"]["converged"] is False
         assert failed["report"]["iterations"] >= 1
 
+    def test_frame_drift_exits_2_with_report(self, tmp_path, capsys):
+        # Ten RK4 steps cannot follow the helix backbone: the integrated
+        # frame drifts off the rotation group, which ends the solve as a
+        # non-convergence instead of escaping as bad input.
+        rc = cli.main(["solve", "single_tube_helical_backbone",
+                       "--placeholders", "--steps", "10",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "did not converge" in capsys.readouterr().err
+        failed = json.loads(
+            (tmp_path / "single_tube_helical_backbone_failed.json").read_text())
+        assert failed["report"]["converged"] is False
+        assert "rotation group" in failed["report"]["message"]
+
 
 class TestExportCommand:
     def test_re_export_is_byte_identical(self, tmp_path, capsys):

@@ -7,11 +7,18 @@ wrong the whole validation harness is worthless.
 
 from __future__ import annotations
 
+import ast
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nestrod
+from nestrod import oracles
 from nestrod.assembly import ArcRest, StraightRest, StraightRouting, TubeSpec, \
     section_stiffness
 from nestrod.oracles import (
@@ -22,6 +29,7 @@ from nestrod.oracles import (
     section_quadrature,
     single_tube_shoot,
     single_tube_system,
+    stack_system,
 )
 
 
@@ -67,6 +75,87 @@ class TestSingleTubeSystem:
                       2.0)])
         assert np.max(np.abs(a[0:3, 3:6])) > 0.0
         assert np.max(np.abs(a[3:6, 0:3])) > 0.0
+
+
+class TestStackSystem:
+    _KSE = np.array([5e3, 5e3, 1.4e4])
+    _KBT = np.array([6.5e-3, 6.5e-3, 5e-3])
+
+    def _section(self, scale=1.0, tendons=()):
+        return (scale * self._KSE, scale * self._KBT, np.zeros(3), np.zeros(3),
+                np.array([0.0, 0.0, 1.0]), np.zeros(3), list(tendons))
+
+    def test_one_tube_is_the_single_tube_system(self):
+        u, v = np.array([1.0, -2.0, 0.5]), np.array([0.01, 0.0, 1.0])
+        section = self._section(tendons=[(np.array([3e-3, 0.0, 0.0]),
+                                          np.zeros(3), np.zeros(3), 2.0)])
+        a_one, b_one = single_tube_system(u, v, *section)
+        a, b = stack_system(u, v, [], [], [], [section])
+        np.testing.assert_allclose(a, a_one, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(b, b_one, rtol=1e-15, atol=0)
+
+    def test_aligned_straight_pair_at_rest(self):
+        # Two straight tubes, untwisted and undilated at rest: nothing
+        # drives the rates, the stack rows add the two stiffnesses, and each
+        # tube's twist and axial rows see only its own stiffness.
+        a, b = stack_system(np.zeros(3), [0.0, 0.0, 1.0], [0.0], [0.0], [1.0],
+                            [self._section(), self._section(scale=2.0)])
+        ei, gj = self._KBT[0], self._KBT[2]
+        ga, ea = self._KSE[0], self._KSE[2]
+        np.testing.assert_array_equal(b, 0.0)
+        np.testing.assert_allclose(a[0:2, 0:2], 3.0 * ei * np.eye(2))
+        np.testing.assert_allclose(a[4:6, 3:5], 3.0 * ga * np.eye(2))
+        # rows 2, 3: own twist of tube 1 (on u̇₁z) and tube 2 (on u̇_d3)
+        assert a[2, 2] == pytest.approx(gj)
+        np.testing.assert_array_equal(a[3, 0:3], 0.0)
+        assert a[3, 6] == pytest.approx(2.0 * gj)
+        # rows 6, 7: own axial force of tube 1 (on v̇₁z) and tube 2 (on
+        # v̇₁z and its dilation rate β̇)
+        assert a[6, 5] == pytest.approx(ea)
+        assert a[7, 5] == pytest.approx(2.0 * ea)
+        assert a[7, 7] == pytest.approx(2.0 * ea)
+
+
+class TestIndependence:
+    def test_oracles_import_no_solver_module_outside_run_validate(self):
+        tree = ast.parse(Path(oracles.__file__).read_text())
+        solver = {"statics", "shooting", "so3"}
+        outside, inside = [], []
+
+        class Imports(ast.NodeVisitor):
+            def __init__(self, sink):
+                self.sink = sink
+
+            def visit_FunctionDef(self, node):
+                if node.name == "run_validate":
+                    Imports(inside).generic_visit(node)
+                else:
+                    self.generic_visit(node)
+
+            def visit_Import(self, node):
+                self.sink.extend(alias.name for alias in node.names)
+
+            def visit_ImportFrom(self, node):
+                base = node.module or ""
+                self.sink.append(base)
+                self.sink.extend(f"{base}.{alias.name}" for alias in node.names)
+
+        Imports(outside).visit(tree)
+        touches = [name for name in outside if solver & set(name.split("."))]
+        assert touches == []
+        # the walk does see run_validate's own imports of the solver
+        assert any(solver & set(name.split(".")) for name in inside)
+
+    def test_package_import_does_not_load_scipy(self):
+        src = str(Path(nestrod.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, nestrod; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
 
 
 class TestSingleTubeShoot:

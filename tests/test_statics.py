@@ -1,10 +1,10 @@
 """Cross-section statics tests.
 
 The heart of the model is the linear system in the strain rates that every
-integration step solves. Two independently written assembly routes exist on
-purpose — a per-tube reference and a vectorized production path — and this
-file pins them against each other over random states, besides checking the
-rate solver's rank handling and the tendon-path kinematics.
+integration step solves. The stacked production assembly is pinned over
+random states against ``oracles.stack_system``, an independently written
+tube-by-tube reference; the file also checks the LU rate solve's failure
+handling, the tendon-path kinematics and the packed derivative layout.
 """
 
 from __future__ import annotations
@@ -22,21 +22,18 @@ from nestrod.assembly import (
     TubeSpec,
 )
 from nestrod.errors import DegenerateTendon, IllConditioned
+from nestrod.oracles import stack_system
 from nestrod.shooting import build_problem, SolverOptions
 from nestrod.so3 import hat
 from nestrod.statics import (
     RodState,
     assemble_system,
-    assemble_system_reference,
     derived_strains,
-    distributed_load,
     pack_state,
     solve_rates,
     state_derivative,
-    tendon_kinematics,
     tube_wrench,
     unpack_state,
-    _solve_rates_fast,
 )
 
 
@@ -82,6 +79,19 @@ def _random_state(rng, k: int, batch=(), s=0.05) -> RodState:
         beta=1.0 + rng.normal(scale=0.005, size=batch + (k - 1,)),
         s=s,
     )
+
+
+def _reference_system(state: RodState, ctx):
+    """``oracles.stack_system`` fed from a segment context at one state."""
+    sections = []
+    for tube, loads in zip(ctx.tubes, ctx.loads):
+        ustar, ustar_dot = tube.rest.curvature(state.s + tube.offset)
+        vstar, vstar_dot = tube.rest.stretch(state.s + tube.offset)
+        tendons = [t.routing.eval(state.s) + (t.tension,) for t in loads]
+        sections.append((tube.kse_diag, tube.kbt_diag, ustar, ustar_dot,
+                         vstar, vstar_dot, tendons))
+    return stack_system(state.u1, state.v1, state.theta, state.u_d3,
+                        state.beta, sections)
 
 
 class TestStateLayout:
@@ -136,7 +146,7 @@ class TestAssemblyRoutes:
         rng = np.random.default_rng(59 + k)
         for _ in range(10):
             state = _random_state(rng, k)
-            a_ref, b_ref = assemble_system_reference(state, ctx)
+            a_ref, b_ref = _reference_system(state, ctx)
             a_vec, b_vec = assemble_system(state, ctx)
             assert a_vec.shape == (2 * k + 4, 2 * k + 4)
             scale_a = np.max(np.abs(a_ref))
@@ -154,7 +164,7 @@ class TestAssemblyRoutes:
             single = RodState(state.p[i], state.R[i], state.u1[i],
                               state.v1[i], state.theta[i], state.u_d3[i],
                               state.beta[i], state.s)
-            a_one, b_one = assemble_system_reference(single, ctx)
+            a_one, b_one = _reference_system(single, ctx)
             scale = np.max(np.abs(a_one))
             np.testing.assert_allclose(a_vec[i], a_one, atol=1e-12 * scale)
             np.testing.assert_allclose(b_vec[i], b_one,
@@ -180,7 +190,8 @@ class TestRestEquilibrium:
         ][:k]
         ctx = build_problem(AssemblySpec(tubes=tubes),
                             SolverOptions()).contexts[0]
-        deriv = state_derivative(self._rest_state(k), ctx)
+        dy, _ = state_derivative(self._rest_state(k), ctx)
+        deriv = unpack_state(dy, k, 0.0)
         np.testing.assert_allclose(deriv.u1, 0.0, atol=1e-9)
         np.testing.assert_allclose(deriv.v1, 0.0, atol=1e-9)
         np.testing.assert_allclose(deriv.u_d3, 0.0, atol=1e-9)
@@ -192,7 +203,8 @@ class TestRestEquilibrium:
     def test_precurved_tube_keeps_rest_curvature(self):
         asm = AssemblySpec(tubes=[_tube(rest_shape=ArcRest(kappa=10.0))])
         ctx = build_problem(asm, SolverOptions()).contexts[0]
-        deriv = state_derivative(self._rest_state(1, u1=[10.0, 0.0, 0.0]), ctx)
+        dy, _ = state_derivative(self._rest_state(1, u1=[10.0, 0.0, 0.0]), ctx)
+        deriv = unpack_state(dy, 1, 0.0)
         np.testing.assert_allclose(deriv.u1, 0.0, atol=1e-8)
         np.testing.assert_allclose(deriv.v1, 0.0, atol=1e-8)
 
@@ -203,51 +215,43 @@ class TestRateSolve:
         for _ in range(10):
             a = rng.normal(size=(8, 8)) + 4.0 * np.eye(8)
             b = rng.normal(size=8)
-            x, residual, cond = solve_rates(a, b)
-            np.testing.assert_allclose(x, np.linalg.solve(a, b),
-                                       rtol=1e-9, atol=1e-12)
-            assert residual < 1e-10
-            assert cond >= 1.0
+            for condition in (False, True):
+                x, cond = solve_rates(a, b, condition=condition)
+                np.testing.assert_allclose(x, np.linalg.solve(a, b),
+                                           rtol=1e-9, atol=1e-12)
+                assert (cond >= 1.0) if condition else (cond == 0.0)
 
-    def test_min_norm_on_exact_rank_deficiency(self):
-        a = np.diag([2.0, 1.0, 0.0, 3.0])
-        b = np.array([2.0, 1.0, 0.0, 3.0])
-        x, residual, cond = solve_rates(a, b)
-        np.testing.assert_allclose(x, np.linalg.pinv(a) @ b, atol=1e-12)
-        assert x[2] == 0.0          # minimum-norm picks the zero component
-        assert cond < 10.0          # truncated direction is out of the estimate
+    def test_condition_estimate_is_infinity_norm(self):
+        a = np.diag([2.0, 1.0, 0.5, 4.0])
+        _, cond = solve_rates(a, np.ones(4), condition=True)
+        assert cond == pytest.approx(np.linalg.cond(a, np.inf), rel=1e-12)
 
     def test_ill_conditioned_raises(self):
         a = np.diag([1.0, 1.0, 1.0, 1e-13])
         with pytest.raises(IllConditioned):
-            solve_rates(a, np.ones(4))
-        with pytest.raises(IllConditioned):
-            _solve_rates_fast(a, np.ones(4))
+            solve_rates(a, np.ones(4), condition=True)
 
-    def test_fast_route_agrees(self):
-        rng = np.random.default_rng(71)
-        for _ in range(10):
-            a = rng.normal(size=(10, 10)) + 5.0 * np.eye(10)
-            b = rng.normal(size=10)
-            x_s, _, _ = solve_rates(a, b)
-            x_f, residual, cond = _solve_rates_fast(a, b)
-            np.testing.assert_allclose(x_f, x_s, rtol=1e-9, atol=1e-12)
-            assert residual < 1e-9
-            assert cond >= 1.0
-
-    def test_fast_route_falls_back_on_singular(self):
+    @pytest.mark.parametrize("condition", [False, True])
+    def test_singular_system_raises(self, condition):
         a = np.diag([2.0, 1.0, 0.0, 3.0])
         b = np.array([2.0, 1.0, 0.0, 3.0])
-        x_f, _, _ = _solve_rates_fast(a, b)
-        x_s, _, _ = solve_rates(a, b)
-        np.testing.assert_allclose(x_f, x_s, atol=1e-12)
+        with pytest.raises(IllConditioned):
+            solve_rates(a, b, condition=condition)
+
+    @pytest.mark.parametrize("condition", [False, True])
+    def test_non_finite_system_raises(self, condition):
+        a = np.eye(4)
+        a[1, 2] = np.nan
+        with pytest.raises(IllConditioned):
+            solve_rates(a, np.ones(4), condition=condition)
 
     def test_batched(self):
         rng = np.random.default_rng(73)
         a = rng.normal(size=(4, 6, 6)) + 4.0 * np.eye(6)
         b = rng.normal(size=(4, 6))
-        x, residual, cond = solve_rates(a, b)
+        x, cond = solve_rates(a, b, condition=True)
         assert x.shape == (4, 6)
+        assert cond.shape == (4,)
         for i in range(4):
             np.testing.assert_allclose(x[i], np.linalg.solve(a[i], b[i]),
                                        rtol=1e-9, atol=1e-12)
@@ -264,36 +268,28 @@ class TestTendonKinematics:
         # tangent collapses with v1
         ctx.loads[0][0].routing = StraightRouting([3e-3, 0.0])
         with pytest.raises(DegenerateTendon):
-            tendon_kinematics(state, derived_strains(state), ctx)
+            assemble_system(state, ctx)
 
     def test_tangent_is_near_unit_at_rest(self):
-        ctx = _context(2)
+        # At rest a straight tendon runs along the unit tangent e3, so its
+        # load operator is T·hat(e3)² = −T·diag(1, 1, 0): it stiffens the
+        # shear rows by the tension and leaves the axial row alone.
+        ctx = _context(1)
+        ctx.loads[0][0].routing = StraightRouting([3e-3, 0.0])
+        tension = ctx.loads[0][0].tension
         state = RodState(p=np.zeros(3), R=np.eye(3), u1=np.zeros(3),
                          v1=np.array([0.0, 0.0, 1.0]),
-                         theta=np.zeros(1), u_d3=np.zeros(1),
-                         beta=np.ones(1), s=0.05)
-        tks = tendon_kinematics(state, derived_strains(state), ctx)
-        for per_tube in tks:
-            for tk in per_tube:
-                norm = np.linalg.norm(tk.pb_dot)
-                assert 0.9 < norm < 1.1
-                np.testing.assert_allclose(
-                    tk.pw, tk.scale * (hat(tk.pb_dot) @ hat(tk.pb_dot)),
-                    atol=1e-12)
-
-    def test_distributed_load_moment_identity(self):
-        ctx = _context(2)
-        rng = np.random.default_rng(79)
-        state = _random_state(rng, 2)
-        us, _ = derived_strains(state)
-        tks = tendon_kinematics(state, derived_strains(state), ctx)
-        udot = rng.normal(size=3)
-        vdot = rng.normal(size=3)
-        for i, per_tube in enumerate(tks):
-            for tk in per_tube:
-                f_t, tau_t = distributed_load(tk, us[i], udot, vdot)
-                np.testing.assert_allclose(tau_t, np.cross(tk.r, f_t),
-                                           atol=1e-12)
+                         theta=np.zeros(0), u_d3=np.zeros(0),
+                         beta=np.zeros(0), s=0.05)
+        a_sys, _ = assemble_system(state, ctx)
+        kse = ctx.tubes[0].kse_diag
+        np.testing.assert_allclose(
+            a_sys[3:6, 3:6], np.diag(kse + tension * np.array([1.0, 1.0, 0.0])),
+            rtol=1e-14, atol=1e-12)
+        hat_e3 = hat(np.array([0.0, 0.0, 1.0]))
+        np.testing.assert_allclose(a_sys[0:3, 3:6],
+                                   -tension * hat(np.array([3e-3, 0.0, 0.0]))
+                                   @ hat_e3 @ hat_e3, atol=1e-15)
 
 
 class TestWrench:
@@ -317,22 +313,25 @@ class TestStateDerivative:
         ctx = _context(2)
         rng = np.random.default_rng(89)
         state = _random_state(rng, 2)
-        full = state_derivative(state, ctx, diagnostics=True)
-        fast = state_derivative(state, ctx, diagnostics=False)
-        np.testing.assert_allclose(fast.u1, full.u1, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(fast.v1, full.v1, rtol=1e-10, atol=1e-14)
-        np.testing.assert_allclose(fast.beta, full.beta, rtol=1e-10,
-                                   atol=1e-12)
-        assert full.cond >= 1.0
-        assert np.all(fast.cond == 0.0)
+        full, cond = state_derivative(state, ctx, diagnostics=True)
+        fast, no_cond = state_derivative(state, ctx, diagnostics=False)
+        np.testing.assert_allclose(fast, full, rtol=1e-10, atol=1e-12)
+        assert cond >= 1.0
+        assert np.all(no_cond == 0.0)
 
-    def test_packed_matches_fields(self):
-        ctx = _context(2)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_packed_layout(self, k):
+        ctx = _context(k)
         rng = np.random.default_rng(97)
-        state = _random_state(rng, 2)
-        deriv = state_derivative(state, ctx)
-        y = deriv.packed()
-        np.testing.assert_array_equal(y[0:3], deriv.p)
-        np.testing.assert_array_equal(y[3:12], deriv.R.reshape(9))
-        np.testing.assert_array_equal(y[12:15], deriv.u1)
-        np.testing.assert_array_equal(y[18:19], deriv.theta)
+        state = _random_state(rng, k, batch=(2,))
+        dy, _ = state_derivative(state, ctx)
+        assert dy.shape == pack_state(state).shape
+        deriv = unpack_state(dy, k, state.s)
+        np.testing.assert_array_equal(deriv.p, (state.R @ state.v1[..., None])[..., 0])
+        np.testing.assert_array_equal(deriv.R, state.R @ hat(state.u1))
+        np.testing.assert_array_equal(deriv.theta,
+                                      state.u_d3 - state.u1[..., 2:3])
+        a_sys, b_sys = assemble_system(state, ctx)
+        x = np.concatenate([deriv.u1, deriv.v1, deriv.u_d3, deriv.beta], axis=-1)
+        np.testing.assert_array_equal(
+            x, solve_rates(a_sys, b_sys, condition=True)[0])
