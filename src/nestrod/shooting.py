@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,27 +146,28 @@ def build_problem(assembly: AssemblySpec, options: SolverOptions,
 # ---------------------------------------------------------------------------
 
 
-def integrate_segment(state: RodState, ctx: SegmentContext, steps: int,
-                      record: bool = False):
+def integrate_segment(state: RodState, ctx: SegmentContext, steps: int):
     """March the cross-section ODE across one segment with fixed-step RK4.
 
     The frame is re-projected onto the rotation group after every step so
-    drift never accumulates. Returns (end state, recorded packed states or
-    None, worst condition estimate seen).
+    drift never accumulates. Returns (end state, packed states at every
+    station, shaped (steps + 1, *batch, width), worst condition estimate
+    seen per batch row).
     """
     h = (ctx.end - ctx.start) / steps
     k = ctx.n_active
     y = pack_state(state)
     batch = y.shape[:-1]
-    cond_max = 0.0
-    trail = [y.copy()] if record else None
+    cond_max = np.zeros(batch)
+    trail = np.empty((steps + 1,) + y.shape)
+    trail[0] = y
 
     def rhs(yv: np.ndarray, s: float, diagnostics: bool = False) -> np.ndarray:
         nonlocal cond_max
         dy, cond = state_derivative(unpack_state(yv, k, s), ctx,
                                     diagnostics=diagnostics)
         if diagnostics:
-            cond_max = max(cond_max, float(np.max(cond)))
+            cond_max = np.maximum(cond_max, cond)
         return dy
 
     for i in range(steps):
@@ -176,11 +178,10 @@ def integrate_segment(state: RodState, ctx: SegmentContext, steps: int,
         k2 = rhs(y + 0.5 * h * k1, s + 0.5 * h)
         k3 = rhs(y + 0.5 * h * k2, s + 0.5 * h)
         k4 = rhs(y + h * k3, s + h)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        trail[i + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = trail[i + 1]
         y[..., 3:12] = reorthonormalize(
             y[..., 3:12].reshape(batch + (3, 3))).reshape(batch + (9,))
-        if record:
-            trail.append(y.copy())
 
     return unpack_state(y, k, ctx.end), trail, cond_max
 
@@ -356,24 +357,23 @@ def _base_state(problem: Problem, guess: np.ndarray) -> RodState:
 
 
 def boundary_residual(guess: np.ndarray, problem: Problem,
-                      options: SolverOptions, record: bool = False):
+                      options: SolverOptions):
     """Residual vector of the shooting map for a (batched) base-strain guess.
 
     Component order: per boundary in station order, [axial force, twist
     moment] of each tube ending there; the final station appends the whole
     stack's transverse force then bending moment mismatch. Returns
-    (residual (..., size), trail list or None, worst condition estimate).
+    (residual (..., size), the recorded states of every segment as from
+    :func:`integrate_segment`, worst condition estimate per batch row).
     """
     state = _base_state(problem, guess)
     parts: list[np.ndarray] = []
-    trail = [] if record else None
-    cond_max = 0.0
+    trail = []
+    cond_max = np.zeros(guess.shape[:-1])
     for ctx, event in zip(problem.contexts, problem.events):
-        state, rec, cond = integrate_segment(state, ctx, options.steps_per_segment,
-                                             record=record)
-        cond_max = max(cond_max, cond)
-        if record:
-            trail.append(rec)
+        state, rec, cond = integrate_segment(state, ctx, options.steps_per_segment)
+        cond_max = np.maximum(cond_max, cond)
+        trail.append(rec)
         state, res, _ = apply_transition(state, event, ctx)
         parts.extend(res)
     return np.stack(parts, axis=-1), trail, cond_max
@@ -450,13 +450,12 @@ class Solution:
         return self.segments[-1].end
 
 
-def _expand_segment(ctx: SegmentContext, trail: list[np.ndarray]) -> SegmentSolution:
+def _expand_segment(ctx: SegmentContext, trail: np.ndarray) -> SegmentSolution:
     k = ctx.n_active
     steps = len(trail) - 1
     h = (ctx.end - ctx.start) / steps
     stations = ctx.start + h * np.arange(steps + 1)
-    batch = np.stack(trail, axis=0)
-    state = unpack_state(batch, k, ctx.start)
+    state = unpack_state(trail, k, ctx.start)
     # Strains and wrench are station-independent maps except for the rest
     # shape, which needs true stations: evaluate per sample.
     us = np.zeros((steps + 1, k, 3))
@@ -499,13 +498,38 @@ def _scaled_max(res: np.ndarray, tol: np.ndarray) -> float:
     return float(np.max(np.abs(res) / tol))
 
 
+def _row(trail: list[np.ndarray], j: int) -> list[np.ndarray]:
+    """Recorded states of batch row ``j``, one (steps + 1, width) per segment."""
+    return [rec[:, j].copy() for rec in trail]
+
+
+class _Outcome(NamedTuple):
+    """Where one Newton solve ended, and whether that meets its target."""
+
+    guess: np.ndarray
+    residual: np.ndarray
+    metric: float                 # scaled residual against the tolerances
+    iterations: int
+    condition_max: float
+    converged: bool
+    trail: list[np.ndarray]       # recorded states at ``guess``
+
+
 def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
-            relax: float = 1.0, iter_cap: int | None = None):
-    """Damped Newton on the shooting residual. Returns (guess, report data).
+            relax: float = 1.0, iter_cap: int | None = None) -> _Outcome:
+    """Damped Newton on the shooting residual.
 
     ``relax`` loosens the convergence target by that factor (the returned
     metric is always against the unrelaxed tolerances); ``iter_cap``
     tightens the iteration budget below the configured maximum.
+
+    Each iteration costs one batched integration. The first batch is the
+    FD stencil at the guess, and every line-search batch also carries the
+    stencil around the full-step candidate, so when the full step is taken
+    the next Jacobian is already there. A shorter step integrates the
+    stencil rows around it on their own. A batch that fails as a whole falls back to the narrower
+    evaluations it fused, one at a time, so a failing stencil row never
+    costs a step that the ladder alone would take.
     """
     size = problem.guess_size
     n = problem.n_tubes
@@ -518,66 +542,106 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
     h[3:6] = options.fd_step_strain
     h[6:5 + n] = options.fd_step_curvature
     h[5 + n:] = options.fd_step_beta
+    offsets = np.diag(h)
+    factors = 0.5 ** np.arange(_LINE_SEARCH_HALVINGS + 1)
+    ladder = factors.size
 
-    cond_max = 0.0
-    res, _, cond = boundary_residual(guess, problem, options)
-    cond_max = max(cond_max, cond)
+    try:
+        res_all, trail_all, cond = boundary_residual(
+            np.concatenate([guess[None, :], guess + offsets]), problem, options)
+    except _RECOVERABLE:
+        # No Jacobian can be formed here, so Newton cannot move: the guess
+        # alone decides the outcome.
+        res, trail, cond = boundary_residual(guess, problem, options)
+        metric = _scaled_max(res, tol)
+        return _Outcome(guess, res, metric, 0, float(cond), metric < relax,
+                        trail)
+    res, trail, cond_max = res_all[0], _row(trail_all, 0), float(cond[0])
     metric = _scaled_max(res, tol)
+    # Residuals and condition estimates of the stencil rows around the
+    # guess, once integrated; their estimates count only once they are used.
+    stencil = res_all[1:], cond[1:]
     iterations = 0
     while metric >= relax:
         if iterations >= cap:
-            return guess, res, metric, iterations, cond_max, False
-        stencil = np.concatenate([guess[None, :], guess[None, :] + np.diag(h)],
-                                 axis=0)
-        try:
-            res_all, _, cond = boundary_residual(stencil, problem, options)
-        except _RECOVERABLE:
-            return guess, res, metric, iterations, cond_max, False
-        cond_max = max(cond_max, cond)
-        res = res_all[0]
-        metric = _scaled_max(res, tol)
-        if metric < relax:
-            break
-        jac = ((res_all[1:] - res) / h[:, None]).T
+            return _Outcome(guess, res, metric, iterations, cond_max, False, trail)
+        if stencil is None:
+            try:
+                rows, _, cond = boundary_residual(guess + offsets, problem,
+                                                  options)
+            except _RECOVERABLE:
+                return _Outcome(guess, res, metric, iterations, cond_max,
+                                False, trail)
+            stencil = rows, cond
+        rows, cond = stencil
+        cond_max = max(cond_max, float(np.max(cond)))
+        stencil = None
+        jac = ((rows - res) / h[:, None]).T
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(jac, -res, rcond=None)[0]
 
-        factors = 0.5 ** np.arange(_LINE_SEARCH_HALVINGS + 1)
+        # One batched call covers the whole backtracking ladder plus the
+        # stencil around the full step; pick the longest step that still
+        # reduces the scaled residual.
+        cands = guess + factors[:, None] * step
+        batch = None
+        for trial in (np.concatenate([cands, cands[0] + offsets]), cands):
+            try:
+                batch = boundary_residual(trial, problem, options)
+                break
+            except _RECOVERABLE:
+                continue
         accepted = False
-        try:
-            # One batched call covers the whole backtracking ladder; pick
-            # the longest step that still reduces the scaled residual.
-            cands = guess + factors[:, None] * step
-            cand_res, _, cond = boundary_residual(cands, problem, options)
-            cond_max = max(cond_max, cond)
-            cand_metrics = np.max(np.abs(cand_res) / tol, axis=-1)
+        if batch is not None:
+            res_all, trail_all, cond = batch
+            cond_max = max(cond_max, float(np.max(cond[:ladder])))
+            cand_metrics = np.max(np.abs(res_all[:ladder]) / tol, axis=-1)
             better = np.flatnonzero(cand_metrics < metric)
             if better.size:
                 j = int(better[0])
-                guess, res, metric = cands[j], cand_res[j], float(cand_metrics[j])
+                guess, res, metric = cands[j], res_all[j], float(cand_metrics[j])
+                trail = _row(trail_all, j)
                 accepted = True
-        except _RECOVERABLE:
+                if j == 0 and len(res_all) > ladder:
+                    stencil = res_all[ladder:], cond[ladder:]
+        else:
             # A bold trial step may leave the physical domain (tube dilation
             # or extension crossing zero), poisoning the batch; fall back to
             # shrinking one candidate at a time.
-            for t in factors:
-                cand = guess + t * step
+            for cand in cands:
                 try:
-                    cand_res, _, cond = boundary_residual(cand, problem, options)
+                    cand_res, cand_trail, cond = boundary_residual(
+                        cand, problem, options)
                 except _RECOVERABLE:
                     continue
-                cond_max = max(cond_max, cond)
+                cond_max = max(cond_max, float(cond))
                 cand_metric = _scaled_max(cand_res, tol)
                 if cand_metric < metric:
                     guess, res, metric = cand, cand_res, cand_metric
+                    trail = cand_trail
                     accepted = True
                     break
         iterations += 1
         if not accepted:
-            return guess, res, metric, iterations, cond_max, False
-    return guess, res, metric, iterations, cond_max, True
+            return _Outcome(guess, res, metric, iterations, cond_max, False, trail)
+    return _Outcome(guess, res, metric, iterations, cond_max, True, trail)
+
+
+def _tension_free_failure(assembly: AssemblySpec,
+                          options: SolverOptions) -> str | None:
+    """Why the rest guess cannot be integrated without tension, if it cannot.
+
+    Such a failure does not depend on tension, so no shorter ramp step
+    can get past it.
+    """
+    problem = build_problem(assembly, options, tension_scale=0.0)
+    try:
+        boundary_residual(rest_guess(problem), problem, options)
+    except _RECOVERABLE as exc:
+        return f"integration fails without tension ({exc})"
+    return None
 
 
 def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
@@ -619,6 +683,9 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
         history: list[tuple[float, np.ndarray]] = []
         s_done = 0.0
         steps_run = 0
+        rest_checked = False
+        # Residual of the last Newton solve that got to evaluate one.
+        last_res = np.full(len(problem_full.residual_classes), np.inf)
         while queue:
             scale = queue[0]
             problem = problem_full if scale == 1.0 else build_problem(
@@ -638,24 +705,26 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
             if start is not guess:
                 try:
                     out = _newton(problem, options, start, relax, cap)
+                    last_res = out.residual
                 except _RECOVERABLE:
                     out = None
-                if out is not None and not out[5]:
+                if out is not None and not out.converged:
                     out = None
             if out is None:
                 # Either no prediction was available or it overshot the
                 # physical domain / stalled; run from the last converged guess.
                 try:
                     out = _newton(problem, options, guess, relax, cap)
+                    last_res = out.residual
                 except _RECOVERABLE as exc:
                     failure = f"integration left the physical domain ({exc})"
-            metric, res = float("inf"), np.array([])
+            metric = float("inf")
             if out is not None:
-                new_guess, res, metric, iters, cond, converged = out
-                total_iterations += iters
-                cond_max = max(cond_max, cond)
-                if converged:
-                    guess = new_guess
+                metric = out.metric
+                total_iterations += out.iterations
+                cond_max = max(cond_max, out.condition_max)
+                if out.converged:
+                    guess = out.guess
                     history.append((scale, guess))
                     queue.pop(0)
                     s_done = scale
@@ -664,35 +733,39 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
             # The step was too ambitious: retry halfway between the last
             # converged tension and this one, until the interval collapses.
             steps_run += 1
-            if use_ramp and scale - s_done > min_gap and steps_run < step_budget:
+            retry = use_ramp and scale - s_done > min_gap \
+                and steps_run < step_budget
+            if retry and s_done == 0.0 and not rest_checked:
+                rest_checked = True
+                why = _tension_free_failure(assembly, options)
+                if why is not None:
+                    failure, retry = why, False
+            if retry:
                 queue.insert(0, 0.5 * (s_done + scale))
                 continue
             last_error = NoConvergence(
                 f"shooting stalled at tension scale {scale:.3f} with "
                 f"scaled residual {metric:.3e} after {total_iterations} "
-                f"iterations",
+                f"iterations: {failure}",
                 report=ConvergenceReport(
                     converged=False, iterations=total_iterations,
                     continuation_steps=steps_run,
-                    scaled_residual=metric, residual=res,
+                    scaled_residual=metric, residual=last_res,
                     condition_max=cond_max,
                     message=failure,
                 ))
             ok = False
             break
         if ok:
-            res, trail, cond = boundary_residual(guess, problem_full, options,
-                                                 record=True)
-            cond_max = max(cond_max, cond)
-            tol = np.where(np.array(problem_full.residual_classes) == "f",
-                           options.force_tol, options.moment_tol)
+            # The ramp always ends with the full-tension step, so ``out`` is
+            # Newton's accepted solve of ``problem_full``.
             report = ConvergenceReport(
                 converged=True, iterations=total_iterations,
                 continuation_steps=steps_run,
-                scaled_residual=_scaled_max(res, tol), residual=res,
+                scaled_residual=out.metric, residual=out.residual,
                 condition_max=cond_max)
             segments = [_expand_segment(ctx, rec)
-                        for ctx, rec in zip(problem_full.contexts, trail)]
+                        for ctx, rec in zip(problem_full.contexts, out.trail)]
             return Solution(assembly=assembly, options=options, guess=guess,
                             segments=segments, report=report)
     raise last_error

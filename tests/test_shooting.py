@@ -16,8 +16,10 @@ from nestrod.assembly import (
     TendonSpec,
     TubeSpec,
 )
-from nestrod.errors import NoConvergence
+from nestrod import shooting
+from nestrod.errors import IllConditioned, NoConvergence
 from nestrod.oracles import single_tube_shoot
+from nestrod.scenario import preset
 from nestrod.shooting import (
     ConvergenceReport,
     SolverOptions,
@@ -56,7 +58,7 @@ class TestIntegration:
                          v1=np.array([0.0, 0.0, 1.0]),
                          theta=np.zeros(0), u_d3=np.zeros(0),
                          beta=np.zeros(0), s=0.0)
-        end, trail, cond = integrate_segment(state, ctx, 200, record=True)
+        end, trail, cond = integrate_segment(state, ctx, 200)
         angle = kappa * length
         expect_p = np.array([0.0, (math.cos(angle) - 1.0) / kappa,
                              math.sin(angle) / kappa])
@@ -66,7 +68,7 @@ class TestIntegration:
         # strains stay at rest the whole way
         np.testing.assert_allclose(end.u1, [kappa, 0.0, 0.0], atol=1e-9)
         np.testing.assert_allclose(end.v1, [0.0, 0.0, 1.0], atol=1e-9)
-        assert trail is not None and len(trail) == 201
+        assert trail.shape == (201, 18)
         assert cond >= 1.0
 
     def test_step_doubling_converges(self):
@@ -177,6 +179,72 @@ class TestShoot:
         assert abs(t0[1]) > 1e-4 and abs(t0[0]) < 1e-9
         assert abs(t90[0]) > 1e-4
         assert abs(t90[1]) < abs(t0[1])
+
+
+class TestNewtonBatches:
+    def test_one_evaluation_per_iteration(self, monkeypatch):
+        # The solve starts from one stencil batch, every full step carries
+        # the next stencil, and the recorded shape comes from the accepted
+        # row: no record pass.
+        calls = []
+        inner = shooting.boundary_residual
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "boundary_residual", counted)
+        asm, opts = preset("ctr_theta_90")
+        opts.steps_per_segment = 50
+        report = shoot(asm, opts).report
+        assert len(calls) == report.iterations + report.continuation_steps
+        assert len(calls) == 5
+
+    def test_condition_estimate_per_row(self):
+        # Each batch row reads exactly as when it is run alone, so Newton
+        # may take any row of a batch as that guess's evaluation.
+        opts = SolverOptions(steps_per_segment=20)
+        problem = build_problem(_two_tube(tension=1.0), opts)
+        # Stretching the base moves the estimate; bending alone does not.
+        rows = np.repeat(rest_guess(problem)[None, :], 3, axis=0)
+        rows[:, 5] += [0.0, 0.1, -0.1]
+        res, trail, cond = boundary_residual(rows, problem, opts)
+        assert cond.shape == (3,)
+        assert len(set(cond.tolist())) == 3
+        for j, row in enumerate(rows):
+            alone_res, alone_trail, alone_cond = boundary_residual(
+                row, problem, opts)
+            assert cond[j] == alone_cond
+            np.testing.assert_array_equal(res[j], alone_res)
+            for rec, alone in zip(trail, alone_trail, strict=True):
+                assert rec.shape[:2] == (21, 3)
+                np.testing.assert_array_equal(rec[:, j], alone)
+
+    def test_fused_batch_failure_falls_back(self, monkeypatch):
+        # A failure anywhere in a fused batch (ladder plus stencil) must not
+        # cost a step: the plain ladder batch runs instead, not the serial
+        # one-candidate-at-a-time ladder.
+        opts = SolverOptions(steps_per_segment=30)
+        plain = shoot(_two_tube(tension=1.0), opts)
+        inner = shooting.boundary_residual
+        ladder = shooting._LINE_SEARCH_HALVINGS + 1
+        refused, run = [], []
+
+        def refuse_wide(guess, *args, **kwargs):
+            rows = guess.shape[0] if guess.ndim == 2 else 1
+            if rows > ladder:
+                refused.append(rows)
+                raise IllConditioned("refused wide batch")
+            run.append(rows)
+            return inner(guess, *args, **kwargs)
+
+        monkeypatch.setattr(shooting, "boundary_residual", refuse_wide)
+        patched = shoot(_two_tube(tension=1.0), opts)
+        assert refused and ladder in run and 1 not in run
+        np.testing.assert_array_equal(patched.tip_position, plain.tip_position)
+        assert patched.report.iterations == plain.report.iterations
+        assert patched.report.continuation_steps == \
+            plain.report.continuation_steps
 
 
 class TestFailureReport:
