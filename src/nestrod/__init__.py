@@ -14,10 +14,8 @@ from .assembly import (ArcRest, AssemblySpec, HelicalRouting, HelixRest,
                        PiecewiseAngularRouting, StiffnessPair, StraightRest,
                        StraightRouting, Strategy, TendonSpec, TubeSpec,
                        section_stiffness)
-from .errors import (DegenerateTendon, IllConditioned, NestrodError,
-                     NoConvergence, OutOfDomain, ParseError,
-                     SingularTransition, UnitError, UnknownPreset,
-                     ValidationError)
+from .errors import (NestrodError, NoConvergence, OutOfDomain, ParseError,
+                     UnitError, UnknownPreset, ValidationError)
 from .export import solution_payload, write_csv, write_json, write_svg
 from .oracles import run_validate
 from .scenario import (Scenario, build_scenario, canonical_text,
@@ -29,10 +27,9 @@ from .shooting import (ConvergenceReport, Solution, SolverOptions, shoot,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcRest", "AssemblySpec", "ConvergenceReport", "DegenerateTendon",
-    "HelicalRouting", "HelixRest", "IllConditioned", "NestrodError",
-    "NoConvergence", "OutOfDomain", "ParseError", "PiecewiseAngularRouting",
-    "Scenario", "SingularTransition", "Solution", "SolverOptions",
+    "ArcRest", "AssemblySpec", "ConvergenceReport", "HelicalRouting",
+    "HelixRest", "NestrodError", "NoConvergence", "OutOfDomain", "ParseError",
+    "PiecewiseAngularRouting", "Scenario", "Solution", "SolverOptions",
     "StiffnessPair", "StraightRest", "StraightRouting", "Strategy",
     "TendonSpec", "TubeSpec", "UnitError", "UnknownPreset",
     "ValidationError", "build_scenario", "canonical_text", "load_scenario",

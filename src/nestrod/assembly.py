@@ -21,6 +21,10 @@ from .errors import EmptyAssembly, OutOfDomain, ValidationError
 # tendon termination may overshoot its tube's tip by at most this much.
 STATION_TOL = 1e-6
 
+# A routing query may overshoot its knot span by this much (round-off of
+# the integrator's stations).
+KNOT_TOL = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # rest shapes (stress-free curvature / stretch as functions of local station)
@@ -264,7 +268,7 @@ class PiecewiseAngularRouting:
         self._radius = CubicSpline(stations, [k[2] for k in knots], bc_type="natural")
 
     def eval(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if s < self.stations[0] - 1e-12 or s > self.stations[-1] + 1e-12:
+        if s < self.stations[0] - KNOT_TOL or s > self.stations[-1] + KNOT_TOL:
             raise OutOfDomain(
                 f"station {s} outside routing domain "
                 f"[{self.stations[0]}, {self.stations[-1]}]"
@@ -300,7 +304,9 @@ class TendonSpec:
 
     ``tube`` is the 0-based index of the tube whose wall/guides the tendon
     terminates on; ``termination`` is the anchor station in that tube's own
-    arc length (defaults to the tube tip). The terminating tube always
+    arc length (defaults to the tube tip). The routing, too, is a function
+    of that tube's own arc length, so it travels with the tube when the
+    tube is retracted behind the base plate. The terminating tube always
     receives the anchor point load; distributed-load attachment follows the
     assembly strategy.
     """
@@ -382,6 +388,20 @@ class AssemblySpec:
                     )
         for j, tendon in enumerate(self.tendons):
             problems += tendon.validate(self.tubes, f"tendon {j + 1}")
+            if (isinstance(tendon.routing, PiecewiseAngularRouting)
+                    and 0 <= tendon.tube < n and len(self.base_offsets) == n):
+                # The tendon runs from the base plate to its anchor, in the
+                # arc length of its tube; the knots have to span that.
+                start = self.base_offsets[tendon.tube]
+                end = tendon.termination
+                if end is None:
+                    end = self.tubes[tendon.tube].length
+                knots = tendon.routing.stations
+                if start < knots[0] - KNOT_TOL or end > knots[-1] + KNOT_TOL:
+                    problems.append(
+                        f"tendon {j + 1}: routing knots span [{knots[0]}, "
+                        f"{knots[-1]}] m of its tube, but the tendon runs "
+                        f"over [{start}, {end}] m")
         if problems:
             raise ValidationError(problems)
 

@@ -16,10 +16,6 @@ class NotSkew(NestrodError):
     """Matrix handed to vee() is not skew-symmetric within tolerance."""
 
 
-class Degenerate(NestrodError):
-    """Matrix cannot be projected onto the rotation group (rank collapse)."""
-
-
 class ValidationError(NestrodError):
     """One or more input problems. ``problems`` lists every one found."""
 
@@ -36,18 +32,6 @@ class EmptyAssembly(ValidationError):
 
 class OutOfDomain(NestrodError):
     """Arc-length query outside a routing path's domain."""
-
-
-class DegenerateTendon(NestrodError):
-    """Tendon path derivative vanished; direction undefined."""
-
-
-class IllConditioned(NestrodError):
-    """Cross-section rate system condition estimate exceeded the cap."""
-
-
-class SingularTransition(NestrodError):
-    """Continuing-tube stiffness system at a segment boundary is singular."""
 
 
 class NoConvergence(NestrodError):

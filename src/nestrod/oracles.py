@@ -475,7 +475,7 @@ def run_validate(mutation: float = 1.0, checks=_CHECK_NAMES,
             state = RodState(p=np.zeros(3), R=np.eye(3), u1=u, v1=v,
                              theta=np.zeros(0), u_d3=np.zeros(0),
                              beta=np.zeros(0), s=0.1)
-            a_main, b_main = assemble_system(state, ctx)
+            a_main, b_main, _ = assemble_system(state, ctx)
             ustar, ustar_dot = tube.rest_shape.curvature(0.1)
             vstar, vstar_dot = tube.rest_shape.stretch(0.1)
             a_ref, b_ref = single_tube_system(

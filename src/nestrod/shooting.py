@@ -7,29 +7,38 @@ load transfer at every tube end / tendon anchor, and drive the terminal
 wrench mismatches to zero with a damped Newton iteration. Tension is
 ramped in uniform continuation steps so high-tension scenarios start
 from an already-bent warm guess.
+
+A batch row that cannot be integrated (see :data:`FAILURES`) is a state
+of that row, not an exception: it carries a failure code, reads an
+infinite residual, and the other rows of its batch go on unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .assembly import AssemblySpec, SegmentPlan, assign_tendons, section_stiffness, segment_plan
-from .errors import (Degenerate, DegenerateTendon, IllConditioned,
-                     NoConvergence, SingularTransition)
-from .so3 import hat, reorthonormalize, rot_d3
-from .statics import (RodState, SegmentContext, TendonContext, TubeContext,
-                      derived_strains, pack_state, state_derivative,
-                      tube_wrench, unpack_state)
+from .errors import NoConvergence
+from .so3 import DRIFT_LIMIT, hat, reorthonormalize, rot_d3
+from .statics import (COND_LIMIT, PB_DOT_MIN, RodState, SegmentContext,
+                      TendonContext, TubeContext, derived_strains, pack_state,
+                      state_derivative, tube_wrench, unpack_state)
 
-# Failures of one trial state (a frame drifting off the rotation group, a
-# collapsed tendon tangent, a singular rate system or boundary transfer):
-# Newton and the ramp back off from them instead of aborting the solve.
-_RECOVERABLE = (Degenerate, SingularTransition, DegenerateTendon,
-                IllConditioned)
+# Why a batch row failed, by failure code; code 0 is a row that integrated
+# cleanly. Newton and the ramp back off from a failed row instead of
+# aborting the solve.
+FAILURES = (
+    "",
+    f"frame drifted off the rotation group (limit {DRIFT_LIMIT})",
+    f"tendon path tangent collapsed (below {PB_DOT_MIN})",
+    f"strain-rate system singular, non-finite or above {COND_LIMIT:.0e}",
+    "boundary transfer singular",
+)
+_FRAME, _TENDON, _RATES, _TRANSITION = 1, 2, 3, 4
 
 # Backtracking halves the Newton step at most this many times (down to 2^-10).
 _LINE_SEARCH_HALVINGS = 10
@@ -106,7 +115,8 @@ def build_problem(assembly: AssemblySpec, options: SolverOptions,
 
     tendon_ctx = [
         TendonContext(routing=t.routing, tension=t.tension * tension_scale,
-                      tube=t.tube, termination=assembly.termination_station(j))
+                      tube=t.tube, termination=assembly.termination_station(j),
+                      offset=assembly.base_offsets[t.tube])
         for j, t in enumerate(assembly.tendons)
     ]
 
@@ -146,28 +156,53 @@ def build_problem(assembly: AssemblySpec, options: SolverOptions,
 # ---------------------------------------------------------------------------
 
 
-def integrate_segment(state: RodState, ctx: SegmentContext, steps: int):
+def _flag(failed: np.ndarray, rows: np.ndarray, code: int) -> None:
+    """Give ``code`` to the flagged ``rows`` that have not failed yet."""
+    if rows.any():
+        np.copyto(failed, code, where=rows & (failed == 0))
+
+
+def _neutral_state(k: int) -> np.ndarray:
+    """Packed straight, unstrained state that a failed row is reset to, so
+    that it stays finite for the rest of its batch's integration."""
+    y = np.zeros(18 + 3 * (k - 1))
+    y[3:12] = np.eye(3).ravel()
+    y[17] = 1.0
+    y[18 + 2 * (k - 1):] = 1.0
+    return y
+
+
+def integrate_segment(state: RodState, ctx: SegmentContext, steps: int,
+                      failed: np.ndarray | None = None):
     """March the cross-section ODE across one segment with fixed-step RK4.
 
     The frame is re-projected onto the rotation group after every step so
-    drift never accumulates. Returns (end state, packed states at every
-    station, shaped (steps + 1, *batch, width), worst condition estimate
-    seen per batch row).
+    drift never accumulates. ``failed`` holds the failure code of each
+    batch row so far (default: none failed); a failed row is held at a
+    neutral state. Returns (end state, packed states at every station,
+    shaped (steps + 1, *batch, width), worst condition estimate seen per
+    batch row, failure codes).
     """
     h = (ctx.end - ctx.start) / steps
     k = ctx.n_active
     y = pack_state(state)
     batch = y.shape[:-1]
+    failed = np.zeros(batch, dtype=np.int8) if failed is None else failed.copy()
+    neutral = _neutral_state(k)
+    if failed.any():
+        np.copyto(y, neutral, where=failed[..., None] != 0)
     cond_max = np.zeros(batch)
     trail = np.empty((steps + 1,) + y.shape)
     trail[0] = y
 
     def rhs(yv: np.ndarray, s: float, diagnostics: bool = False) -> np.ndarray:
         nonlocal cond_max
-        dy, cond = state_derivative(unpack_state(yv, k, s), ctx,
-                                    diagnostics=diagnostics)
+        dy, cond, collapsed, singular = state_derivative(
+            unpack_state(yv, k, s), ctx, diagnostics=diagnostics)
         if diagnostics:
             cond_max = np.maximum(cond_max, cond)
+        _flag(failed, collapsed, _TENDON)
+        _flag(failed, singular, _RATES)
         return dy
 
     for i in range(steps):
@@ -180,10 +215,13 @@ def integrate_segment(state: RodState, ctx: SegmentContext, steps: int):
         k4 = rhs(y + h * k3, s + h)
         trail[i + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         y = trail[i + 1]
-        y[..., 3:12] = reorthonormalize(
-            y[..., 3:12].reshape(batch + (3, 3))).reshape(batch + (9,))
+        frame, drifted = reorthonormalize(y[..., 3:12].reshape(batch + (3, 3)))
+        y[..., 3:12] = frame.reshape(batch + (9,))
+        _flag(failed, drifted, _FRAME)
+        if failed.any():
+            np.copyto(y, neutral, where=failed[..., None] != 0)
 
-    return unpack_state(y, k, ctx.end), trail, cond_max
+    return unpack_state(y, k, ctx.end), trail, cond_max, failed
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +245,8 @@ def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j->...i", m, v)
 
 
-def apply_transition(state: RodState, event: EventContext, ctx: SegmentContext):
+def apply_transition(state: RodState, event: EventContext, ctx: SegmentContext,
+                     failed: np.ndarray):
     """Transfer loads across a boundary and rebuild the next segment's state.
 
     Tendons anchoring here pull a point force/moment on their anchor tube.
@@ -216,8 +255,9 @@ def apply_transition(state: RodState, event: EventContext, ctx: SegmentContext):
     continuing stack. The continuing tubes' strains are re-solved in closed
     form from their post-boundary wrench targets.
 
-    Returns (next state or None at the final station, residual component
-    list, per-tube leftover wrench pairs for diagnostics).
+    ``failed`` holds the failure code of each batch row so far. Returns
+    (next state or None at the final station, residual component list,
+    failure codes with the rows whose transfer is singular added).
     """
     k = ctx.n_active
     us, vs = derived_strains(state)
@@ -227,7 +267,7 @@ def apply_transition(state: RodState, event: EventContext, ctx: SegmentContext):
     tip_f = [np.zeros_like(ns[0]) for _ in range(k)]
     tip_m = [np.zeros_like(ms[0]) for _ in range(k)]
     for tendon, assigned, anchored in event.terminating:
-        r, rdot, _ = tendon.routing.eval(state.s)
+        r, rdot, _ = tendon.routing.eval(state.s + tendon.offset)
         pb = _mv(hat(us[assigned]), np.broadcast_to(r, us[assigned].shape))
         pb = pb + rdot + vs[assigned]
         direction = pb / np.linalg.norm(pb, axis=-1, keepdims=True)
@@ -250,7 +290,7 @@ def apply_transition(state: RodState, event: EventContext, ctx: SegmentContext):
         comp_m = sum(_mv(rot_d3(thetas[..., i]), left_m[i]) for i in range(k))
         residual.extend([comp_f[..., 0], comp_f[..., 1],
                          comp_m[..., 0], comp_m[..., 1]])
-        return None, residual, (left_n, left_m)
+        return None, residual, failed
 
     cont = event.continuing
     ref = cont[0]
@@ -265,36 +305,24 @@ def apply_transition(state: RodState, event: EventContext, ctx: SegmentContext):
                    for i in range(k))
 
     # Twist/axial components re-solve per continuing tube.
-    rests = []
-    for c in cont:
-        tube = ctx.tubes[c]
-        ustar, _ = tube.rest.curvature(state.s + tube.offset)
-        vstar, _ = tube.rest.stretch(state.s + tube.offset)
-        rests.append((ustar, vstar))
+    tubes = [ctx.tubes[c] for c in cont]
+    rests = [(t.rest.curvature(state.s + t.offset)[0],
+              t.rest.stretch(state.s + t.offset)[0]) for t in tubes]
+    u_z = [rest[0][2] + left_m[c][..., 2] / t.kbt_diag[2]
+           for rest, c, t in zip(rests, cont, tubes)]
 
-    u_z = []
-    n_z_ref = None
-    for idx, c in enumerate(cont):
-        tube = ctx.tubes[c]
-        m_z = left_m[c][..., 2]
-        u_z.append(rests[idx][0][2] + m_z / tube.kbt_diag[2])
-        if idx == 0:
-            n_z_ref = left_n[c][..., 2]
-
-    ref_tube = ctx.tubes[ref]
-    v1_z = rests[0][1][2] + n_z_ref / ref_tube.kse_diag[2]
-    if np.any(v1_z <= 0.0):
-        raise SingularTransition(
-            f"reference tube extension non-positive after {event.station:.6f} m")
+    # A row whose transfer is singular is flagged and divided by one
+    # instead; its next state means nothing.
+    v1_z = rests[0][1][2] + left_n[ref][..., 2] / tubes[0].kse_diag[2]
+    singular = v1_z <= 0.0
+    if singular.any():
+        v1_z = np.where(singular, 1.0, v1_z)
 
     betas = []
     for idx, c in enumerate(cont[1:], start=1):
         tube = ctx.tubes[c]
         bz = (rests[idx][1][2] + left_n[c][..., 2] / tube.kse_diag[2]) / v1_z
-        if np.any(bz <= 0.0):
-            raise SingularTransition(
-                f"tube {tube.index + 1} dilation non-positive after "
-                f"{event.station:.6f} m")
+        singular = singular | (bz <= 0.0)
         betas.append(bz)
 
     # Shared bending curvature from the 2x2 stack-stiffness system.
@@ -314,9 +342,12 @@ def apply_transition(state: RodState, event: EventContext, ctx: SegmentContext):
 
     det = (s_mat[..., 0, 0] * s_mat[..., 1, 1]
            - s_mat[..., 0, 1] * s_mat[..., 1, 0])
-    if np.any(np.abs(det) < 1e-300) or np.any(ga_beta <= 0.0):
-        raise SingularTransition(
-            f"stack stiffness singular after {event.station:.6f} m")
+    singular = singular | (np.abs(det) < 1e-300) | (ga_beta <= 0.0)
+    if singular.any():
+        det = np.where(singular, 1.0, det)
+        ga_beta = np.where(singular, 1.0, ga_beta)
+        failed = failed.copy()
+        _flag(failed, singular, _TRANSITION)
     u1_xy = np.stack([
         (s_mat[..., 1, 1] * rhs_m[..., 0] - s_mat[..., 0, 1] * rhs_m[..., 1]) / det,
         (s_mat[..., 0, 0] * rhs_m[..., 1] - s_mat[..., 1, 0] * rhs_m[..., 0]) / det,
@@ -335,7 +366,7 @@ def apply_transition(state: RodState, event: EventContext, ctx: SegmentContext):
         beta=np.stack(betas, axis=-1) if betas else state.beta[..., :0],
         s=event.station,
     )
-    return new_state, residual, (left_n, left_m)
+    return new_state, residual, failed
 
 
 # ---------------------------------------------------------------------------
@@ -364,19 +395,28 @@ def boundary_residual(guess: np.ndarray, problem: Problem,
     moment] of each tube ending there; the final station appends the whole
     stack's transverse force then bending moment mismatch. Returns
     (residual (..., size), the recorded states of every segment as from
-    :func:`integrate_segment`, worst condition estimate per batch row).
+    :func:`integrate_segment`, worst condition estimate per batch row,
+    failure code per batch row). A failed row reads an infinite residual
+    and a zero condition estimate; :data:`FAILURES` names its code.
     """
     state = _base_state(problem, guess)
+    failed = np.zeros(guess.shape[:-1], dtype=np.int8)
     parts: list[np.ndarray] = []
     trail = []
     cond_max = np.zeros(guess.shape[:-1])
     for ctx, event in zip(problem.contexts, problem.events):
-        state, rec, cond = integrate_segment(state, ctx, options.steps_per_segment)
+        state, rec, cond, failed = integrate_segment(
+            state, ctx, options.steps_per_segment, failed)
         cond_max = np.maximum(cond_max, cond)
         trail.append(rec)
-        state, res, _ = apply_transition(state, event, ctx)
+        state, res, failed = apply_transition(state, event, ctx, failed)
         parts.extend(res)
-    return np.stack(parts, axis=-1), trail, cond_max
+    residual = np.stack(parts, axis=-1)
+    if failed.any():
+        bad = failed != 0
+        residual = np.where(bad[..., None], np.inf, residual)
+        cond_max = np.where(bad, 0.0, cond_max)
+    return residual, trail, cond_max, failed
 
 
 @dataclass
@@ -435,7 +475,6 @@ class Solution:
     guess: np.ndarray
     segments: list[SegmentSolution]
     report: ConvergenceReport
-    leftovers: list = field(default_factory=list)
 
     @property
     def tip_position(self) -> np.ndarray:
@@ -513,6 +552,7 @@ class _Outcome(NamedTuple):
     condition_max: float
     converged: bool
     trail: list[np.ndarray]       # recorded states at ``guess``
+    failure: int = 0              # failure code of the start guess itself
 
 
 def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
@@ -526,10 +566,11 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
     Each iteration costs one batched integration. The first batch is the
     FD stencil at the guess, and every line-search batch also carries the
     stencil around the full-step candidate, so when the full step is taken
-    the next Jacobian is already there. A shorter step integrates the
-    stencil rows around it on their own. A batch that fails as a whole falls back to the narrower
-    evaluations it fused, one at a time, so a failing stencil row never
-    costs a step that the ladder alone would take.
+    the next Jacobian is already there; a shorter step integrates the
+    stencil rows around it on their own. A failed row reads an infinite
+    residual, so the line search passes over it, and a stencil with a
+    failed row ends the solve where it stands: no Jacobian can be formed
+    there. If the start guess itself fails, the outcome carries its code.
     """
     size = problem.guess_size
     n = problem.n_tubes
@@ -546,18 +587,13 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
     factors = 0.5 ** np.arange(_LINE_SEARCH_HALVINGS + 1)
     ladder = factors.size
 
-    try:
-        res_all, trail_all, cond = boundary_residual(
-            np.concatenate([guess[None, :], guess + offsets]), problem, options)
-    except _RECOVERABLE:
-        # No Jacobian can be formed here, so Newton cannot move: the guess
-        # alone decides the outcome.
-        res, trail, cond = boundary_residual(guess, problem, options)
-        metric = _scaled_max(res, tol)
-        return _Outcome(guess, res, metric, 0, float(cond), metric < relax,
-                        trail)
+    res_all, trail_all, cond, failed = boundary_residual(
+        np.concatenate([guess[None, :], guess + offsets]), problem, options)
     res, trail, cond_max = res_all[0], _row(trail_all, 0), float(cond[0])
     metric = _scaled_max(res, tol)
+    if failed[0]:
+        return _Outcome(guess, res, metric, 0, cond_max, False, trail,
+                        int(failed[0]))
     # Residuals and condition estimates of the stencil rows around the
     # guess, once integrated; their estimates count only once they are used.
     stencil = res_all[1:], cond[1:]
@@ -566,66 +602,39 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
         if iterations >= cap:
             return _Outcome(guess, res, metric, iterations, cond_max, False, trail)
         if stencil is None:
-            try:
-                rows, _, cond = boundary_residual(guess + offsets, problem,
-                                                  options)
-            except _RECOVERABLE:
-                return _Outcome(guess, res, metric, iterations, cond_max,
-                                False, trail)
+            rows, _, cond, _ = boundary_residual(guess + offsets, problem,
+                                                 options)
             stencil = rows, cond
         rows, cond = stencil
-        cond_max = max(cond_max, float(np.max(cond)))
         stencil = None
+        if not np.isfinite(rows).all():
+            return _Outcome(guess, res, metric, iterations, cond_max, False, trail)
+        cond_max = max(cond_max, float(np.max(cond)))
         jac = ((rows - res) / h[:, None]).T
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
+        # An exactly singular Jacobian (a zero LU pivot) takes the
+        # least-squares step instead.
+        if np.linalg.slogdet(jac)[0] == 0.0:
             step = np.linalg.lstsq(jac, -res, rcond=None)[0]
+        else:
+            step = np.linalg.solve(jac, -res)
 
         # One batched call covers the whole backtracking ladder plus the
-        # stencil around the full step; pick the longest step that still
-        # reduces the scaled residual.
+        # stencil around the full step; take the longest step that still
+        # reduces the scaled residual (a failed row never does).
         cands = guess + factors[:, None] * step
-        batch = None
-        for trial in (np.concatenate([cands, cands[0] + offsets]), cands):
-            try:
-                batch = boundary_residual(trial, problem, options)
-                break
-            except _RECOVERABLE:
-                continue
-        accepted = False
-        if batch is not None:
-            res_all, trail_all, cond = batch
-            cond_max = max(cond_max, float(np.max(cond[:ladder])))
-            cand_metrics = np.max(np.abs(res_all[:ladder]) / tol, axis=-1)
-            better = np.flatnonzero(cand_metrics < metric)
-            if better.size:
-                j = int(better[0])
-                guess, res, metric = cands[j], res_all[j], float(cand_metrics[j])
-                trail = _row(trail_all, j)
-                accepted = True
-                if j == 0 and len(res_all) > ladder:
-                    stencil = res_all[ladder:], cond[ladder:]
-        else:
-            # A bold trial step may leave the physical domain (tube dilation
-            # or extension crossing zero), poisoning the batch; fall back to
-            # shrinking one candidate at a time.
-            for cand in cands:
-                try:
-                    cand_res, cand_trail, cond = boundary_residual(
-                        cand, problem, options)
-                except _RECOVERABLE:
-                    continue
-                cond_max = max(cond_max, float(cond))
-                cand_metric = _scaled_max(cand_res, tol)
-                if cand_metric < metric:
-                    guess, res, metric = cand, cand_res, cand_metric
-                    trail = cand_trail
-                    accepted = True
-                    break
+        res_all, trail_all, cond, _ = boundary_residual(
+            np.concatenate([cands, cands[0] + offsets]), problem, options)
+        cond_max = max(cond_max, float(np.max(cond[:ladder])))
+        cand_metrics = np.max(np.abs(res_all[:ladder]) / tol, axis=-1)
+        better = np.flatnonzero(cand_metrics < metric)
         iterations += 1
-        if not accepted:
+        if not better.size:
             return _Outcome(guess, res, metric, iterations, cond_max, False, trail)
+        j = int(better[0])
+        guess, res, metric = cands[j], res_all[j], float(cand_metrics[j])
+        trail = _row(trail_all, j)
+        if j == 0:
+            stencil = res_all[ladder:], cond[ladder:]
     return _Outcome(guess, res, metric, iterations, cond_max, True, trail)
 
 
@@ -637,10 +646,9 @@ def _tension_free_failure(assembly: AssemblySpec,
     can get past it.
     """
     problem = build_problem(assembly, options, tension_scale=0.0)
-    try:
-        boundary_residual(rest_guess(problem), problem, options)
-    except _RECOVERABLE as exc:
-        return f"integration fails without tension ({exc})"
+    failed = boundary_residual(rest_guess(problem), problem, options)[3]
+    if failed:
+        return f"integration fails without tension ({FAILURES[failed]})"
     return None
 
 
@@ -703,21 +711,21 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
             out = None
             failure = "stalled line search or iteration cap"
             if start is not guess:
-                try:
-                    out = _newton(problem, options, start, relax, cap)
+                out = _newton(problem, options, start, relax, cap)
+                if not out.failure:
                     last_res = out.residual
-                except _RECOVERABLE:
-                    out = None
-                if out is not None and not out.converged:
+                if not out.converged:
                     out = None
             if out is None:
                 # Either no prediction was available or it overshot the
                 # physical domain / stalled; run from the last converged guess.
-                try:
-                    out = _newton(problem, options, guess, relax, cap)
+                out = _newton(problem, options, guess, relax, cap)
+                if out.failure:
+                    failure = ("integration left the physical domain "
+                               f"({FAILURES[out.failure]})")
+                    out = None
+                else:
                     last_res = out.residual
-                except _RECOVERABLE as exc:
-                    failure = f"integration left the physical domain ({exc})"
             metric = float("inf")
             if out is not None:
                 metric = out.metric

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import Degenerate, NotSkew
+from .errors import NotSkew
 
 # Absolute tolerance on the symmetric part accepted by vee().
 SKEW_TOL = 1e-9
 
 # A matrix further than this (Frobenius) from the rotation group is not a
-# drifted rotation any more; reorthonormalize() refuses to guess.
+# drifted rotation any more; reorthonormalize() flags it instead of guessing.
 DRIFT_LIMIT = 0.1
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -61,26 +61,22 @@ def rot_d3(theta) -> np.ndarray:
     return out
 
 
-def reorthonormalize(r: np.ndarray) -> np.ndarray:
+def reorthonormalize(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closest proper rotation in the Frobenius sense (polar projection).
 
-    Intended to clean up integration drift: the input must already lie
-    within ``DRIFT_LIMIT`` (Frobenius) of the rotation group. Raises
-    :class:`Degenerate` when the projection is not a proper rotation
-    (rank collapse or reflection).
+    Intended to clean up integration drift. Returns the projection and a
+    per-matrix flag, set where the input is no drifted rotation: it is not
+    finite, its rank collapsed, its nearest orthogonal matrix is a
+    reflection, or it lies further than ``DRIFT_LIMIT`` (Frobenius) from the
+    rotation group. A flagged entry of the projection means nothing.
     """
     r = np.asarray(r, dtype=float)
+    finite = np.isfinite(r).all(axis=(-2, -1))
+    if not finite.all():
+        r = np.where(finite[..., None, None], r, np.eye(3))
     u, s, vt = np.linalg.svd(r)
-    if np.any(s <= 0.0):
-        raise Degenerate("singular value collapse; no nearby rotation")
     out = u @ vt
-    det = np.linalg.det(out)
-    if np.any(det < 0.0):
-        raise Degenerate("nearest orthogonal matrix is a reflection")
     drift = np.linalg.norm(r - out, axis=(-2, -1))
-    if np.any(drift > DRIFT_LIMIT):
-        raise Degenerate(
-            f"input is {np.max(drift):.3g} (Frobenius) from the rotation group; "
-            f"limit {DRIFT_LIMIT}"
-        )
-    return out
+    bad = ~finite | (s[..., -1] <= 0.0) | (np.linalg.det(out) < 0.0) \
+        | (drift > DRIFT_LIMIT)
+    return out, bad

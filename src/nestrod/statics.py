@@ -17,7 +17,10 @@ rate-proportional parts of the tendon load land in A and the rest in b.
 from first principles; a regression test pins this module against it.
 
 Every function accepts a leading batch shape on the state arrays, so a
-whole finite-difference Jacobian stencil integrates as one batch.
+whole finite-difference Jacobian stencil integrates as one batch. A row
+that cannot be evaluated (a collapsed tendon tangent, a singular or
+ill-conditioned rate system) is flagged per row instead of raising, so one
+bad row does not stop the rest of its batch.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateTendon, IllConditioned
 from .so3 import E33, hat, rot_d3
 
 PB_DOT_MIN = 1e-9
@@ -55,12 +57,17 @@ class TubeContext:
 
 @dataclass
 class TendonContext:
-    """One tendon while active: routing, current tension, anchor data."""
+    """One tendon while active: routing, current tension, anchor data.
+
+    The routing is a function of the terminating tube's own arc length,
+    like that tube's rest shape.
+    """
 
     routing: object
     tension: float
     tube: int                  # global index of the terminating tube
     termination: float         # composite anchor station
+    offset: float = 0.0        # routing station = composite station + offset
 
 
 @dataclass
@@ -110,11 +117,6 @@ class RodState:
     u_d3: np.ndarray    # (..., k-1) inner-tube twist curvature
     beta: np.ndarray    # (..., k-1) inner-tube dilation
     s: float = 0.0
-
-    def copy(self) -> "RodState":
-        return RodState(self.p.copy(), self.R.copy(), self.u1.copy(),
-                        self.v1.copy(), self.theta.copy(), self.u_d3.copy(),
-                        self.beta.copy(), self.s)
 
 
 def pack_state(state: RodState) -> np.ndarray:
@@ -177,63 +179,54 @@ class _Compiled:
     kbt: np.ndarray             # (k, 3)
     offsets: np.ndarray         # (k,)
     rests: list
-    rest_const: bool
-    ustar: np.ndarray | None    # (k, 3) when every rest shape is constant
-    ustar_dot: np.ndarray | None
-    vstar: np.ndarray | None
-    vstar_dot: np.ndarray | None
+    rest: tuple | None          # _rest_stacks, when every rest is constant
     routings: list
+    routing_offsets: np.ndarray  # (T,) routing station - composite station
     tensions: np.ndarray        # (T,)
     tendon_tube: np.ndarray     # (T,) local tube index
-    path_const: tuple | None    # cached (r, rdot, rddot, hat(r)) stacks
+    path: tuple | None          # _path_stacks, when every routing is constant
+
+
+def _rest_stacks(rests, offsets, s: float) -> tuple:
+    """(u*, u̇*, v*, v̇*) of every tube at composite station ``s``, (k, 3) each."""
+    curvature = [r.curvature(s + o) for r, o in zip(rests, offsets)]
+    stretch = [r.stretch(s + o) for r, o in zip(rests, offsets)]
+    return tuple(np.stack(col) for col in (*zip(*curvature), *zip(*stretch)))
+
+
+def _path_stacks(routings, offsets, s: float) -> tuple:
+    """(r, ṙ, r̈, hat(r)) of every routing at composite station ``s``."""
+    r, rdot, rddot = (np.stack(col) for col in zip(
+        *(path.eval(s + o) for path, o in zip(routings, offsets))))
+    return r, rdot, rddot, hat(r)
+
+
+def _constant(items) -> bool:
+    """Whether every rest shape or routing is station-independent."""
+    return all(getattr(i, "constant", False) for i in items)
 
 
 def _compile(ctx: SegmentContext) -> _Compiled:
     if ctx._compiled is not None:
         return ctx._compiled
-    k = ctx.n_active
-    kse = np.stack([t.kse_diag for t in ctx.tubes])
-    kbt = np.stack([t.kbt_diag for t in ctx.tubes])
+    mid = 0.5 * (ctx.start + ctx.end)
     offsets = np.array([t.offset for t in ctx.tubes])
     rests = [t.rest for t in ctx.tubes]
-    rest_const = all(getattr(r, "constant", False) for r in rests)
-    if rest_const:
-        mid = 0.5 * (ctx.start + ctx.end)
-        ustar = np.stack([r.curvature(mid + o)[0]
-                          for r, o in zip(rests, offsets)])
-        ustar_dot = np.stack([r.curvature(mid + o)[1]
-                              for r, o in zip(rests, offsets)])
-        vstar = np.stack([r.stretch(mid + o)[0]
-                          for r, o in zip(rests, offsets)])
-        vstar_dot = np.stack([r.stretch(mid + o)[1]
-                              for r, o in zip(rests, offsets)])
-    else:
-        ustar = ustar_dot = vstar = vstar_dot = None
-    routings = []
-    tensions = []
-    tendon_tube = []
-    for i, per_tube in enumerate(ctx.loads or []):
-        for tendon in per_tube:
-            routings.append(tendon.routing)
-            tensions.append(tendon.tension)
-            tendon_tube.append(i)
-    path_const = None
-    if routings and all(getattr(r, "constant", False) for r in routings):
-        mid = 0.5 * (ctx.start + ctx.end)
-        evals = [r.eval(mid) for r in routings]
-        r_t = np.stack([e[0] for e in evals])
-        rdot_t = np.stack([e[1] for e in evals])
-        rddot_t = np.stack([e[2] for e in evals])
-        path_const = (r_t, rdot_t, rddot_t, hat(r_t))
-    compiled = _Compiled(k=k, kse=kse, kbt=kbt, offsets=offsets, rests=rests,
-                         rest_const=rest_const, ustar=ustar,
-                         ustar_dot=ustar_dot, vstar=vstar,
-                         vstar_dot=vstar_dot, routings=routings,
-                         tensions=np.asarray(tensions, dtype=float),
-                         tendon_tube=np.asarray(tendon_tube, dtype=int),
-                         path_const=path_const)
-    ctx._compiled = compiled
-    return compiled
+    tendons = [t for per_tube in ctx.loads or [] for t in per_tube]
+    routings = [t.routing for t in tendons]
+    routing_offsets = np.array([t.offset for t in tendons])
+    ctx._compiled = _Compiled(
+        k=ctx.n_active, kse=np.stack([t.kse_diag for t in ctx.tubes]),
+        kbt=np.stack([t.kbt_diag for t in ctx.tubes]), offsets=offsets,
+        rests=rests,
+        rest=_rest_stacks(rests, offsets, mid) if _constant(rests) else None,
+        routings=routings, routing_offsets=routing_offsets,
+        tensions=np.array([t.tension for t in tendons], dtype=float),
+        tendon_tube=np.array([i for i, per_tube in enumerate(ctx.loads or [])
+                              for _ in per_tube], dtype=int),
+        path=_path_stacks(routings, routing_offsets, mid)
+        if routings and _constant(routings) else None)
+    return ctx._compiled
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -250,25 +243,13 @@ def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rest_arrays(comp: _Compiled, s: float):
-    if comp.rest_const:
-        return comp.ustar, comp.ustar_dot, comp.vstar, comp.vstar_dot
-    ustar = np.stack([r.curvature(s + o)[0]
-                      for r, o in zip(comp.rests, comp.offsets)])
-    ustar_dot = np.stack([r.curvature(s + o)[1]
-                          for r, o in zip(comp.rests, comp.offsets)])
-    vstar = np.stack([r.stretch(s + o)[0]
-                      for r, o in zip(comp.rests, comp.offsets)])
-    vstar_dot = np.stack([r.stretch(s + o)[1]
-                          for r, o in zip(comp.rests, comp.offsets)])
-    return ustar, ustar_dot, vstar, vstar_dot
-
-
 def assemble_system(state: RodState, ctx: SegmentContext):
     """Build the (2k+4)-square system A x = b at the current station.
 
     Every tube is stacked on one array axis so batched shooting stays
-    cheap.
+    cheap. Returns (A, b, collapsed): ``collapsed`` flags the batch rows
+    where a tendon path tangent vanished (‖ṗᵇ‖ < PB_DOT_MIN); their tendon
+    load is evaluated with ‖ṗᵇ‖ set to one instead and means nothing.
     """
     comp = _compile(ctx)
     k = comp.k
@@ -304,30 +285,25 @@ def assemble_system(state: RodState, ctx: SegmentContext):
         v_all = beta_all[..., None] * v_rot
         v_all[:, 0] = v1
 
-    ustar, ustar_dot, vstar, vstar_dot = _rest_arrays(comp, state.s)
+    ustar, ustar_dot, vstar, vstar_dot = comp.rest or _rest_stacks(
+        comp.rests, comp.offsets, state.s)
     m_int = comp.kbt * (u_all - ustar)
     n_int = comp.kse * (v_all - vstar)
 
     # Tendon operators accumulated per carrying tube.
+    collapsed = np.zeros(flat, dtype=bool)
     if comp.routings:
-        if comp.path_const is not None:
-            r_t, rdot_t, rddot_t, hr = comp.path_const
-        else:
-            evals = [rt_.eval(state.s) for rt_ in comp.routings]
-            r_t = np.stack([e[0] for e in evals])                # (T, 3)
-            rdot_t = np.stack([e[1] for e in evals])
-            rddot_t = np.stack([e[2] for e in evals])
-            hr = hat(r_t)
+        r_t, rdot_t, rddot_t, hr = comp.path or _path_stacks(
+            comp.routings, comp.routing_offsets, state.s)
         idx = comp.tendon_tube
         u_t = u_all[:, idx]                                      # (B, T, 3)
         v_t = v_all[:, idx]
         pb = _cross3(u_t, r_t) + rdot_t + v_t
         norm2 = (pb * pb).sum(axis=-1)
-        if np.any(norm2 < PB_DOT_MIN**2):
-            raise DegenerateTendon(
-                f"tendon path tangent collapsed (‖ṗᵇ‖ < {PB_DOT_MIN}) "
-                f"at station {state.s:.6f} m"
-            )
+        short = norm2 < PB_DOT_MIN**2
+        if short.any():
+            collapsed = short.any(axis=-1)
+            norm2 = np.where(short, 1.0, norm2)
         scale = comp.tensions / norm2**1.5
         hp = hat(pb)
         pw = scale[..., None, None] * (hp @ hp)
@@ -381,7 +357,8 @@ def assemble_system(state: RodState, ctx: SegmentContext):
         bot = np.concatenate([op_f_u[:, 0], op_f_v[:, 0]], axis=-1)
         a_sys = np.concatenate([top, bot], axis=-2)
         b_sys = np.concatenate([bmom[:, 0], bfor[:, 0]], axis=-1)
-        return a_sys.reshape(batch + (m, m)), b_sys.reshape(batch + (m,))
+        return (a_sys.reshape(batch + (m, m)), b_sys.reshape(batch + (m,)),
+                collapsed.reshape(batch))
 
     # Substitution maps u̇_i = c_uu·u̇₁ + e₃·u̇_d3 + k_u,
     # v̇_i = c_vv·v̇₁ + c_vb·β̇ + k_v (identity for the reference tube).
@@ -455,7 +432,8 @@ def assemble_system(state: RodState, ctx: SegmentContext):
     a_sys[:, 2 + k:4 + k, cols_uz] = np.swapaxes(ra_f_uz[:, 1:, 0:2], 1, 2)
     a_sys[:, 2 + k:4 + k, cols_b] = np.swapaxes(ra_f_b[:, 1:, 0:2], 1, 2)
 
-    return a_sys.reshape(batch + (m, m)), b_sys.reshape(batch + (m,))
+    return (a_sys.reshape(batch + (m, m)), b_sys.reshape(batch + (m,)),
+            collapsed.reshape(batch))
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +443,16 @@ def assemble_system(state: RodState, ctx: SegmentContext):
 
 def solve_rates(a_sys: np.ndarray, b_sys: np.ndarray,
                 condition: bool = False):
-    """LU solve of A x = b. Returns (x, condition estimate).
+    """LU solve of A x = b. Returns (x, condition estimate, failed).
 
     With ``condition`` the solve also yields A⁻¹, which gives the
-    infinity-norm condition estimate; without it the estimate is zero. A
-    singular or non-finite system, or an estimate above COND_LIMIT, raises
-    :class:`IllConditioned`.
+    infinity-norm condition estimate; without it the estimate is zero.
+    ``failed`` flags the batch rows whose system is singular, has no finite
+    solution, or (with ``condition``) an estimate above COND_LIMIT; their
+    rates read zero.
     """
+    m = a_sys.shape[-1]
     if condition:
-        m = a_sys.shape[-1]
         rhs = np.empty(a_sys.shape[:-1] + (m + 1,))
         rhs[..., 0] = b_sys
         rhs[..., 1:] = np.eye(m)
@@ -481,34 +460,42 @@ def solve_rates(a_sys: np.ndarray, b_sys: np.ndarray,
         rhs = b_sys[..., None]
     try:
         sol = np.linalg.solve(a_sys, rhs)
+        singular = False
     except np.linalg.LinAlgError:
-        raise IllConditioned("strain-rate system is singular") from None
-    if not np.all(np.isfinite(sol)):
-        raise IllConditioned("strain-rate system has no finite solution")
+        # One exactly singular matrix refuses the whole stack: solve the
+        # others again with the identity in its place.
+        finite = np.isfinite(a_sys).all(axis=(-2, -1))
+        probe = np.where(finite[..., None, None], a_sys, np.eye(m))
+        singular = finite & (np.linalg.slogdet(probe)[0] == 0.0)
+        sol = np.linalg.solve(
+            np.where(singular[..., None, None], np.eye(m), a_sys), rhs)
+    failed = singular | ~np.isfinite(sol).all(axis=(-2, -1))
     x = sol[..., 0]
-    if not condition:
-        return x, _ZERO
-    cond = (np.abs(a_sys).sum(axis=-1).max(axis=-1)
-            * np.abs(sol[..., 1:]).sum(axis=-1).max(axis=-1))
-    if np.any(cond > COND_LIMIT):
-        raise IllConditioned(
-            f"strain-rate system condition estimate {np.max(cond):.3e} "
-            f"exceeds {COND_LIMIT:.0e}"
-        )
-    return x, cond
+    if condition:
+        cond = (np.abs(a_sys).sum(axis=-1).max(axis=-1)
+                * np.abs(sol[..., 1:]).sum(axis=-1).max(axis=-1))
+        failed = failed | (cond > COND_LIMIT)
+    else:
+        cond = _ZERO
+    if failed.any():
+        x = np.where(failed[..., None], 0.0, x)
+    return x, cond, failed
 
 
 def state_derivative(state: RodState, ctx: SegmentContext,
                      diagnostics: bool = True):
     """Full ODE right-hand side: pose kinematics plus solved strain rates.
 
-    Returns (dy, cond): dy is d/ds of the packed state, in the layout of
-    :func:`pack_state`; cond is the rate system's condition estimate, or
-    zero with ``diagnostics=False``, which skips estimating it.
+    Returns (dy, cond, collapsed, failed): dy is d/ds of the packed state,
+    in the layout of :func:`pack_state`; cond is the rate system's
+    condition estimate, or zero with ``diagnostics=False``, which skips
+    estimating it; ``collapsed`` and ``failed`` are the per-row flags of
+    :func:`assemble_system` and :func:`solve_rates`. A flagged row's
+    derivative stays finite but means nothing.
     """
     k = ctx.n_active
-    a_sys, b_sys = assemble_system(state, ctx)
-    x, cond = solve_rates(a_sys, b_sys, condition=diagnostics)
+    a_sys, b_sys, collapsed = assemble_system(state, ctx)
+    x, cond, failed = solve_rates(a_sys, b_sys, condition=diagnostics)
     batch = x.shape[:-1]
     dy = np.empty(batch + (18 + 3 * (k - 1),))
     dy[..., 0:3] = (state.R @ state.v1[..., None])[..., 0]
@@ -516,7 +503,7 @@ def state_derivative(state: RodState, ctx: SegmentContext,
     dy[..., 12:18] = x[..., 0:6]                             # u̇₁, v̇₁
     dy[..., 18:17 + k] = state.u_d3 - state.u1[..., 2:3]     # θ̇
     dy[..., 17 + k:] = x[..., 6:]                            # u̇_d3, β̇
-    return dy, cond
+    return dy, cond, collapsed, failed
 
 
 def tube_wrench(state: RodState, ctx: SegmentContext):

@@ -175,7 +175,7 @@ class TestSingleTubeAgreement:
                     v1=np.array([0.0, 0.0, 1.0]) + rng.normal(scale=0.01, size=3),
                     theta=np.zeros(0), u_d3=np.zeros(0), beta=np.zeros(0),
                     s=rng.uniform(0.0, length))
-                a_got, b_got = assemble_system(state, ctx)
+                a_got, b_got, _ = assemble_system(state, ctx)
                 zero3 = np.zeros(3)
                 a_want, b_want = single_tube_system(
                     state.u1, state.v1, pair.kse_diag, pair.kbt_diag,

@@ -219,6 +219,28 @@ class TestValidation:
         with pytest.raises(ValidationError, match="offset"):
             asm.validate()
 
+    def test_routing_knots_must_cover_the_tendon(self):
+        # The knots are stations of the tendon's own tube and have to span
+        # the tendon from the base plate to its anchor.
+        def asm(stations, offset=0.0, termination=None):
+            knots = [(st, 0.3 * i, 3e-3) for i, st in enumerate(stations)]
+            return AssemblySpec(
+                tubes=[_tube(length=0.1)], base_offsets=[offset],
+                tendons=[TendonSpec(routing=PiecewiseAngularRouting(knots),
+                                    tension=1.0, termination=termination)])
+
+        asm([0.0, 0.05, 0.1]).validate()
+        asm([0.0, 0.05], termination=0.05).validate()
+        asm([0.02, 0.1], offset=0.02).validate()
+        with pytest.raises(ValidationError,
+                           match=r"knots span \[0.0, 0.05\] m .* over "
+                                 r"\[0.0, 0.1\] m"):
+            asm([0.0, 0.05]).validate()
+        with pytest.raises(ValidationError, match="tendon 1: routing knots"):
+            asm([0.03, 0.1], offset=0.02).validate()
+        with pytest.raises(ValidationError, match="tendon 1: routing knots"):
+            asm([0.01, 0.1]).validate()
+
     def test_termination_beyond_tube(self):
         asm = AssemblySpec(
             tubes=[_tube(length=0.2)],

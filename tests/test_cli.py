@@ -32,6 +32,27 @@ solver {
 """
 
 
+_UNCOVERED_ROUTING = """\
+name uncovered_routing
+tube {
+  length_mm 100
+  elastic_modulus_GPa 60
+  shear_modulus_GPa 23
+  outer_diameter_mm 1.0
+  inner_diameter_mm 0.8
+}
+tendon {
+  tension_N 1
+  routing {
+    kind piecewise
+    stations_mm [0, 50]
+    angles_deg [0, 30]
+    radii_mm [3, 3]
+  }
+}
+"""
+
+
 class TestPresetCommand:
     def test_list(self, capsys):
         assert cli.main(["preset"]) == 0
@@ -132,6 +153,21 @@ class TestSolveCommand:
         assert failed["format"] == "nestrod-failure"
         assert failed["report"]["converged"] is False
         assert failed["report"]["iterations"] >= 1
+
+    def test_uncovered_routing_exits_1_before_integrating(
+            self, tmp_path, capsys, monkeypatch):
+        from nestrod import shooting
+
+        def never(*args, **kwargs):
+            raise AssertionError("integrated an invalid assembly")
+
+        monkeypatch.setattr(shooting, "integrate_segment", never)
+        scn = tmp_path / "uncovered_routing.scn"
+        scn.write_text(_UNCOVERED_ROUTING)
+        assert cli.main(["solve", str(scn), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "routing knots span [0.0, 0.05] m" in err
+        assert not list(tmp_path.glob("*.json"))
 
     def test_frame_drift_exits_2_with_report(self, tmp_path, capsys):
         # Ten RK4 steps cannot follow the helix backbone: the integrated

@@ -12,12 +12,13 @@ from scipy.linalg import expm
 from nestrod.assembly import (
     ArcRest,
     AssemblySpec,
+    HelicalRouting,
     StraightRouting,
     TendonSpec,
     TubeSpec,
 )
 from nestrod import shooting
-from nestrod.errors import IllConditioned, NoConvergence
+from nestrod.errors import NoConvergence
 from nestrod.oracles import single_tube_shoot
 from nestrod.scenario import preset
 from nestrod.shooting import (
@@ -58,7 +59,8 @@ class TestIntegration:
                          v1=np.array([0.0, 0.0, 1.0]),
                          theta=np.zeros(0), u_d3=np.zeros(0),
                          beta=np.zeros(0), s=0.0)
-        end, trail, cond = integrate_segment(state, ctx, 200)
+        end, trail, cond, failed = integrate_segment(state, ctx, 200)
+        assert not failed
         angle = kappa * length
         expect_p = np.array([0.0, (math.cos(angle) - 1.0) / kappa,
                              math.sin(angle) / kappa])
@@ -78,8 +80,8 @@ class TestIntegration:
         state = RodState(p=np.zeros(3), R=np.eye(3), u1=np.zeros(3),
                          v1=np.array([0.0, 0.0, 1.0]), theta=np.zeros(1),
                          u_d3=np.zeros(1), beta=np.ones(1), s=0.0)
-        coarse, _, _ = integrate_segment(state, problem.contexts[0], 25)
-        fine, _, _ = integrate_segment(state, problem.contexts[0], 50)
+        coarse = integrate_segment(state, problem.contexts[0], 25)[0]
+        fine = integrate_segment(state, problem.contexts[0], 50)[0]
         np.testing.assert_allclose(coarse.p, fine.p, atol=1e-10)
 
 
@@ -92,8 +94,9 @@ class TestRestEquilibrium:
             _tube(length=0.30, od=0.6e-3, idi=0.0),
         ][:n]
         problem = build_problem(AssemblySpec(tubes=tubes), SolverOptions())
-        res, _, _ = boundary_residual(rest_guess(problem), problem,
-                                      SolverOptions())
+        res, _, _, failed = boundary_residual(rest_guess(problem), problem,
+                                              SolverOptions())
+        assert not failed
         assert res.shape == (2 * n + 4,)
         np.testing.assert_allclose(res, 0.0, atol=1e-9)
 
@@ -162,6 +165,31 @@ class TestShoot:
         np.testing.assert_allclose(again.tip_position, first.tip_position,
                                    atol=1e-12)
 
+    def test_routing_stations_are_tube_local(self):
+        # A tendon's routing is a function of its own tube's arc length: a
+        # tube of length L retracted by d carries its helix along, so it
+        # bends like an unretracted tube of length L - d whose helix starts
+        # d further on.
+        length, d, period, phase = 0.2, 0.03, 0.25, 0.4
+        # Tolerances well below the defaults, so that the two Newton solves
+        # agree to round-off and not just to where each one stopped.
+        opts = SolverOptions(steps_per_segment=40, force_tol=1e-11,
+                             moment_tol=1e-13)
+
+        def tip(tube_length, offset, helix_phase):
+            asm = AssemblySpec(
+                tubes=[_tube(length=tube_length)], base_offsets=[offset],
+                tendons=[TendonSpec(routing=HelicalRouting(
+                    radius=3e-3, period=period, phase=helix_phase),
+                    tension=1.0)])
+            return shoot(asm, opts).tip_position
+
+        retracted = tip(length, d, phase)
+        shifted = tip(length - d, 0.0, phase + 2.0 * math.pi * d / period)
+        np.testing.assert_allclose(retracted, shifted, rtol=0, atol=1e-12)
+        # the shift matters: the unshifted helix ends elsewhere
+        assert np.max(np.abs(tip(length - d, 0.0, phase) - retracted)) > 1e-4
+
     def test_base_twist_rotates_deflection_plane(self):
         def tip(twist):
             asm = AssemblySpec(
@@ -208,11 +236,12 @@ class TestNewtonBatches:
         # Stretching the base moves the estimate; bending alone does not.
         rows = np.repeat(rest_guess(problem)[None, :], 3, axis=0)
         rows[:, 5] += [0.0, 0.1, -0.1]
-        res, trail, cond = boundary_residual(rows, problem, opts)
+        res, trail, cond, failed = boundary_residual(rows, problem, opts)
         assert cond.shape == (3,)
         assert len(set(cond.tolist())) == 3
+        assert failed.shape == (3,) and not failed.any()
         for j, row in enumerate(rows):
-            alone_res, alone_trail, alone_cond = boundary_residual(
+            alone_res, alone_trail, alone_cond, _ = boundary_residual(
                 row, problem, opts)
             assert cond[j] == alone_cond
             np.testing.assert_array_equal(res[j], alone_res)
@@ -220,31 +249,65 @@ class TestNewtonBatches:
                 assert rec.shape[:2] == (21, 3)
                 np.testing.assert_array_equal(rec[:, j], alone)
 
-    def test_fused_batch_failure_falls_back(self, monkeypatch):
-        # A failure anywhere in a fused batch (ladder plus stencil) must not
-        # cost a step: the plain ladder batch runs instead, not the serial
-        # one-candidate-at-a-time ladder.
-        opts = SolverOptions(steps_per_segment=30)
-        plain = shoot(_two_tube(tension=1.0), opts)
-        inner = shooting.boundary_residual
+    def test_failed_row_leaves_its_batch_alone(self):
+        # A bold curvature drives one row off the rotation group. That row
+        # reads an infinite residual and its failure code; every other row
+        # reads exactly as when it is run alone.
+        opts = SolverOptions(steps_per_segment=20)
+        problem = build_problem(_two_tube(tension=1.0), opts)
+        rows = np.repeat(rest_guess(problem)[None, :], 4, axis=0)
+        rows[1, 0] = 2000.0
+        rows[2, 5] += 0.1
+        rows[3, 1] = 5.0
+        res, trail, cond, failed = boundary_residual(rows, problem, opts)
+        assert "rotation group" in shooting.FAILURES[failed[1]]
+        assert np.all(np.isinf(res[1])) and cond[1] == 0.0
+        np.testing.assert_array_equal(failed[[0, 2, 3]], 0)
+        for j in (0, 2, 3):
+            alone_res, alone_trail, alone_cond, alone_failed = \
+                boundary_residual(rows[j], problem, opts)
+            assert alone_failed == 0
+            assert cond[j] == alone_cond
+            np.testing.assert_array_equal(res[j], alone_res)
+            for rec, alone in zip(trail, alone_trail, strict=True):
+                np.testing.assert_array_equal(rec[:, j], alone)
+        alone_res, _, alone_cond, alone_failed = boundary_residual(
+            rows[1], problem, opts)
+        assert alone_failed == failed[1]
+        assert np.all(np.isinf(alone_res)) and alone_cond == 0.0
+
+    def test_one_batch_per_iteration_on_a_hard_draw(self, monkeypatch):
+        # At 5 steps per segment many line-search candidates of this tube
+        # drift off the rotation group (tests/test_regression.py pins its
+        # solution). Each Newton solve still starts with one stencil batch
+        # and spends one ladder-plus-stencil batch per iteration; the other
+        # batches are stencils after a shorter step. The only single-row
+        # evaluation is the ramp's tension-free check of the rest guess,
+        # made once when the first ramp step stalls.
+        tube = _tube(length=0.05, od=0.5e-3, idi=0.2e-3, e=40e9, g=15e9)
+        tendon = TendonSpec(routing=HelicalRouting(radius=0.5e-3, period=0.05),
+                            tension=1.0)
+        asm = AssemblySpec(tubes=[tube], tendons=[tendon])
+        opts = SolverOptions(steps_per_segment=5, max_iterations=15)
+        size = build_problem(asm, opts).guess_size
         ladder = shooting._LINE_SEARCH_HALVINGS + 1
-        refused, run = [], []
+        widths, tensions, failed_rows = [], [], []
+        inner = shooting.boundary_residual
 
-        def refuse_wide(guess, *args, **kwargs):
-            rows = guess.shape[0] if guess.ndim == 2 else 1
-            if rows > ladder:
-                refused.append(rows)
-                raise IllConditioned("refused wide batch")
-            run.append(rows)
-            return inner(guess, *args, **kwargs)
+        def counted(guess, problem, *args, **kwargs):
+            out = inner(guess, problem, *args, **kwargs)
+            widths.append(guess.shape[0] if guess.ndim == 2 else 1)
+            tensions.append(problem.contexts[0].loads[0][0].tension)
+            failed_rows.append(int(np.count_nonzero(out[3])))
+            return out
 
-        monkeypatch.setattr(shooting, "boundary_residual", refuse_wide)
-        patched = shoot(_two_tube(tension=1.0), opts)
-        assert refused and ladder in run and 1 not in run
-        np.testing.assert_array_equal(patched.tip_position, plain.tip_position)
-        assert patched.report.iterations == plain.report.iterations
-        assert patched.report.continuation_steps == \
-            plain.report.continuation_steps
+        monkeypatch.setattr(shooting, "boundary_residual", counted)
+        report = shoot(asm, opts).report
+        assert sum(failed_rows) > 0
+        assert widths.count(size + 1) == report.continuation_steps
+        assert widths.count(ladder + size) == report.iterations
+        assert set(widths) == {1, size, size + 1, ladder + size}
+        assert [t for w, t in zip(widths, tensions) if w == 1] == [0.0]
 
 
 class TestFailureReport:

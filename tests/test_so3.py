@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from nestrod.errors import Degenerate, NotSkew
+from nestrod.errors import NotSkew
 from nestrod.so3 import DRIFT_LIMIT, E3, hat, reorthonormalize, rot_d3, vee
 
 
@@ -86,14 +86,17 @@ class TestReorthonormalize:
         rng = np.random.default_rng(17)
         for _ in range(20):
             r = self._random_rotation(rng)
-            np.testing.assert_allclose(reorthonormalize(r), r, atol=1e-13)
+            out, bad = reorthonormalize(r)
+            np.testing.assert_allclose(out, r, atol=1e-13)
+            assert not bad
 
     def test_cleans_small_drift(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
             r = self._random_rotation(rng)
             drifted = r + rng.normal(scale=1e-3, size=(3, 3))
-            out = reorthonormalize(drifted)
+            out, bad = reorthonormalize(drifted)
+            assert not bad
             np.testing.assert_allclose(out @ out.T, np.eye(3), atol=1e-13)
             assert np.linalg.det(out) == pytest.approx(1.0, abs=1e-12)
             # the projection stays near the original rotation
@@ -102,22 +105,35 @@ class TestReorthonormalize:
     def test_batched(self):
         rng = np.random.default_rng(29)
         rs = np.stack([self._random_rotation(rng) for _ in range(4)])
-        out = reorthonormalize(rs + 1e-6)
+        out, bad = reorthonormalize(rs + 1e-6)
         assert out.shape == (4, 3, 3)
+        assert bad.shape == (4,) and not bad.any()
         eye = np.broadcast_to(np.eye(3), (4, 3, 3))
         np.testing.assert_allclose(out @ np.swapaxes(out, -1, -2), eye,
                                    atol=1e-12)
 
+    # A rejected matrix is flagged in its own batch row; the rows around it
+    # project as they would alone.
+
+    def _flags_only(self, bad_matrix):
+        rng = np.random.default_rng(31)
+        good = np.stack([self._random_rotation(rng) for _ in range(2)]) + 1e-6
+        out, bad = reorthonormalize(np.stack([good[0], bad_matrix, good[1]]))
+        np.testing.assert_array_equal(bad, [False, True, False])
+        for row, alone in ((0, good[0]), (2, good[1])):
+            np.testing.assert_array_equal(out[row], reorthonormalize(alone)[0])
+
     def test_rejects_reflection(self):
-        refl = np.diag([1.0, 1.0, -1.0])
-        with pytest.raises(Degenerate):
-            reorthonormalize(refl)
+        self._flags_only(np.diag([1.0, 1.0, -1.0]))
 
     def test_rejects_rank_collapse(self):
-        with pytest.raises(Degenerate):
-            reorthonormalize(np.zeros((3, 3)))
+        self._flags_only(np.zeros((3, 3)))
 
     def test_rejects_large_drift(self):
-        r = np.eye(3) * (1.0 + 2.0 * DRIFT_LIMIT)
-        with pytest.raises(Degenerate):
-            reorthonormalize(r)
+        self._flags_only(np.eye(3) * (1.0 + 2.0 * DRIFT_LIMIT))
+
+    def test_rejects_non_finite(self):
+        nan = np.eye(3)
+        nan[0, 1] = np.nan
+        self._flags_only(nan)
+        self._flags_only(np.full((3, 3), np.inf))

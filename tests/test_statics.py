@@ -21,7 +21,6 @@ from nestrod.assembly import (
     TendonSpec,
     TubeSpec,
 )
-from nestrod.errors import DegenerateTendon, IllConditioned
 from nestrod.oracles import stack_system
 from nestrod.shooting import build_problem, SolverOptions
 from nestrod.so3 import hat
@@ -147,7 +146,7 @@ class TestAssemblyRoutes:
         for _ in range(10):
             state = _random_state(rng, k)
             a_ref, b_ref = _reference_system(state, ctx)
-            a_vec, b_vec = assemble_system(state, ctx)
+            a_vec, b_vec, _ = assemble_system(state, ctx)
             assert a_vec.shape == (2 * k + 4, 2 * k + 4)
             scale_a = np.max(np.abs(a_ref))
             scale_b = max(np.max(np.abs(b_ref)), 1.0)
@@ -158,7 +157,7 @@ class TestAssemblyRoutes:
         ctx = _context(2)
         rng = np.random.default_rng(61)
         state = _random_state(rng, 2, batch=(5,))
-        a_vec, b_vec = assemble_system(state, ctx)
+        a_vec, b_vec, _ = assemble_system(state, ctx)
         assert a_vec.shape == (5, 8, 8)
         for i in range(5):
             single = RodState(state.p[i], state.R[i], state.u1[i],
@@ -190,7 +189,7 @@ class TestRestEquilibrium:
         ][:k]
         ctx = build_problem(AssemblySpec(tubes=tubes),
                             SolverOptions()).contexts[0]
-        dy, _ = state_derivative(self._rest_state(k), ctx)
+        dy = state_derivative(self._rest_state(k), ctx)[0]
         deriv = unpack_state(dy, k, 0.0)
         np.testing.assert_allclose(deriv.u1, 0.0, atol=1e-9)
         np.testing.assert_allclose(deriv.v1, 0.0, atol=1e-9)
@@ -203,7 +202,7 @@ class TestRestEquilibrium:
     def test_precurved_tube_keeps_rest_curvature(self):
         asm = AssemblySpec(tubes=[_tube(rest_shape=ArcRest(kappa=10.0))])
         ctx = build_problem(asm, SolverOptions()).contexts[0]
-        dy, _ = state_derivative(self._rest_state(1, u1=[10.0, 0.0, 0.0]), ctx)
+        dy = state_derivative(self._rest_state(1, u1=[10.0, 0.0, 0.0]), ctx)[0]
         deriv = unpack_state(dy, 1, 0.0)
         np.testing.assert_allclose(deriv.u1, 0.0, atol=1e-8)
         np.testing.assert_allclose(deriv.v1, 0.0, atol=1e-8)
@@ -216,41 +215,66 @@ class TestRateSolve:
             a = rng.normal(size=(8, 8)) + 4.0 * np.eye(8)
             b = rng.normal(size=8)
             for condition in (False, True):
-                x, cond = solve_rates(a, b, condition=condition)
+                x, cond, failed = solve_rates(a, b, condition=condition)
                 np.testing.assert_allclose(x, np.linalg.solve(a, b),
                                            rtol=1e-9, atol=1e-12)
                 assert (cond >= 1.0) if condition else (cond == 0.0)
+                assert not failed
 
     def test_condition_estimate_is_infinity_norm(self):
         a = np.diag([2.0, 1.0, 0.5, 4.0])
-        _, cond = solve_rates(a, np.ones(4), condition=True)
+        _, cond, _ = solve_rates(a, np.ones(4), condition=True)
         assert cond == pytest.approx(np.linalg.cond(a, np.inf), rel=1e-12)
 
+    # A bad system raises its own row's failure flag, not an exception:
+    # its rates read zero and the rows around it solve as they would alone.
+
+    @staticmethod
+    def _flags_only(bad_a, bad_b, condition):
+        rng = np.random.default_rng(71)
+        good_a = rng.normal(size=(2, 4, 4)) + 4.0 * np.eye(4)
+        good_b = rng.normal(size=(2, 4))
+        a = np.stack([good_a[0], bad_a, good_a[1]])
+        b = np.stack([good_b[0], bad_b, good_b[1]])
+        x, cond, failed = solve_rates(a, b, condition=condition)
+        np.testing.assert_array_equal(failed, [False, True, False])
+        np.testing.assert_array_equal(x[1], 0.0)
+        for row, j in ((0, 0), (2, 1)):
+            alone_x, alone_cond, alone_failed = solve_rates(
+                good_a[j], good_b[j], condition=condition)
+            assert not alone_failed
+            np.testing.assert_array_equal(x[row], alone_x)
+            if condition:
+                assert cond[row] == alone_cond
+
     def test_ill_conditioned_raises(self):
-        a = np.diag([1.0, 1.0, 1.0, 1e-13])
-        with pytest.raises(IllConditioned):
-            solve_rates(a, np.ones(4), condition=True)
+        self._flags_only(np.diag([1.0, 1.0, 1.0, 1e-13]), np.ones(4), True)
+        # the estimate is only taken, and so only judged, on request
+        _, _, failed = solve_rates(np.diag([1.0, 1.0, 1.0, 1e-13]),
+                                   np.ones(4), condition=False)
+        assert not failed
 
     @pytest.mark.parametrize("condition", [False, True])
     def test_singular_system_raises(self, condition):
         a = np.diag([2.0, 1.0, 0.0, 3.0])
         b = np.array([2.0, 1.0, 0.0, 3.0])
-        with pytest.raises(IllConditioned):
-            solve_rates(a, b, condition=condition)
+        self._flags_only(a, b, condition)
+        _, _, failed = solve_rates(a, b, condition=condition)
+        assert failed
 
     @pytest.mark.parametrize("condition", [False, True])
     def test_non_finite_system_raises(self, condition):
         a = np.eye(4)
         a[1, 2] = np.nan
-        with pytest.raises(IllConditioned):
-            solve_rates(a, np.ones(4), condition=condition)
+        self._flags_only(a, np.ones(4), condition)
 
     def test_batched(self):
         rng = np.random.default_rng(73)
         a = rng.normal(size=(4, 6, 6)) + 4.0 * np.eye(6)
         b = rng.normal(size=(4, 6))
-        x, cond = solve_rates(a, b, condition=True)
+        x, cond, failed = solve_rates(a, b, condition=True)
         assert x.shape == (4, 6)
+        assert failed.shape == (4,) and not failed.any()
         assert cond.shape == (4,)
         for i in range(4):
             np.testing.assert_allclose(x[i], np.linalg.solve(a[i], b[i]),
@@ -259,16 +283,32 @@ class TestRateSolve:
 
 class TestTendonKinematics:
     def test_degenerate_path_raises(self):
+        # raises the row's failure flag, not an exception
         ctx = _context(1)
-        state = RodState(p=np.zeros(3), R=np.eye(3), u1=np.zeros(3),
-                         v1=np.zeros(3),        # no tangent at all
-                         theta=np.zeros(0), u_d3=np.zeros(0),
-                         beta=np.zeros(0), s=0.05)
         # ensure the offending tendon has a straight path: rdot = 0 so the
         # tangent collapses with v1
         ctx.loads[0][0].routing = StraightRouting([3e-3, 0.0])
-        with pytest.raises(DegenerateTendon):
-            assemble_system(state, ctx)
+
+        def state(v1):
+            v1 = np.asarray(v1, dtype=float)
+            batch = v1.shape[:-1]
+            return RodState(p=np.zeros(batch + (3,)),
+                            R=np.broadcast_to(np.eye(3), batch + (3, 3)),
+                            u1=np.zeros(batch + (3,)), v1=v1,
+                            theta=np.zeros(batch + (0,)),
+                            u_d3=np.zeros(batch + (0,)),
+                            beta=np.zeros(batch + (0,)), s=0.05)
+
+        assert assemble_system(state([0.0, 0.0, 0.0]), ctx)[2]  # no tangent
+        # in a batch, the row with a unit tangent reads as it does alone
+        a_sys, b_sys, collapsed = assemble_system(
+            state([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), ctx)
+        np.testing.assert_array_equal(collapsed, [True, False])
+        assert np.all(np.isfinite(a_sys)) and np.all(np.isfinite(b_sys))
+        a_alone, b_alone, alone = assemble_system(state([0.0, 0.0, 1.0]), ctx)
+        assert not alone
+        np.testing.assert_array_equal(a_sys[1], a_alone)
+        np.testing.assert_array_equal(b_sys[1], b_alone)
 
     def test_tangent_is_near_unit_at_rest(self):
         # At rest a straight tendon runs along the unit tangent e3, so its
@@ -281,7 +321,7 @@ class TestTendonKinematics:
                          v1=np.array([0.0, 0.0, 1.0]),
                          theta=np.zeros(0), u_d3=np.zeros(0),
                          beta=np.zeros(0), s=0.05)
-        a_sys, _ = assemble_system(state, ctx)
+        a_sys, _, _ = assemble_system(state, ctx)
         kse = ctx.tubes[0].kse_diag
         np.testing.assert_allclose(
             a_sys[3:6, 3:6], np.diag(kse + tension * np.array([1.0, 1.0, 0.0])),
@@ -313,8 +353,8 @@ class TestStateDerivative:
         ctx = _context(2)
         rng = np.random.default_rng(89)
         state = _random_state(rng, 2)
-        full, cond = state_derivative(state, ctx, diagnostics=True)
-        fast, no_cond = state_derivative(state, ctx, diagnostics=False)
+        full, cond, _, _ = state_derivative(state, ctx, diagnostics=True)
+        fast, no_cond, _, _ = state_derivative(state, ctx, diagnostics=False)
         np.testing.assert_allclose(fast, full, rtol=1e-10, atol=1e-12)
         assert cond >= 1.0
         assert np.all(no_cond == 0.0)
@@ -324,14 +364,15 @@ class TestStateDerivative:
         ctx = _context(k)
         rng = np.random.default_rng(97)
         state = _random_state(rng, k, batch=(2,))
-        dy, _ = state_derivative(state, ctx)
+        dy, _, collapsed, failed = state_derivative(state, ctx)
+        assert not collapsed.any() and not failed.any()
         assert dy.shape == pack_state(state).shape
         deriv = unpack_state(dy, k, state.s)
         np.testing.assert_array_equal(deriv.p, (state.R @ state.v1[..., None])[..., 0])
         np.testing.assert_array_equal(deriv.R, state.R @ hat(state.u1))
         np.testing.assert_array_equal(deriv.theta,
                                       state.u_d3 - state.u1[..., 2:3])
-        a_sys, b_sys = assemble_system(state, ctx)
+        a_sys, b_sys, _ = assemble_system(state, ctx)
         x = np.concatenate([deriv.u1, deriv.v1, deriv.u_d3, deriv.beta], axis=-1)
         np.testing.assert_array_equal(
             x, solve_rates(a_sys, b_sys, condition=True)[0])
