@@ -388,14 +388,20 @@ class AssemblySpec:
                     )
         for j, tendon in enumerate(self.tendons):
             problems += tendon.validate(self.tubes, f"tendon {j + 1}")
-            if (isinstance(tendon.routing, PiecewiseAngularRouting)
-                    and 0 <= tendon.tube < n and len(self.base_offsets) == n):
-                # The tendon runs from the base plate to its anchor, in the
-                # arc length of its tube; the knots have to span that.
+        piecewise = [j for j, t in enumerate(self.tendons)
+                     if isinstance(t.routing, PiecewiseAngularRouting)]
+        if (piecewise and len(self.base_offsets) == n
+                and all(0 <= t.tube < n for t in self.tendons)):
+            # The tendon runs from the base plate to its anchor, in the arc
+            # length of its tube; the knots have to span that. The anchor
+            # is where segment_plan puts it, snapped onto a nearby boundary.
+            _, anchors = _snap_stations(
+                [self.tip_station(i) for i in range(n)],
+                [self.termination_station(j) for j in range(len(self.tendons))])
+            for j in piecewise:
+                tendon = self.tendons[j]
                 start = self.base_offsets[tendon.tube]
-                end = tendon.termination
-                if end is None:
-                    end = self.tubes[tendon.tube].length
+                end = anchors[j] + start
                 knots = tendon.routing.stations
                 if start < knots[0] - KNOT_TOL or end > knots[-1] + KNOT_TOL:
                     problems.append(
@@ -457,6 +463,29 @@ class SegmentPlan:
         return self.segments[-1].end
 
 
+def _snap_stations(tips: list[float],
+                   terms: list[float]) -> tuple[list[float], list[float]]:
+    """Boundary stations and the station each termination snaps to.
+
+    Tube tips seed the boundary set; terminations snap to an existing
+    boundary when within tolerance, otherwise they open a new one.
+    """
+    merged: list[float] = []
+    for st in sorted(set(tips)):
+        if merged and st - merged[-1] <= STATION_TOL:
+            continue
+        merged.append(st)
+    snapped = []
+    for ts in terms:
+        near = min(merged, key=lambda b: abs(b - ts))
+        if abs(near - ts) <= STATION_TOL:
+            snapped.append(near)
+        else:
+            snapped.append(ts)
+            merged = sorted(set(merged + [ts]))
+    return merged, snapped
+
+
 def segment_plan(assembly: AssemblySpec) -> SegmentPlan:
     """Split the assembly at every tube tip and tendon termination.
 
@@ -482,22 +511,7 @@ def segment_plan(assembly: AssemblySpec) -> SegmentPlan:
     if problems:
         raise ValidationError(problems)
 
-    # Tube tips seed the boundary set; terminations snap to an existing
-    # boundary when within tolerance, otherwise they open a new one.
-    stations = sorted(set(tips))
-    merged: list[float] = []
-    for st in stations:
-        if merged and st - merged[-1] <= STATION_TOL:
-            continue
-        merged.append(st)
-    snapped_terms = []
-    for ts in terms:
-        near = min(merged, key=lambda b: abs(b - ts))
-        if abs(near - ts) <= STATION_TOL:
-            snapped_terms.append(near)
-        else:
-            snapped_terms.append(ts)
-            merged = sorted(set(merged + [ts]))
+    merged, snapped_terms = _snap_stations(tips, terms)
     boundaries = [b for b in merged if b > STATION_TOL]
 
     segments: list[Segment] = []

@@ -12,10 +12,6 @@ class NestrodError(Exception):
     """Base class for all package errors."""
 
 
-class NotSkew(NestrodError):
-    """Matrix handed to vee() is not skew-symmetric within tolerance."""
-
-
 class ValidationError(NestrodError):
     """One or more input problems. ``problems`` lists every one found."""
 

@@ -6,7 +6,9 @@ shooting: integrate the cross-section ODE station by station, apply the
 load transfer at every tube end / tendon anchor, and drive the terminal
 wrench mismatches to zero with a damped Newton iteration. Tension is
 ramped in uniform continuation steps so high-tension scenarios start
-from an already-bent warm guess.
+from an already-bent warm guess. The ramp and Newton's damped phase run
+on a coarse grid where the rest guess shows a small enough step-doubling
+error; one Newton solve at the requested step count then polishes.
 
 A batch row that cannot be integrated (see :data:`FAILURES`) is a state
 of that row, not an exception: it carries a failure code, reads an
@@ -16,7 +18,7 @@ infinite residual, and the other rows of its batch go on unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +53,19 @@ _RAMP_RELAX = 1e4
 # handful of iterations; past this many it is cheaper to subdivide the
 # tension step than to keep crawling along a damped valley.
 _RAMP_ITER_CAP = 12
+
+# Coarse-to-fine: the ramp and Newton's damped phase only have to stay in
+# the basin of the solution, so they run on a coarse grid, and one Newton
+# solve at the requested step count polishes. A coarse grid has at least
+# this many steps per segment; a solve asking for fewer than twice as many
+# gets no coarse grid.
+_COARSE_FLOOR = 10
+
+# Largest RK4 step-doubling estimate of the rest guess's tip error that a
+# coarse grid may have, as a fraction of the robot's length. A coarse
+# solution that close to the fine one leaves the polish a Newton step or
+# two at most; the paper's own model error is a few percent of length.
+_COARSE_TIP_TOL = 1e-2
 
 
 @dataclass
@@ -428,9 +443,12 @@ class ConvergenceReport:
     residual: np.ndarray
     condition_max: float
     message: str = ""
+    # Distance in m between the coarse grid's tip and the requested grid's,
+    # or None when no coarse grid converged first.
+    discretization_error: float | None = None
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "converged": self.converged,
             "iterations": self.iterations,
             "continuation_steps": self.continuation_steps,
@@ -439,6 +457,11 @@ class ConvergenceReport:
             "condition_max": self.condition_max,
             "message": self.message,
         }
+        # Left out when unset, so a solve without a coarse grid writes the
+        # same record as before there was one.
+        if self.discretization_error is not None:
+            out["discretization_error"] = self.discretization_error
+        return out
 
 
 @dataclass
@@ -638,30 +661,31 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
     return _Outcome(guess, res, metric, iterations, cond_max, True, trail)
 
 
-def _tension_free_failure(assembly: AssemblySpec,
-                          options: SolverOptions) -> str | None:
-    """Why the rest guess cannot be integrated without tension, if it cannot.
-
-    Such a failure does not depend on tension, so no shorter ramp step
-    can get past it.
-    """
+def _rest_pass(assembly: AssemblySpec,
+               options: SolverOptions) -> tuple[np.ndarray, int]:
+    """Tip position and failure code of the rest guess integrated without
+    tension. A failure here does not depend on tension, so no shorter ramp
+    step can get past it."""
     problem = build_problem(assembly, options, tension_scale=0.0)
-    failed = boundary_residual(rest_guess(problem), problem, options)[3]
-    if failed:
-        return f"integration fails without tension ({FAILURES[failed]})"
-    return None
+    _, trail, _, failed = boundary_residual(rest_guess(problem), problem,
+                                            options)
+    return trail[-1][-1, 0:3], int(failed)
 
 
-def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
-          initial_guess: np.ndarray | None = None) -> Solution:
-    """Solve the clamped-base statics of an assembly.
+class _Level(NamedTuple):
+    """How the attempts on one grid ended."""
 
-    A caller-supplied ``initial_guess`` (e.g. the previous point of a sweep)
-    is tried directly at full tension first; if that stalls, the solver
-    falls back to the tension ramp from the rest guess. Raises
-    :class:`NoConvergence` with a diagnostic report when every route fails.
-    """
-    options = options or SolverOptions()
+    report: ConvergenceReport
+    outcome: _Outcome | None      # Newton's accepted full-tension solve
+    problem: Problem              # the full-tension problem on this grid
+    scale: float                  # tension scale where a failed attempt stalled
+
+
+def _solve_level(assembly: AssemblySpec, options: SolverOptions,
+                 initial_guess: np.ndarray | None) -> _Level:
+    """The attempts on one grid: a given guess directly at full tension,
+    then the tension ramp from the rest guess. Returns how the first
+    attempt that converged, or else the last one, ended."""
     # The ramp is sized by the combined pull of all tendons: three tendons
     # at 2 N load the stack like one at 6 N, and the first step has to stay
     # inside Newton's basin around the rest state.
@@ -677,7 +701,6 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
         attempts.append((np.asarray(initial_guess, dtype=float), False))
     attempts.append((None, True))
 
-    last_error: NoConvergence | None = None
     for start_guess, use_ramp in attempts:
         total_iterations = 0
         cond_max = 0.0
@@ -687,7 +710,6 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
             else [1.0]
         min_gap = (1.0 / ramp_steps) / 64.0
         step_budget = ramp_steps + 24
-        ok = True
         history: list[tuple[float, np.ndarray]] = []
         s_done = 0.0
         steps_run = 0
@@ -745,38 +767,107 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
                 and steps_run < step_budget
             if retry and s_done == 0.0 and not rest_checked:
                 rest_checked = True
-                why = _tension_free_failure(assembly, options)
-                if why is not None:
-                    failure, retry = why, False
+                code = _rest_pass(assembly, options)[1]
+                if code:
+                    failure = ("integration fails without tension "
+                               f"({FAILURES[code]})")
+                    retry = False
             if retry:
                 queue.insert(0, 0.5 * (s_done + scale))
                 continue
-            last_error = NoConvergence(
-                f"shooting stalled at tension scale {scale:.3f} with "
-                f"scaled residual {metric:.3e} after {total_iterations} "
-                f"iterations: {failure}",
-                report=ConvergenceReport(
-                    converged=False, iterations=total_iterations,
-                    continuation_steps=steps_run,
-                    scaled_residual=metric, residual=last_res,
-                    condition_max=cond_max,
-                    message=failure,
-                ))
-            ok = False
+            failed = _Level(ConvergenceReport(
+                converged=False, iterations=total_iterations,
+                continuation_steps=steps_run, scaled_residual=metric,
+                residual=last_res, condition_max=cond_max, message=failure),
+                None, problem_full, scale)
             break
-        if ok:
+        else:
             # The ramp always ends with the full-tension step, so ``out`` is
             # Newton's accepted solve of ``problem_full``.
-            report = ConvergenceReport(
+            return _Level(ConvergenceReport(
                 converged=True, iterations=total_iterations,
-                continuation_steps=steps_run,
-                scaled_residual=out.metric, residual=out.residual,
-                condition_max=cond_max)
-            segments = [_expand_segment(ctx, rec)
-                        for ctx, rec in zip(problem_full.contexts, out.trail)]
-            return Solution(assembly=assembly, options=options, guess=guess,
-                            segments=segments, report=report)
-    raise last_error
+                continuation_steps=steps_run, scaled_residual=out.metric,
+                residual=out.residual, condition_max=cond_max),
+                out, problem_full, 1.0)
+    return failed
+
+
+def _coarse_steps(assembly: AssemblySpec, options: SolverOptions) -> int | None:
+    """Step count of the coarse grid for ``options``, or None for none.
+
+    This is the coarsest count on the halving ladder below the requested
+    one, and no lower than ``_COARSE_FLOOR``, at which the tension-free
+    rest guess integrates with no failed row and its tip moves by at most
+    ``_COARSE_TIP_TOL`` of the robot's length when the step count is
+    doubled.
+    """
+    ladder = []
+    steps = options.steps_per_segment // 2
+    while steps >= _COARSE_FLOOR:
+        ladder.append(steps)
+        steps //= 2
+    if not ladder:
+        return None
+    length = segment_plan(assembly).total_length
+    tips: dict[int, tuple[np.ndarray, int]] = {}
+
+    def tip(steps: int) -> tuple[np.ndarray, int]:
+        if steps not in tips:
+            tips[steps] = _rest_pass(assembly,
+                                     replace(options, steps_per_segment=steps))
+        return tips[steps]
+
+    for steps in reversed(ladder):
+        (coarse, failed), (fine, failed_fine) = tip(steps), tip(2 * steps)
+        if not (failed or failed_fine) and \
+                np.linalg.norm(coarse - fine) <= _COARSE_TIP_TOL * length:
+            return steps
+    return None
+
+
+def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
+          initial_guess: np.ndarray | None = None) -> Solution:
+    """Solve the clamped-base statics of an assembly.
+
+    A caller-supplied ``initial_guess`` (e.g. the previous point of a sweep)
+    is tried directly at full tension first; if that stalls, the solver
+    falls back to the tension ramp from the rest guess. Both run first on a
+    coarse grid (see :func:`_coarse_steps`), if there is one, and then once
+    more at the requested step count, warm-started from the coarse solution;
+    if the coarse grid does not converge, the requested grid starts from
+    the same guess instead. Raises :class:`NoConvergence` with a diagnostic
+    report when every route fails.
+    """
+    options = options or SolverOptions()
+    coarse = _coarse_steps(assembly, options)
+    levels = [options] if coarse is None \
+        else [replace(options, steps_per_segment=coarse), options]
+    guess = initial_guess
+    iterations, steps_run, cond_max = 0, 0, 0.0
+    coarse_tip = None
+    for level_options in levels:
+        level = _solve_level(assembly, level_options, guess)
+        iterations += level.report.iterations
+        steps_run += level.report.continuation_steps
+        cond_max = max(cond_max, level.report.condition_max)
+        if level_options is not options and level.outcome is not None:
+            guess = level.outcome.guess
+            coarse_tip = level.outcome.trail[-1][-1, 0:3]
+    report = replace(level.report, iterations=iterations,
+                     continuation_steps=steps_run, condition_max=cond_max)
+    if level.outcome is None:
+        raise NoConvergence(
+            f"shooting stalled at tension scale {level.scale:.3f} with "
+            f"scaled residual {report.scaled_residual:.3e} after {iterations} "
+            f"iterations: {report.message}", report=report)
+    segments = [_expand_segment(ctx, rec)
+                for ctx, rec in zip(level.problem.contexts, level.outcome.trail)]
+    if coarse_tip is not None:
+        report.discretization_error = float(
+            np.linalg.norm(segments[-1].p[-1] - coarse_tip))
+    return Solution(assembly=assembly, options=options,
+                    guess=level.outcome.guess, segments=segments,
+                    report=report)
 
 
 def twist_consistency(solution: Solution) -> float:

@@ -2,17 +2,12 @@
 
 All functions broadcast over leading axes so the shooting Jacobian can be
 evaluated as a batch: a ``(..., 3)`` vector argument yields a ``(..., 3, 3)``
-matrix result and vice versa.
+matrix result.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import NotSkew
-
-# Absolute tolerance on the symmetric part accepted by vee().
-SKEW_TOL = 1e-9
 
 # A matrix further than this (Frobenius) from the rotation group is not a
 # drifted rotation any more; reorthonormalize() flags it instead of guessing.
@@ -35,17 +30,6 @@ def hat(v: np.ndarray) -> np.ndarray:
     out[..., 2, 0] = -y
     out[..., 2, 1] = x
     return out
-
-
-def vee(m: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`hat`. Raises :class:`NotSkew` if the argument has a
-    symmetric part larger than ``SKEW_TOL`` in any entry."""
-    m = np.asarray(m, dtype=float)
-    sym = m + np.swapaxes(m, -1, -2)
-    worst = np.max(np.abs(sym))
-    if worst > SKEW_TOL:
-        raise NotSkew(f"symmetric part {worst:.3e} exceeds tolerance {SKEW_TOL:.0e}")
-    return np.stack([m[..., 2, 1], m[..., 0, 2], m[..., 1, 0]], axis=-1)
 
 
 def rot_d3(theta) -> np.ndarray:

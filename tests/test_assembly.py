@@ -241,6 +241,25 @@ class TestValidation:
         with pytest.raises(ValidationError, match="tendon 1: routing knots"):
             asm([0.01, 0.1]).validate()
 
+    def test_routing_knots_must_reach_the_snapped_anchor(self):
+        # A termination within STATION_TOL below the tube tip snaps onto
+        # the tip, so the routing is evaluated up to the tip: knots that
+        # end at the termination stop short of the tendon.
+        def asm(end, termination):
+            knots = [(0.0, 0.0, 3e-3), (end, 0.3, 3e-3)]
+            return AssemblySpec(
+                tubes=[_tube(length=0.1)],
+                tendons=[TendonSpec(routing=PiecewiseAngularRouting(knots),
+                                    tension=1.0, termination=termination)])
+
+        with pytest.raises(ValidationError,
+                           match=r"knots span \[0.0, 0.0999995\] m .* over "
+                                 r"\[0.0, 0.1\] m"):
+            asm(0.0999995, 0.0999995).validate()
+        asm(0.1, 0.0999995).validate()
+        # further from the tip the termination opens its own boundary
+        asm(0.09999, 0.09999).validate()
+
     def test_termination_beyond_tube(self):
         asm = AssemblySpec(
             tubes=[_tube(length=0.2)],

@@ -52,6 +52,29 @@ tendon {
 }
 """
 
+# The termination lies within the station tolerance of the tube tip, so the
+# solver anchors the tendon at the tip, past the routing's last knot.
+_SNAPPED_TERMINATION = """\
+name snapped_termination
+tube {
+  length_mm 100
+  elastic_modulus_GPa 60
+  shear_modulus_GPa 23
+  outer_diameter_mm 1.0
+  inner_diameter_mm 0.8
+}
+tendon {
+  tension_N 1
+  termination_mm 99.9995
+  routing {
+    kind piecewise
+    stations_mm [0, 99.9995]
+    angles_deg [0, 30]
+    radii_mm [3, 3]
+  }
+}
+"""
+
 
 class TestPresetCommand:
     def test_list(self, capsys):
@@ -167,6 +190,21 @@ class TestSolveCommand:
         assert cli.main(["solve", str(scn), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "routing knots span [0.0, 0.05] m" in err
+        assert not list(tmp_path.glob("*.json"))
+
+    def test_snapped_termination_exits_1_before_integrating(
+            self, tmp_path, capsys, monkeypatch):
+        from nestrod import shooting
+
+        def never(*args, **kwargs):
+            raise AssertionError("integrated an invalid assembly")
+
+        monkeypatch.setattr(shooting, "integrate_segment", never)
+        scn = tmp_path / "snapped_termination.scn"
+        scn.write_text(_SNAPPED_TERMINATION)
+        assert cli.main(["solve", str(scn), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "tendon runs over [0.0, 0.1] m" in err
         assert not list(tmp_path.glob("*.json"))
 
     def test_frame_drift_exits_2_with_report(self, tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Regression pins: two presets and one hard fuzz draw must solve exactly
-as the pinned build did.
+as the pinned build did, and a slow tube within its iteration budget.
 
 The tip, the Newton iteration and continuation step counts, and the scaled
 residual were recorded from a build whose acceptance battery passed. A
@@ -11,19 +11,23 @@ from __future__ import annotations
 
 import pytest
 
-from nestrod.assembly import AssemblySpec, HelicalRouting, TendonSpec, TubeSpec
+from nestrod import shooting
+from nestrod.assembly import (AssemblySpec, HelicalRouting, StraightRouting,
+                              TendonSpec, TubeSpec)
 from nestrod.scenario import preset
 from nestrod.shooting import SolverOptions, shoot
 
 # (preset, steps per segment, tip in m, iterations, continuation steps,
-#  scaled residual)
+#  scaled residual). Both run a coarse grid (12 and 10 steps per segment)
+#  before the requested one; the counts add up both grids. Their tips lie
+#  3.3e-11 m and 1.4e-11 m from those of the single-grid build before.
 _PINS = [
     ("ctr_theta_90", 50,
-     (0.026736597095954395, -0.026987057567171478, 0.1432899222837296),
-     4, 1, 0.34938158269270936),
+     (0.026736597121270744, -0.026987057546531214, 0.14328992228271406),
+     5, 2, 7.979727989493313e-07),
     ("two_tube_helical", 20,
-     (0.059349485347196765, -0.003396979258294366, 0.27082436704708784),
-     16, 4, 0.017256622464330764),
+     (0.059349485360322536, -0.003396979260875325, 0.27082436704353596),
+     17, 5, 0.008196911601314623),
 ]
 
 
@@ -41,6 +45,7 @@ def test_tip_matches_pinned_build(name, steps, tip, iterations, ramp, scaled):
 
 def test_fuzz_draw_matches_pinned_build():
     # A draw of the tests/test_fuzz.py generator at 5 steps per segment,
+    # below the coarse-grid floor, so it runs on one grid as it always did,
     # where bold line-search candidates drift off the rotation group: many
     # Newton batches hold rows that fail while the others go on.
     tube = TubeSpec(length=0.05, elastic_modulus=40e9, shear_modulus=15e9,
@@ -55,3 +60,32 @@ def test_fuzz_draw_matches_pinned_build():
     assert solution.report.continuation_steps == 4
     assert solution.report.scaled_residual == pytest.approx(
         9.279244039817058e-05, rel=1e-9)
+
+
+def test_slow_tube_polishes_in_one_iteration(monkeypatch):
+    # A slender tube under a high load parameter (T·L²/EI ≈ 22) crawls
+    # through 26 Newton iterations. They belong on the coarse grid: the
+    # requested grid spends at most one.
+    tube = TubeSpec(length=0.188, elastic_modulus=63.34e9,
+                    shear_modulus=22.99e9, outer_diameter=0.826e-3,
+                    inner_diameter=0.4329e-3)
+    tendon = TendonSpec(routing=StraightRouting([1.251e-3, 2.22e-3]),
+                        tension=0.8278)
+    calls = []
+    inner = shooting.boundary_residual
+
+    def counted(guess, problem, options):
+        rows = guess.shape[0] if guess.ndim == 2 else 1
+        calls.append((options.steps_per_segment, rows))
+        return inner(guess, problem, options)
+
+    monkeypatch.setattr(shooting, "boundary_residual", counted)
+    options = SolverOptions()
+    solution = shoot(AssemblySpec(tubes=[tube], tendons=[tendon]), options)
+    assert solution.report.converged
+    size = 6
+    ladder = shooting._LINE_SEARCH_HALVINGS + 1
+    fine = [rows for steps, rows in calls
+            if steps == options.steps_per_segment]
+    assert fine.count(ladder + size) <= 1
+    assert solution.report.discretization_error < 1e-8

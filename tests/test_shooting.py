@@ -4,6 +4,7 @@ boundary bookkeeping, warm starts, and the failure report."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -157,10 +158,13 @@ class TestShoot:
         assert sol.report.iterations == 0
 
     def test_warm_start_skips_the_ramp(self):
+        # Each grid, the coarse one and the requested one, takes the given
+        # guess in a single full-tension step.
         opts = SolverOptions(steps_per_segment=60)
         first = shoot(_two_tube(tension=1.0), opts)
         again = shoot(_two_tube(tension=1.0), opts, initial_guess=first.guess)
-        assert again.report.continuation_steps == 1
+        assert again.report.discretization_error is not None
+        assert again.report.continuation_steps == 2
         assert again.report.iterations == 0
         np.testing.assert_allclose(again.tip_position, first.tip_position,
                                    atol=1e-12)
@@ -211,22 +215,91 @@ class TestShoot:
 
 class TestNewtonBatches:
     def test_one_evaluation_per_iteration(self, monkeypatch):
-        # The solve starts from one stencil batch, every full step carries
-        # the next stencil, and the recorded shape comes from the accepted
-        # row: no record pass.
+        # On each grid, every continuation step starts from one stencil
+        # batch, every full step carries the next stencil, and the recorded
+        # shape comes from the accepted row: no record pass. The only
+        # single-row evaluations are the rest guess's step doubling that
+        # picks the coarse grid.
         calls = []
         inner = shooting.boundary_residual
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return inner(*args, **kwargs)
+        def counted(guess, problem, options):
+            rows = guess.shape[0] if guess.ndim == 2 else 1
+            calls.append((options.steps_per_segment, rows))
+            return inner(guess, problem, options)
 
         monkeypatch.setattr(shooting, "boundary_residual", counted)
         asm, opts = preset("ctr_theta_90")
         opts.steps_per_segment = 50
         report = shoot(asm, opts).report
-        assert len(calls) == report.iterations + report.continuation_steps
-        assert len(calls) == 5
+        size = 8
+        ladder = shooting._LINE_SEARCH_HALVINGS + 1
+        assert [c for c in calls if c[1] == 1] == [(12, 1), (24, 1)]
+        batches = [c for c in calls if c[1] > 1]
+        assert len(batches) == report.iterations + report.continuation_steps
+        # coarse grid: the ramp's one step and four Newton iterations
+        assert Counter(batches) == {(12, size + 1): 1, (12, ladder + size): 4,
+                                    (50, size + 1): 1, (50, ladder + size): 1}
+        # the polish is one step at the requested count, after all coarse
+        # batches
+        assert [c[0] for c in batches] == [12] * 5 + [50] * 2
+
+    def test_discretization_error_is_the_coarse_to_fine_tip_gap(self):
+        asm, opts = preset("ctr_theta_90")
+        opts.steps_per_segment = 50
+        report = shoot(asm, opts).report
+        assert 0.0 < report.discretization_error < 1e-7
+        assert report.as_dict()["discretization_error"] == \
+            report.discretization_error
+
+    @pytest.mark.parametrize("requested",
+                             [10, 2 * shooting._COARSE_FLOOR - 1])
+    def test_no_coarse_grid_below_twice_the_floor(self, monkeypatch,
+                                                  requested):
+        steps = []
+        inner = shooting.boundary_residual
+
+        def counted(guess, problem, options):
+            steps.append(options.steps_per_segment)
+            return inner(guess, problem, options)
+
+        monkeypatch.setattr(shooting, "boundary_residual", counted)
+        asm, opts = preset("ctr_theta_90")
+        opts.steps_per_segment = requested
+        report = shoot(asm, opts).report
+        assert set(steps) == {opts.steps_per_segment}
+        assert report.discretization_error is None
+        assert "discretization_error" not in report.as_dict()
+
+    def test_coarse_grid_skips_steps_that_drift(self):
+        # The helix backbone's rest guess drifts off the rotation group at
+        # 9 and 10 steps, so the ladder from 150 stops at 18, and a solve at
+        # 20 steps gets no coarse grid.
+        asm, opts = preset("single_tube_helical_backbone",
+                           allow_placeholders=True)
+        opts.steps_per_segment = 150
+        assert shooting._coarse_steps(asm, opts) == 18
+        opts.steps_per_segment = 20
+        assert shooting._coarse_steps(asm, opts) is None
+
+    def test_failed_coarse_grid_leaves_the_requested_grid_as_before(
+            self, monkeypatch):
+        # A coarse grid that ends in NoConvergence (here: 10 steps, where
+        # the helix drifts) hands the requested grid the caller's start
+        # guess, so the solution is the one without a coarse grid.
+        asm, opts = preset("single_tube_helical_backbone",
+                           allow_placeholders=True)
+        opts.steps_per_segment = 40
+        monkeypatch.setattr(shooting, "_coarse_steps", lambda *args: None)
+        alone = shoot(asm, opts)
+        monkeypatch.setattr(shooting, "_coarse_steps", lambda *args: 10)
+        after = shoot(asm, opts)
+        np.testing.assert_array_equal(after.tip_position, alone.tip_position)
+        assert after.report.iterations == alone.report.iterations
+        # the coarse grid's one stalled step counts too
+        assert after.report.continuation_steps == \
+            alone.report.continuation_steps + 1
+        assert after.report.discretization_error is None
 
     def test_condition_estimate_per_row(self):
         # Each batch row reads exactly as when it is run alone, so Newton
