@@ -27,14 +27,14 @@ KNOT_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# rest shapes (stress-free curvature / stretch as functions of local station)
+# rest shapes (stress-free curvature / stretch, constant along the tube)
 # ---------------------------------------------------------------------------
 
 
 class StraightRest:
     """Stress-free state of a straight tube: zero curvature, unit stretch."""
 
-    constant = True  # station-independent, safe to cache per segment
+    constant = True  # station-independent; the solver requires it of a rest
 
     def curvature(self, s: float) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(3), np.zeros(3)
@@ -170,6 +170,11 @@ class TubeSpec:
                 problems.append(f"{label}: elastic_modulus must be > 0")
             if self.shear_modulus is not None and self.shear_modulus <= 0:
                 problems.append(f"{label}: shear_modulus must be > 0")
+        if not getattr(self.rest_shape, "constant", False):
+            problems.append(
+                f"{label}: rest shape {type(self.rest_shape).__name__} is not "
+                "constant along the tube (constant = True); the solver reads "
+                "rest strains once per segment")
         if self.outer_diameter is not None and self.inner_diameter is not None:
             if not (self.outer_diameter > self.inner_diameter >= 0):
                 problems.append(

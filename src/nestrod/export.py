@@ -50,8 +50,9 @@ def solution_payload(solution) -> dict:
 
 
 def write_json(path, payload: dict) -> None:
+    """Strict JSON: a NaN or infinity in ``payload`` raises ValueError."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
 
 

@@ -419,8 +419,8 @@ def run_validate(mutation: float = 1.0, checks=_CHECK_NAMES,
     from .assembly import (ArcRest, AssemblySpec, HelicalRouting,
                            PiecewiseAngularRouting, StraightRouting,
                            StraightRest, TendonSpec, TubeSpec, section_stiffness)
-    from .shooting import SolverOptions, shoot, twist_consistency
-    from .statics import RodState, SegmentContext, TendonContext, TubeContext, assemble_system
+    from .shooting import SolverOptions, build_problem, shoot, twist_consistency
+    from .statics import RodState, assemble_system
 
     def mutated(tube: TubeSpec) -> TubeSpec:
         return replace(tube, stiffness=section_stiffness(tube).scaled(mutation))
@@ -453,25 +453,19 @@ def run_validate(mutation: float = 1.0, checks=_CHECK_NAMES,
                             outer_diameter=od, inner_diameter=idi,
                             rest_shape=ArcRest(kappa=rng.uniform(0.0, 6.0),
                                                plane_angle=rng.uniform(0, 6.28)))
-            stiff = section_stiffness(tube).scaled(mutation)
             tendons = []
             tds = []
             for _ in range(2):
                 off = rng.uniform(-4e-3, 4e-3, size=2)
                 tension = rng.uniform(0.3, 3.0)
                 routing = StraightRouting(offset=off)
-                tendons.append(TendonContext(routing=routing, tension=tension,
-                                             tube=0, termination=0.2))
+                tendons.append(TendonSpec(routing=routing, tension=tension))
                 tds.append(routing.eval(0.1) + (tension,))
             u = rng.uniform(-6, 6, size=3)
             v = np.array([0, 0, 1.0]) + rng.uniform(-2e-4, 2e-4, size=3)
-            ctx = SegmentContext(start=0.0, end=0.2,
-                                 tubes=[TubeContext(index=0,
-                                                    kse_diag=stiff.kse_diag,
-                                                    kbt_diag=stiff.kbt_diag,
-                                                    rest=tube.rest_shape,
-                                                    offset=0.0)],
-                                 loads=[tendons])
+            ctx = build_problem(AssemblySpec(tubes=[mutated(tube)],
+                                             tendons=tendons),
+                                SolverOptions()).contexts[0]
             state = RodState(p=np.zeros(3), R=np.eye(3), u1=u, v1=v,
                              theta=np.zeros(0), u_d3=np.zeros(0),
                              beta=np.zeros(0), s=0.1)

@@ -25,10 +25,10 @@ import numpy as np
 
 from .assembly import AssemblySpec, SegmentPlan, assign_tendons, section_stiffness, segment_plan
 from .errors import NoConvergence
-from .so3 import DRIFT_LIMIT, hat, reorthonormalize, rot_d3
+from .so3 import DRIFT_LIMIT, reorthonormalize, rot_d3
 from .statics import (COND_LIMIT, PB_DOT_MIN, RodState, SegmentContext,
-                      TendonContext, TubeContext, derived_strains, pack_state,
-                      state_derivative, tube_wrench, unpack_state)
+                      TendonContext, pack_state, state_derivative, tube_strains,
+                      unpack_state)
 
 # Why a batch row failed, by failure code; code 0 is a row that integrated
 # cleanly. Newton and the ramp back off from a failed row instead of
@@ -120,30 +120,36 @@ def build_problem(assembly: AssemblySpec, options: SolverOptions,
     plan = segment_plan(assembly)
     assignment = assign_tendons(assembly, plan)
 
-    tube_ctx = []
-    for i, tube in enumerate(assembly.tubes):
-        stiff = section_stiffness(tube)
-        tube_ctx.append(TubeContext(index=i, kse_diag=stiff.kse_diag,
-                                    kbt_diag=stiff.kbt_diag,
-                                    rest=tube.rest_shape,
-                                    offset=assembly.base_offsets[i]))
+    stiff = [section_stiffness(tube) for tube in assembly.tubes]
+    kse = np.stack([pair.kse_diag for pair in stiff])
+    kbt = np.stack([pair.kbt_diag for pair in stiff])
+    # Rest shapes are constant along their tubes (TubeSpec.validate), so
+    # one reading per tube serves every segment.
+    ustar = np.stack([tube.rest_shape.curvature(0.0)[0]
+                      for tube in assembly.tubes])
+    vstar = np.stack([tube.rest_shape.stretch(0.0)[0]
+                      for tube in assembly.tubes])
 
     tendon_ctx = [
         TendonContext(routing=t.routing, tension=t.tension * tension_scale,
-                      tube=t.tube, termination=assembly.termination_station(j),
                       offset=assembly.base_offsets[t.tube])
-        for j, t in enumerate(assembly.tendons)
+        for t in assembly.tendons
     ]
 
     contexts = []
     for seg, seg_assign in zip(plan.segments, assignment):
         locals_of = {g: a for a, g in enumerate(seg.tubes)}
-        loads: list[list[TendonContext]] = [[] for _ in seg.tubes]
-        for j in seg.tendons:
-            loads[locals_of[seg_assign[j]]].append(tendon_ctx[j])
+        carried = sorted(seg.tendons, key=lambda j: locals_of[seg_assign[j]])
         contexts.append(SegmentContext(
-            start=seg.start, end=seg.end,
-            tubes=[tube_ctx[g] for g in seg.tubes], loads=loads))
+            start=seg.start, end=seg.end, tubes=list(seg.tubes),
+            kse=kse[seg.tubes], kbt=kbt[seg.tubes],
+            ustar=ustar[seg.tubes], vstar=vstar[seg.tubes],
+            routings=[tendon_ctx[j].routing for j in carried],
+            routing_offsets=np.array([tendon_ctx[j].offset for j in carried]),
+            tensions=np.array([tendon_ctx[j].tension for j in carried],
+                              dtype=float),
+            carriers=np.array([locals_of[seg_assign[j]] for j in carried],
+                              dtype=int)))
 
     events = []
     classes: list[str] = []
@@ -244,20 +250,8 @@ def integrate_segment(state: RodState, ctx: SegmentContext, steps: int,
 # ---------------------------------------------------------------------------
 
 
-def _theta_all(state: RodState) -> np.ndarray:
-    zero = np.zeros(state.theta.shape[:-1] + (1,))
-    return np.concatenate([zero, state.theta], axis=-1)
-
-
-def _rot2(theta: np.ndarray) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    row0 = np.stack([c, -s], axis=-1)
-    row1 = np.stack([s, c], axis=-1)
-    return np.stack([row0, row1], axis=-2)
-
-
 def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("...ij,...j->...i", m, v)
+    return (m @ v[..., None])[..., 0]
 
 
 def apply_transition(state: RodState, event: EventContext, ctx: SegmentContext,
@@ -274,86 +268,66 @@ def apply_transition(state: RodState, event: EventContext, ctx: SegmentContext,
     (next state or None at the final station, residual component list,
     failure codes with the rows whose transfer is singular added).
     """
-    k = ctx.n_active
-    us, vs = derived_strains(state)
-    ns, ms = tube_wrench(state, ctx)
-    thetas = _theta_all(state)
+    strains = tube_strains(state, ctx)
+    theta = np.concatenate([np.zeros(state.theta.shape[:-1] + (1,)),
+                            state.theta], axis=-1)
 
-    tip_f = [np.zeros_like(ns[0]) for _ in range(k)]
-    tip_m = [np.zeros_like(ms[0]) for _ in range(k)]
+    # Each tube's leftover wrench, in its own frame, after the point loads
+    # of the tendons anchoring on it.
+    left_n, left_m = strains.n, strains.m
     for tendon, assigned, anchored in event.terminating:
         r, rdot, _ = tendon.routing.eval(state.s + tendon.offset)
-        pb = _mv(hat(us[assigned]), np.broadcast_to(r, us[assigned].shape))
-        pb = pb + rdot + vs[assigned]
-        direction = pb / np.linalg.norm(pb, axis=-1, keepdims=True)
-        f_a = -tendon.tension * direction
-        m_a = _mv(hat(r), f_a)
-        spin = rot_d3(thetas[..., assigned] - thetas[..., anchored])
-        tip_f[anchored] = tip_f[anchored] + _mv(spin, f_a)
-        tip_m[anchored] = tip_m[anchored] + _mv(spin, m_a)
-
-    left_n = [ns[i] - tip_f[i] for i in range(k)]
-    left_m = [ms[i] - tip_m[i] for i in range(k)]
+        pb = np.cross(strains.u[..., assigned, :], r) + rdot \
+            + strains.v[..., assigned, :]
+        f_a = -tendon.tension * pb / np.linalg.norm(pb, axis=-1, keepdims=True)
+        spin = rot_d3(theta[..., assigned] - theta[..., anchored])
+        left_n[..., anchored, :] -= _mv(spin, f_a)
+        left_m[..., anchored, :] -= _mv(spin, np.cross(r, f_a))
 
     residual = []
     for e in event.ending:
-        residual.append(left_n[e][..., 2])
-        residual.append(left_m[e][..., 2])
+        residual.append(left_n[..., e, 2])
+        residual.append(left_m[..., e, 2])
 
+    # The whole stack's leftover wrench in the segment's reference frame.
+    comp_f = _mv(strains.rot, left_n).sum(axis=-2)
+    comp_m = _mv(strains.rot, left_m).sum(axis=-2)
     if event.final:
-        comp_f = sum(_mv(rot_d3(thetas[..., i]), left_n[i]) for i in range(k))
-        comp_m = sum(_mv(rot_d3(thetas[..., i]), left_m[i]) for i in range(k))
         residual.extend([comp_f[..., 0], comp_f[..., 1],
                          comp_m[..., 0], comp_m[..., 1]])
         return None, residual, failed
 
     cont = event.continuing
     ref = cont[0]
-    th_ref = thetas[..., ref]
-    rel = [thetas[..., c] - th_ref for c in cont]
+    rot_ref = strains.rot[..., ref, :, :]
+    rel = theta[..., cont] - theta[..., ref, None]
 
-    # Composite bending/shear target in the new reference frame: every
-    # tube's leftover transfers, ending tubes included.
-    target_f = sum(_mv(rot_d3(thetas[..., i] - th_ref), left_n[i])
-                   for i in range(k))
-    target_m = sum(_mv(rot_d3(thetas[..., i] - th_ref), left_m[i])
-                   for i in range(k))
-
-    # Twist/axial components re-solve per continuing tube.
-    tubes = [ctx.tubes[c] for c in cont]
-    rests = [(t.rest.curvature(state.s + t.offset)[0],
-              t.rest.stretch(state.s + t.offset)[0]) for t in tubes]
-    u_z = [rest[0][2] + left_m[c][..., 2] / t.kbt_diag[2]
-           for rest, c, t in zip(rests, cont, tubes)]
-
-    # A row whose transfer is singular is flagged and divided by one
-    # instead; its next state means nothing.
-    v1_z = rests[0][1][2] + left_n[ref][..., 2] / tubes[0].kse_diag[2]
+    # Twist/axial components re-solve per continuing tube. A row whose
+    # transfer is singular is flagged and divided by one instead; its next
+    # state means nothing.
+    u_z = ctx.ustar[cont, 2] + left_m[..., cont, 2] / ctx.kbt[cont, 2]
+    v_z = ctx.vstar[cont, 2] + left_n[..., cont, 2] / ctx.kse[cont, 2]
+    v1_z = v_z[..., 0]
     singular = v1_z <= 0.0
     if singular.any():
         v1_z = np.where(singular, 1.0, v1_z)
+    betas = v_z[..., 1:] / v1_z[..., None]
+    singular = singular | (betas <= 0.0).any(axis=-1)
 
-    betas = []
-    for idx, c in enumerate(cont[1:], start=1):
-        tube = ctx.tubes[c]
-        bz = (rests[idx][1][2] + left_n[c][..., 2] / tube.kse_diag[2]) / v1_z
-        singular = singular | (bz <= 0.0)
-        betas.append(bz)
-
-    # Shared bending curvature from the 2x2 stack-stiffness system.
-    batch = state.u1.shape[:-1]
-    s_mat = np.zeros(batch + (2, 2))
-    rhs_m = target_m[..., 0:2].copy()
-    rhs_f = target_f[..., 0:2].copy()
-    ga_beta = np.zeros(batch)
-    for idx, c in enumerate(cont):
-        tube = ctx.tubes[c]
-        rot = _rot2(rel[idx])
-        ei = np.array([[tube.kbt_diag[0], 0.0], [0.0, tube.kbt_diag[1]]])
-        s_mat = s_mat + rot @ ei @ np.swapaxes(rot, -1, -2)
-        rhs_m = rhs_m + _mv(rot, tube.kbt_diag[0:2] * rests[idx][0][0:2])
-        rhs_f = rhs_f + tube.kse_diag[0] * _mv(rot, rests[idx][1][0:2])
-        ga_beta = ga_beta + tube.kse_diag[0] * (1.0 if idx == 0 else betas[idx - 1])
+    # Shared bending/shear from the continuing stack's 2x2 stiffness: the
+    # whole stack's leftover, ending tubes included, moved into the new
+    # reference frame, plus the continuing tubes' rest wrench.
+    to_ref = np.swapaxes(rot_ref, -1, -2)
+    rel_rot = rot_d3(rel)[..., 0:2, 0:2]                 # (..., c, 2, 2)
+    ei = ctx.kbt[cont, 0:2]
+    ga = ctx.kse[cont, 0]
+    s_mat = ((rel_rot * ei[:, None, :]) @ np.swapaxes(rel_rot, -1, -2)) \
+        .sum(axis=-3)
+    rhs_m = _mv(to_ref, comp_m)[..., 0:2] \
+        + _mv(rel_rot, ei * ctx.ustar[cont, 0:2]).sum(axis=-2)
+    rhs_f = _mv(to_ref, comp_f)[..., 0:2] \
+        + _mv(rel_rot, ga[:, None] * ctx.vstar[cont, 0:2]).sum(axis=-2)
+    ga_beta = ga[0] + (ga[1:] * betas).sum(axis=-1)
 
     det = (s_mat[..., 0, 0] * s_mat[..., 1, 1]
            - s_mat[..., 0, 1] * s_mat[..., 1, 0])
@@ -371,14 +345,10 @@ def apply_transition(state: RodState, event: EventContext, ctx: SegmentContext,
 
     new_state = RodState(
         p=state.p.copy(),
-        R=state.R @ rot_d3(th_ref),
-        u1=np.concatenate([u1_xy, u_z[0][..., None]], axis=-1),
+        R=state.R @ rot_ref,
+        u1=np.concatenate([u1_xy, u_z[..., 0:1]], axis=-1),
         v1=np.concatenate([v1_xy, v1_z[..., None]], axis=-1),
-        theta=np.stack(rel[1:], axis=-1) if len(cont) > 1
-        else state.theta[..., :0],
-        u_d3=np.stack(u_z[1:], axis=-1) if len(cont) > 1
-        else state.u_d3[..., :0],
-        beta=np.stack(betas, axis=-1) if betas else state.beta[..., :0],
+        theta=rel[..., 1:], u_d3=u_z[..., 1:], beta=betas,
         s=event.station,
     )
     return new_state, residual, failed
@@ -448,20 +418,25 @@ class ConvergenceReport:
     discretization_error: float | None = None
 
     def as_dict(self) -> dict:
+        """Plain-JSON record; a non-finite figure reads None (JSON null)."""
         out = {
             "converged": self.converged,
             "iterations": self.iterations,
             "continuation_steps": self.continuation_steps,
-            "scaled_residual": self.scaled_residual,
-            "residual_norm": float(np.linalg.norm(self.residual)),
-            "condition_max": self.condition_max,
+            "scaled_residual": _finite(self.scaled_residual),
+            "residual_norm": _finite(np.linalg.norm(self.residual)),
+            "condition_max": _finite(self.condition_max),
             "message": self.message,
         }
         # Left out when unset, so a solve without a coarse grid writes the
         # same record as before there was one.
         if self.discretization_error is not None:
-            out["discretization_error"] = self.discretization_error
+            out["discretization_error"] = _finite(self.discretization_error)
         return out
+
+
+def _finite(x: float) -> float | None:
+    return float(x) if math.isfinite(x) else None
 
 
 @dataclass
@@ -513,46 +488,28 @@ class Solution:
 
 
 def _expand_segment(ctx: SegmentContext, trail: np.ndarray) -> SegmentSolution:
-    k = ctx.n_active
     steps = len(trail) - 1
     h = (ctx.end - ctx.start) / steps
-    stations = ctx.start + h * np.arange(steps + 1)
-    state = unpack_state(trail, k, ctx.start)
-    # Strains and wrench are station-independent maps except for the rest
-    # shape, which needs true stations: evaluate per sample.
-    us = np.zeros((steps + 1, k, 3))
-    vsz = np.zeros((steps + 1, k, 3))
-    nw = np.zeros((steps + 1, k, 3))
-    mw = np.zeros((steps + 1, k, 3))
-    for j in range(steps + 1):
-        st = unpack_state(trail[j], k, float(stations[j]))
-        u_list, v_list = derived_strains(st)
-        n_list, m_list = tube_wrench(st, ctx)
-        for i in range(k):
-            us[j, i] = u_list[i]
-            vsz[j, i] = v_list[i]
-            nw[j, i] = n_list[i]
-            mw[j, i] = m_list[i]
+    state = unpack_state(trail, ctx.n_active, ctx.start)
+    strains = tube_strains(state, ctx)
     return SegmentSolution(
-        start=ctx.start, end=ctx.end, tubes=[t.index for t in ctx.tubes],
-        stations=stations, p=state.p, R=state.R, u1=state.u1, v1=state.v1,
-        theta=state.theta, u_d3=state.u_d3, beta=state.beta,
-        tube_u=us, tube_v=vsz, tube_n=nw, tube_m=mw)
+        start=ctx.start, end=ctx.end, tubes=list(ctx.tubes),
+        stations=ctx.start + h * np.arange(steps + 1), p=state.p, R=state.R,
+        u1=state.u1, v1=state.v1, theta=state.theta, u_d3=state.u_d3,
+        beta=state.beta, tube_u=strains.u, tube_v=strains.v,
+        tube_n=strains.n, tube_m=strains.m)
 
 
 def rest_guess(problem: Problem) -> np.ndarray:
     """Initial guess: every tube keeps its rest strains, no dilation."""
-    assembly = problem.assembly
-    g = np.zeros(problem.guess_size)
-    u0, _ = assembly.tubes[0].rest_shape.curvature(assembly.base_offsets[0])
-    v0, _ = assembly.tubes[0].rest_shape.stretch(assembly.base_offsets[0])
-    g[0:3] = u0
-    g[3:6] = v0
+    # Every tube reaches past the base plate, so the first segment holds
+    # them all.
+    first = problem.contexts[0]
     n = problem.n_tubes
-    for i in range(1, n):
-        ui, _ = assembly.tubes[i].rest_shape.curvature(assembly.base_offsets[i])
-        g[5 + i] = ui[2]
-        g[4 + n + i] = 1.0
+    g = np.ones(problem.guess_size)
+    g[0:3] = first.ustar[0]
+    g[3:6] = first.vstar[0]
+    g[6:5 + n] = first.ustar[1:, 2]
     return g
 
 

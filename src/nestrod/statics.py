@@ -13,6 +13,12 @@ for k active tubes, giving 2k + 4 equations for 2k + 4 unknowns. Tendon
 loads enter each tube's rows through that tube's assigned tendons; the
 rate-proportional parts of the tendon load land in A and the rest in b.
 
+Each segment is one :class:`SegmentContext` record, built once per
+problem: stiffness and constant rest strains stacked per active tube, and
+the tendon loads stacked per carried tendon. :func:`tube_strains` is the
+one map from a state to every tube's strains and internal wrench; the
+assembly here, the boundary transfer and the recording pass all read it.
+
 ``nestrod.oracles.stack_system`` assembles the same system tube by tube
 from first principles; a regression test pins this module against it.
 
@@ -26,6 +32,7 @@ bad row does not stop the rest of its batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,59 +47,59 @@ _ZERO = np.zeros(())
 
 
 # ---------------------------------------------------------------------------
-# per-segment context (constant between boundaries)
+# per-segment record (constant between boundaries)
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class TubeContext:
-    """Stiffness and rest-shape data of one active tube within a segment."""
-
-    index: int                 # global tube index (0 = outermost of assembly)
-    kse_diag: np.ndarray       # (GA, GA, EA)
-    kbt_diag: np.ndarray       # (EI, EI, GJ)
-    rest: object               # rest-shape object with curvature()/stretch()
-    offset: float              # local station = composite station + offset
-
-
-@dataclass
 class TendonContext:
-    """One tendon while active: routing, current tension, anchor data.
+    """One tendon anchoring at a boundary: routing, current tension, and
+    the routing station's offset from the composite station.
 
-    The routing is a function of the terminating tube's own arc length,
-    like that tube's rest shape.
+    The routing is a function of the terminating tube's own arc length.
     """
 
     routing: object
     tension: float
-    tube: int                  # global index of the terminating tube
-    termination: float         # composite anchor station
     offset: float = 0.0        # routing station = composite station + offset
 
 
 @dataclass
 class SegmentContext:
-    """Everything the ODE needs between two boundaries.
+    """Everything the ODE needs between two boundaries, stacked per tube.
 
-    ``loads[i]`` lists the tendons whose distributed load is assigned to
-    active tube ``i`` (local index, outermost first) under the scenario's
-    strategy. ``tubes[0]`` is the segment's reference tube: its frame is the
-    propagated R and its strains are u1/v1.
+    Every per-tube array holds the segment's active tubes on its first
+    axis, outermost first. ``tubes[0]`` is the segment's reference tube:
+    its frame is the propagated R and its strains are u1/v1. Rest strains
+    are segment constants, since every rest shape is constant along its
+    tube. The tendon arrays hold one entry per tendon whose distributed
+    load the segment carries, grouped by carrying tube under the
+    scenario's strategy; ``path`` stacks their routings once, when every
+    routing is station-independent.
     """
 
     start: float
     end: float
-    tubes: list[TubeContext]
-    loads: list[list[TendonContext]] = field(default_factory=list)
-    _compiled: object = field(default=None, init=False, repr=False, compare=False)
+    tubes: list[int]              # global tube indices
+    kse: np.ndarray               # (k, 3) (GA, GA, EA)
+    kbt: np.ndarray               # (k, 3) (EI, EI, GJ)
+    ustar: np.ndarray             # (k, 3) rest curvature
+    vstar: np.ndarray             # (k, 3) rest stretch
+    routings: list                # (T,) routing objects
+    routing_offsets: np.ndarray   # (T,) routing station - composite station
+    tensions: np.ndarray          # (T,)
+    carriers: np.ndarray          # (T,) local index of the carrying tube
+    path: tuple | None = field(init=False)
+
+    def __post_init__(self):
+        constant = all(getattr(r, "constant", False) for r in self.routings)
+        self.path = _path_stacks(self.routings, self.routing_offsets,
+                                 0.5 * (self.start + self.end)) \
+            if self.routings and constant else None
 
     @property
     def n_active(self) -> int:
         return len(self.tubes)
-
-    @property
-    def state_width(self) -> int:
-        return 18 + 3 * (self.n_active - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -137,32 +144,48 @@ def unpack_state(y: np.ndarray, n_active: int, s: float) -> RodState:
 
 
 # ---------------------------------------------------------------------------
-# derived per-tube strains
+# per-tube strains and wrench
 # ---------------------------------------------------------------------------
 
 
-def _mat_t_vec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("...ji,...j->...i", m, v)
+class TubeStrains(NamedTuple):
+    """Strains and internal wrench of every active tube in its own frame,
+    stacked on the tube axis, outermost first."""
+
+    u: np.ndarray        # (..., k, 3) curvature and twist
+    v: np.ndarray        # (..., k, 3) shear and extension
+    n: np.ndarray        # (..., k, 3) internal force
+    m: np.ndarray        # (..., k, 3) internal moment
+    rot: np.ndarray      # (..., k, 3, 3) rot_d3(θ_i); the identity for tube 0
+    v_rot: np.ndarray    # (..., k, 3) rot_d3(θ_i)ᵀ v₁, so that v_i = β_i v_rot_i
 
 
-def derived_strains(state: RodState) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Curvature and stretch of every active tube in its own frame.
+def tube_strains(state: RodState, ctx: SegmentContext) -> TubeStrains:
+    """Strains and wrench of every active tube at a (batched) state.
 
     Tube i sees the shared bending rotated into its frame plus its own twist
     component, and the shared tangent scaled by its dilation:
     u_i = rot_d3(θ_i)ᵀ u₁ with third component replaced by the stored twist
-    curvature, and v_i = β_i rot_d3(θ_i)ᵀ v₁.
+    curvature, and v_i = β_i rot_d3(θ_i)ᵀ v₁. Its wrench follows from its
+    constitutive law, n_i = Kse_i (v_i − v*_i) and m_i = Kbt_i (u_i − u*_i).
     """
-    us = [state.u1]
-    vs = [state.v1]
-    for i in range(state.theta.shape[-1]):
-        rt = rot_d3(state.theta[..., i])
-        u_i = _mat_t_vec(rt, state.u1)
-        u_i[..., 2] = state.u_d3[..., i]
-        v_i = state.beta[..., i, None] * _mat_t_vec(rt, state.v1)
-        us.append(u_i)
-        vs.append(v_i)
-    return us, vs
+    if ctx.n_active == 1:
+        u = state.u1[..., None, :]
+        v = v_rot = state.v1[..., None, :]
+        rot = np.broadcast_to(_EYE3, u.shape + (3,))
+    else:
+        zero = np.zeros(state.theta.shape[:-1] + (1,))
+        rot = rot_d3(np.concatenate([zero, state.theta], axis=-1))
+        rot_t = np.swapaxes(rot, -1, -2)
+        u = (rot_t @ state.u1[..., None, :, None])[..., 0]
+        v_rot = (rot_t @ state.v1[..., None, :, None])[..., 0]
+        u[..., 1:, 2] = state.u_d3
+        u[..., 0, :] = state.u1
+        beta = np.concatenate([np.ones_like(zero), state.beta], axis=-1)
+        v = beta[..., None] * v_rot
+        v[..., 0, :] = state.v1
+    return TubeStrains(u, v, ctx.kse * (v - ctx.vstar),
+                       ctx.kbt * (u - ctx.ustar), rot, v_rot)
 
 
 # ---------------------------------------------------------------------------
@@ -170,63 +193,11 @@ def derived_strains(state: RodState) -> tuple[list[np.ndarray], list[np.ndarray]
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Compiled:
-    """Per-segment constants hoisted out of the integration loop."""
-
-    k: int
-    kse: np.ndarray             # (k, 3)
-    kbt: np.ndarray             # (k, 3)
-    offsets: np.ndarray         # (k,)
-    rests: list
-    rest: tuple | None          # _rest_stacks, when every rest is constant
-    routings: list
-    routing_offsets: np.ndarray  # (T,) routing station - composite station
-    tensions: np.ndarray        # (T,)
-    tendon_tube: np.ndarray     # (T,) local tube index
-    path: tuple | None          # _path_stacks, when every routing is constant
-
-
-def _rest_stacks(rests, offsets, s: float) -> tuple:
-    """(u*, u̇*, v*, v̇*) of every tube at composite station ``s``, (k, 3) each."""
-    curvature = [r.curvature(s + o) for r, o in zip(rests, offsets)]
-    stretch = [r.stretch(s + o) for r, o in zip(rests, offsets)]
-    return tuple(np.stack(col) for col in (*zip(*curvature), *zip(*stretch)))
-
-
 def _path_stacks(routings, offsets, s: float) -> tuple:
     """(r, ṙ, r̈, hat(r)) of every routing at composite station ``s``."""
     r, rdot, rddot = (np.stack(col) for col in zip(
         *(path.eval(s + o) for path, o in zip(routings, offsets))))
     return r, rdot, rddot, hat(r)
-
-
-def _constant(items) -> bool:
-    """Whether every rest shape or routing is station-independent."""
-    return all(getattr(i, "constant", False) for i in items)
-
-
-def _compile(ctx: SegmentContext) -> _Compiled:
-    if ctx._compiled is not None:
-        return ctx._compiled
-    mid = 0.5 * (ctx.start + ctx.end)
-    offsets = np.array([t.offset for t in ctx.tubes])
-    rests = [t.rest for t in ctx.tubes]
-    tendons = [t for per_tube in ctx.loads or [] for t in per_tube]
-    routings = [t.routing for t in tendons]
-    routing_offsets = np.array([t.offset for t in tendons])
-    ctx._compiled = _Compiled(
-        k=ctx.n_active, kse=np.stack([t.kse_diag for t in ctx.tubes]),
-        kbt=np.stack([t.kbt_diag for t in ctx.tubes]), offsets=offsets,
-        rests=rests,
-        rest=_rest_stacks(rests, offsets, mid) if _constant(rests) else None,
-        routings=routings, routing_offsets=routing_offsets,
-        tensions=np.array([t.tension for t in tendons], dtype=float),
-        tendon_tube=np.array([i for i, per_tube in enumerate(ctx.loads or [])
-                              for _ in per_tube], dtype=int),
-        path=_path_stacks(routings, routing_offsets, mid)
-        if routings and _constant(routings) else None)
-    return ctx._compiled
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -251,60 +222,26 @@ def assemble_system(state: RodState, ctx: SegmentContext):
     where a tendon path tangent vanished (‖ṗᵇ‖ < PB_DOT_MIN); their tendon
     load is evaluated with ‖ṗᵇ‖ set to one instead and means nothing.
     """
-    comp = _compile(ctx)
-    k = comp.k
+    k = ctx.n_active
     m = 2 * k + 4
     batch = state.u1.shape[:-1]
-    flat = int(np.prod(batch)) if batch else 1
-
-    u1 = state.u1.reshape(flat, 3)
-    v1 = state.v1.reshape(flat, 3)
-
-    if k == 1:
-        u_all = u1[:, None]
-        v_all = v1[:, None]
-    else:
-        theta = state.theta.reshape(flat, k - 1)
-        u_d3 = state.u_d3.reshape(flat, k - 1)
-        beta = state.beta.reshape(flat, k - 1)
-
-        zero = np.zeros((flat, 1))
-        one = np.ones((flat, 1))
-        th_all = np.concatenate([zero, theta], axis=1)           # (B, k)
-        beta_all = np.concatenate([one, beta], axis=1)
-        thdot_all = np.concatenate([zero, u_d3 - u1[:, 2:3]], axis=1)
-
-        rt = rot_d3(th_all)                                      # (B, k, 3, 3)
-        rt_t = np.swapaxes(rt, -1, -2)
-        u_rot = (rt_t @ u1[:, None, :, None])[..., 0]            # rotᵀ u1
-        v_rot = (rt_t @ v1[:, None, :, None])[..., 0]
-
-        u_all = u_rot.copy()
-        u_all[:, 1:, 2] = u_d3
-        u_all[:, 0] = u1
-        v_all = beta_all[..., None] * v_rot
-        v_all[:, 0] = v1
-
-    ustar, ustar_dot, vstar, vstar_dot = comp.rest or _rest_stacks(
-        comp.rests, comp.offsets, state.s)
-    m_int = comp.kbt * (u_all - ustar)
-    n_int = comp.kse * (v_all - vstar)
+    u_all, v_all, n_int, m_int, rt, v_rot = tube_strains(state, ctx)
 
     # Tendon operators accumulated per carrying tube.
-    collapsed = np.zeros(flat, dtype=bool)
-    if comp.routings:
-        r_t, rdot_t, rddot_t, hr = comp.path or _path_stacks(
-            comp.routings, comp.routing_offsets, state.s)
-        idx = comp.tendon_tube
-        u_t = u_all[:, idx]                                      # (B, T, 3)
-        v_t = v_all[:, idx]
+    collapsed = np.zeros(batch, dtype=bool)
+    if ctx.routings:
+        r_t, rdot_t, rddot_t, hr = ctx.path or _path_stacks(
+            ctx.routings, ctx.routing_offsets, state.s)
+        idx = ctx.carriers
+        u_t = u_all[..., idx, :]                                 # (..., T, 3)
+        v_t = v_all[..., idx, :]
         pb = _cross3(u_t, r_t) + rdot_t + v_t
         norm2 = (pb * pb).sum(axis=-1)
         short = norm2 < PB_DOT_MIN**2
         if short.any():
             collapsed = short.any(axis=-1)
             norm2 = np.where(short, 1.0, norm2)
-        scale = comp.tensions / norm2**1.5
+        scale = ctx.tensions / norm2**1.5
         hp = hat(pb)
         pw = scale[..., None, None] * (hp @ hp)
         pw_hr = pw @ hr
@@ -314,64 +251,68 @@ def assemble_system(state: RodState, ctx: SegmentContext):
         wc = w[..., None]
         f_w_t = (pw @ wc)[..., 0]
         m_w_t = (mv_t @ wc)[..., 0]
-        if len(comp.routings) == 1 and k == 1:
+        if len(ctx.routings) == 1 and k == 1:
             mu, mv, fu, fv, m_w, f_w = mu_t, mv_t, pw_hr, pw, m_w_t, f_w_t
         else:
-            mu = np.zeros((flat, k, 3, 3))
-            mv = np.zeros((flat, k, 3, 3))
-            fu = np.zeros((flat, k, 3, 3))
-            fv = np.zeros((flat, k, 3, 3))
-            m_w = np.zeros((flat, k, 3))
-            f_w = np.zeros((flat, k, 3))
+            mu = np.zeros(batch + (k, 3, 3))
+            mv = np.zeros(batch + (k, 3, 3))
+            fu = np.zeros(batch + (k, 3, 3))
+            fv = np.zeros(batch + (k, 3, 3))
+            m_w = np.zeros(batch + (k, 3))
+            f_w = np.zeros(batch + (k, 3))
             for t, i in enumerate(idx):
-                mu[:, i] += mu_t[:, t]
-                mv[:, i] += mv_t[:, t]
-                fu[:, i] += pw_hr[:, t]
-                fv[:, i] += pw[:, t]
-                m_w[:, i] += m_w_t[:, t]
-                f_w[:, i] += f_w_t[:, t]
+                mu[..., i, :, :] += mu_t[..., t, :, :]
+                mv[..., i, :, :] += mv_t[..., t, :, :]
+                fu[..., i, :, :] += pw_hr[..., t, :, :]
+                fv[..., i, :, :] += pw[..., t, :, :]
+                m_w[..., i, :] += m_w_t[..., t, :]
+                f_w[..., i, :] += f_w_t[..., t, :]
         op_m_u = mu.copy() if mu is mu_t else mu
-        op_m_u[..., _DIAG, _DIAG] += comp.kbt
+        op_m_u[..., _DIAG, _DIAG] += ctx.kbt
         op_m_v = -mv
         op_f_u = fu
         op_f_v = -fv
-        op_f_v[..., _DIAG, _DIAG] += comp.kse
-        bmom = comp.kbt * ustar_dot - _cross3(u_all, m_int) \
-            - _cross3(v_all, n_int) + m_w
-        bfor = comp.kse * vstar_dot - _cross3(u_all, n_int) + f_w
+        op_f_v[..., _DIAG, _DIAG] += ctx.kse
+        bmom = -_cross3(u_all, m_int) - _cross3(v_all, n_int) + m_w
+        bfor = -_cross3(u_all, n_int) + f_w
     else:
-        op_m_u = np.zeros((flat, k, 3, 3))
-        op_m_u[..., _DIAG, _DIAG] = comp.kbt
-        op_f_v = np.zeros((flat, k, 3, 3))
-        op_f_v[..., _DIAG, _DIAG] = comp.kse
-        op_m_v = np.zeros((flat, k, 3, 3))
+        op_m_u = np.zeros(batch + (k, 3, 3))
+        op_m_u[..., _DIAG, _DIAG] = ctx.kbt
+        op_f_v = np.zeros(batch + (k, 3, 3))
+        op_f_v[..., _DIAG, _DIAG] = ctx.kse
+        op_m_v = np.zeros(batch + (k, 3, 3))
         op_f_u = op_m_v
-        bmom = comp.kbt * ustar_dot - _cross3(u_all, m_int) \
-            - _cross3(v_all, n_int)
-        bfor = comp.kse * vstar_dot - _cross3(u_all, n_int)
+        bmom = -_cross3(u_all, m_int) - _cross3(v_all, n_int)
+        bfor = -_cross3(u_all, n_int)
 
     if k == 1:
         # Single tube: no rotation, no extra columns; the system is the
         # plain 2x2 block matrix of the tube's own balance operators.
-        top = np.concatenate([op_m_u[:, 0], op_m_v[:, 0]], axis=-1)
-        bot = np.concatenate([op_f_u[:, 0], op_f_v[:, 0]], axis=-1)
-        a_sys = np.concatenate([top, bot], axis=-2)
-        b_sys = np.concatenate([bmom[:, 0], bfor[:, 0]], axis=-1)
-        return (a_sys.reshape(batch + (m, m)), b_sys.reshape(batch + (m,)),
-                collapsed.reshape(batch))
+        top = np.concatenate([op_m_u[..., 0, :, :], op_m_v[..., 0, :, :]],
+                             axis=-1)
+        bot = np.concatenate([op_f_u[..., 0, :, :], op_f_v[..., 0, :, :]],
+                             axis=-1)
+        return (np.concatenate([top, bot], axis=-2),
+                np.concatenate([bmom[..., 0, :], bfor[..., 0, :]], axis=-1),
+                collapsed)
 
     # Substitution maps u̇_i = c_uu·u̇₁ + e₃·u̇_d3 + k_u,
     # v̇_i = c_vv·v̇₁ + c_vb·β̇ + k_v (identity for the reference tube).
+    zero = np.zeros(batch + (1,))
+    beta_all = np.concatenate([np.ones_like(zero), state.beta], axis=-1)
+    thdot_all = np.concatenate([zero, state.u_d3 - state.u1[..., 2:3]],
+                               axis=-1)
+    rt_t = np.swapaxes(rt, -1, -2)
     c_uu = rt_t - E33
-    c_uu[:, 0] = _EYE3
+    c_uu[..., 0, :, :] = _EYE3
     c_vv = beta_all[..., None, None] * rt_t
-    c_vv[:, 0] = _EYE3
+    c_vv[..., 0, :, :] = _EYE3
     c_vb = v_rot
-    spin_u = np.empty((flat, k, 3))
-    spin_u[..., 0] = u_rot[..., 1]
-    spin_u[..., 1] = -u_rot[..., 0]
+    spin_u = np.empty(batch + (k, 3))
+    spin_u[..., 0] = u_all[..., 1]
+    spin_u[..., 1] = -u_all[..., 0]
     spin_u[..., 2] = 0.0
-    spin_v = np.empty((flat, k, 3))
+    spin_v = np.empty(batch + (k, 3))
     spin_v[..., 0] = v_rot[..., 1]
     spin_v[..., 1] = -v_rot[..., 0]
     spin_v[..., 2] = 0.0
@@ -403,37 +344,35 @@ def assemble_system(state: RodState, ctx: SegmentContext):
     ra_f_uz = (rt @ a_f_uz[..., None])[..., 0]
     ra_f_b = (rt @ a_f_b[..., None])[..., 0]
 
-    a_sys = np.zeros((flat, m, m))
-    b_sys = np.zeros((flat, m))
+    a_sys = np.zeros(batch + (m, m))
+    b_sys = np.zeros(batch + (m,))
     rows = np.arange(k)
 
-    a_sys[:, 0:2, 0:3] = ra_m_u1.sum(axis=1)[:, 0:2, :]
-    a_sys[:, 0:2, 3:6] = ra_m_v1.sum(axis=1)[:, 0:2, :]
-    a_sys[:, 2 + k:4 + k, 0:3] = ra_f_u1.sum(axis=1)[:, 0:2, :]
-    a_sys[:, 2 + k:4 + k, 3:6] = ra_f_v1.sum(axis=1)[:, 0:2, :]
-    b_sys[:, 0:2] = rb_m.sum(axis=1)[:, 0:2]
-    b_sys[:, 2 + k:4 + k] = rb_f.sum(axis=1)[:, 0:2]
+    a_sys[..., 0:2, 0:3] = ra_m_u1.sum(axis=-3)[..., 0:2, :]
+    a_sys[..., 0:2, 3:6] = ra_m_v1.sum(axis=-3)[..., 0:2, :]
+    a_sys[..., 2 + k:4 + k, 0:3] = ra_f_u1.sum(axis=-3)[..., 0:2, :]
+    a_sys[..., 2 + k:4 + k, 3:6] = ra_f_v1.sum(axis=-3)[..., 0:2, :]
+    b_sys[..., 0:2] = rb_m.sum(axis=-2)[..., 0:2]
+    b_sys[..., 2 + k:4 + k] = rb_f.sum(axis=-2)[..., 0:2]
 
-    a_sys[:, 2 + rows, 0:3] = a_m_u1[:, :, 2, :]
-    a_sys[:, 2 + rows, 3:6] = a_m_v1[:, :, 2, :]
-    a_sys[:, 4 + k + rows, 0:3] = a_f_u1[:, :, 2, :]
-    a_sys[:, 4 + k + rows, 3:6] = a_f_v1[:, :, 2, :]
-    b_sys[:, 2 + rows] = b_m[:, :, 2]
-    b_sys[:, 4 + k + rows] = b_f[:, :, 2]
+    a_sys[..., 2 + rows, 0:3] = a_m_u1[..., 2, :]
+    a_sys[..., 2 + rows, 3:6] = a_m_v1[..., 2, :]
+    a_sys[..., 4 + k + rows, 0:3] = a_f_u1[..., 2, :]
+    a_sys[..., 4 + k + rows, 3:6] = a_f_v1[..., 2, :]
+    b_sys[..., 2 + rows] = b_m[..., 2]
+    b_sys[..., 4 + k + rows] = b_f[..., 2]
 
     cols_uz = 5 + rows[1:]
     cols_b = 4 + k + rows[1:]
-    a_sys[:, 2 + rows[1:], cols_uz] = a_m_uz[:, 1:, 2]
-    a_sys[:, 2 + rows[1:], cols_b] = a_m_b[:, 1:, 2]
-    a_sys[:, 4 + k + rows[1:], cols_uz] = a_f_uz[:, 1:, 2]
-    a_sys[:, 4 + k + rows[1:], cols_b] = a_f_b[:, 1:, 2]
-    a_sys[:, 0:2, cols_uz] = np.swapaxes(ra_m_uz[:, 1:, 0:2], 1, 2)
-    a_sys[:, 0:2, cols_b] = np.swapaxes(ra_m_b[:, 1:, 0:2], 1, 2)
-    a_sys[:, 2 + k:4 + k, cols_uz] = np.swapaxes(ra_f_uz[:, 1:, 0:2], 1, 2)
-    a_sys[:, 2 + k:4 + k, cols_b] = np.swapaxes(ra_f_b[:, 1:, 0:2], 1, 2)
-
-    return (a_sys.reshape(batch + (m, m)), b_sys.reshape(batch + (m,)),
-            collapsed.reshape(batch))
+    a_sys[..., 2 + rows[1:], cols_uz] = a_m_uz[..., 1:, 2]
+    a_sys[..., 2 + rows[1:], cols_b] = a_m_b[..., 1:, 2]
+    a_sys[..., 4 + k + rows[1:], cols_uz] = a_f_uz[..., 1:, 2]
+    a_sys[..., 4 + k + rows[1:], cols_b] = a_f_b[..., 1:, 2]
+    a_sys[..., 0:2, cols_uz] = np.swapaxes(ra_m_uz[..., 1:, 0:2], -1, -2)
+    a_sys[..., 0:2, cols_b] = np.swapaxes(ra_m_b[..., 1:, 0:2], -1, -2)
+    a_sys[..., 2 + k:4 + k, cols_uz] = np.swapaxes(ra_f_uz[..., 1:, 0:2], -1, -2)
+    a_sys[..., 2 + k:4 + k, cols_b] = np.swapaxes(ra_f_b[..., 1:, 0:2], -1, -2)
+    return a_sys, b_sys, collapsed
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +443,3 @@ def state_derivative(state: RodState, ctx: SegmentContext,
     dy[..., 18:17 + k] = state.u_d3 - state.u1[..., 2:3]     # θ̇
     dy[..., 17 + k:] = x[..., 6:]                            # u̇_d3, β̇
     return dy, cond, collapsed, failed
-
-
-def tube_wrench(state: RodState, ctx: SegmentContext):
-    """Internal force and moment of every active tube in its own frame."""
-    us, vs = derived_strains(state)
-    ns, ms = [], []
-    for i, tube in enumerate(ctx.tubes):
-        ustar, _ = tube.rest.curvature(state.s + tube.offset)
-        vstar, _ = tube.rest.stretch(state.s + tube.offset)
-        ns.append(tube.kse_diag * (vs[i] - vstar))
-        ms.append(tube.kbt_diag * (us[i] - ustar))
-    return ns, ms

@@ -211,6 +211,26 @@ class TestValidation:
         assert "tension" in text
         assert "out of range" in text
 
+    def test_station_varying_rest_is_rejected(self):
+        # The solver reads rest strains once per segment, so a rest shape
+        # that varies along its tube is bad input, not something to sample
+        # at one station.
+        class TaperedRest:
+            def curvature(self, s):
+                return np.array([10.0 * s, 0.0, 0.0]), np.array([10.0, 0.0, 0.0])
+
+            def stretch(self, s):
+                return np.array([0.0, 0.0, 1.0]), np.zeros(3)
+
+        asm = AssemblySpec(tubes=[_tube(length=0.2),
+                                  _tube(length=0.3, od=0.7e-3, idi=0.5e-3,
+                                        rest_shape=TaperedRest())])
+        with pytest.raises(ValidationError,
+                           match="tube 2: rest shape TaperedRest is not constant"):
+            asm.validate()
+        asm.tubes[1].rest_shape = ArcRest(kappa=2.0)
+        asm.validate()
+
     def test_retraction_limits(self):
         asm = AssemblySpec(tubes=[_tube(length=0.2)], base_offsets=[0.2])
         with pytest.raises(ValidationError, match="retracted"):

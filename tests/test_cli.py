@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 
 import pytest
 
@@ -74,6 +73,10 @@ tendon {
   }
 }
 """
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
 
 
 class TestPresetCommand:
@@ -216,15 +219,18 @@ class TestSolveCommand:
                        "--out", str(tmp_path)])
         assert rc == 2
         assert "did not converge" in capsys.readouterr().err
+        # Strict JSON: a non-finite figure is written as null.
         failed = json.loads(
-            (tmp_path / "single_tube_helical_backbone_failed.json").read_text())
+            (tmp_path / "single_tube_helical_backbone_failed.json").read_text(),
+            parse_constant=_reject_constant)
         report = failed["report"]
         assert report["converged"] is False
         assert "rotation group" in report["message"]
         # The rest state already drifts without tension, so the ramp stops
         # at its first step, and no residual was ever evaluated.
         assert report["continuation_steps"] == 1
-        assert not math.isfinite(report["residual_norm"])
+        assert report["residual_norm"] is None
+        assert report["scaled_residual"] is None
 
 
 class TestExportCommand:

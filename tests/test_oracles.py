@@ -262,20 +262,22 @@ class TestJacobianCheck:
 
 class TestRunValidate:
     def test_healthy_subset_passes(self):
-        report = run_validate(checks=("section", "routing", "pair"))
+        report = run_validate(checks=("section", "reference", "routing",
+                                      "planar", "pair"))
         assert report.passed
-        assert len(report.checks) == 3
+        assert len(report.checks) == 5
         assert report.checks[0].name.startswith("section")
         for c in report.checks:
             assert c.measured <= c.tolerance
         assert any("PASS" in line for line in report.lines())
         d = report.as_dict()
         assert d["passed"] is True
-        assert len(d["checks"]) == 3
+        assert len(d["checks"]) == 5
 
     def test_stiffness_mutation_is_detected(self):
         report = run_validate(mutation=1.01, checks=("section", "reference"))
         assert not report.passed
         failing = [c.name for c in report.checks if not c.passed]
         assert any(name.startswith("section") for name in failing)
+        assert any(name.startswith("cross-section system") for name in failing)
         assert any("FAIL" in line for line in report.lines())

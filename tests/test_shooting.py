@@ -17,6 +17,7 @@ from nestrod.assembly import (
     StraightRouting,
     TendonSpec,
     TubeSpec,
+    section_stiffness,
 )
 from nestrod import shooting
 from nestrod.errors import NoConvergence
@@ -125,7 +126,6 @@ class TestShoot:
             tendons=[TendonSpec(routing=routing, tension=1.0)])
         sol = shoot(asm, SolverOptions(steps_per_segment=200))
         assert sol.report.converged
-        from nestrod.assembly import section_stiffness
         section_pair = section_stiffness(asm.tubes[0])
         oracle = single_tube_shoot(length, section_pair.kse_diag,
                                    section_pair.kbt_diag,
@@ -146,6 +146,42 @@ class TestShoot:
         assert twist_consistency(sol) < 1e-8
         # residual satisfied at the tolerances
         assert sol.report.scaled_residual < 1.0
+
+    def test_recorded_tube_wrench_matches_each_station(self):
+        # The recording pass maps a whole segment trail in one call; every
+        # station must read as the constitutive law gives it on its own.
+        assembly, options = preset("three_tube_a", allow_placeholders=True)
+        options.steps_per_segment = 10
+        sol = shoot(assembly, options)
+        for seg in sol.segments:
+            assert len(seg.stations) == 11
+            for j, s in enumerate(seg.stations):
+                theta = np.concatenate([[0.0], seg.theta[j]])
+                beta = np.concatenate([[1.0], seg.beta[j]])
+                u_d3 = np.concatenate([[seg.u1[j, 2]], seg.u_d3[j]])
+                for i, g in enumerate(seg.tubes):
+                    tube = assembly.tubes[g]
+                    local = s + assembly.base_offsets[g]
+                    pair = section_stiffness(tube)
+                    ustar, _ = tube.rest_shape.curvature(local)
+                    vstar, _ = tube.rest_shape.stretch(local)
+                    c, sn = math.cos(theta[i]), math.sin(theta[i])
+                    rot = np.array([[c, -sn, 0.0], [sn, c, 0.0],
+                                    [0.0, 0.0, 1.0]])
+                    u = rot.T @ seg.u1[j]
+                    u[2] = u_d3[i]
+                    v = beta[i] * (rot.T @ seg.v1[j])
+                    # Each figure to a few ulps of the strains behind it.
+                    scale = 1.0 + np.max(np.abs(u))
+                    for got, want, size in (
+                            (seg.tube_u[j, i], u, scale),
+                            (seg.tube_v[j, i], v, 1.0),
+                            (seg.tube_n[j, i], pair.kse_diag * (v - vstar),
+                             np.max(pair.kse_diag)),
+                            (seg.tube_m[j, i], pair.kbt_diag * (u - ustar),
+                             np.max(pair.kbt_diag) * scale)):
+                        np.testing.assert_allclose(got, want, rtol=0,
+                                                   atol=1e-15 * size)
 
     def test_rest_assembly_tip(self):
         asm = AssemblySpec(tubes=[_tube(length=0.10, od=1.2e-3, idi=1.0e-3),
@@ -370,7 +406,7 @@ class TestNewtonBatches:
         def counted(guess, problem, *args, **kwargs):
             out = inner(guess, problem, *args, **kwargs)
             widths.append(guess.shape[0] if guess.ndim == 2 else 1)
-            tensions.append(problem.contexts[0].loads[0][0].tension)
+            tensions.append(problem.contexts[0].tensions[0])
             failed_rows.append(int(np.count_nonzero(out[3])))
             return out
 

@@ -20,6 +20,7 @@ from nestrod.assembly import (
     StraightRouting,
     TendonSpec,
     TubeSpec,
+    section_stiffness,
 )
 from nestrod.oracles import stack_system
 from nestrod.shooting import build_problem, SolverOptions
@@ -27,11 +28,10 @@ from nestrod.so3 import hat
 from nestrod.statics import (
     RodState,
     assemble_system,
-    derived_strains,
     pack_state,
     solve_rates,
     state_derivative,
-    tube_wrench,
+    tube_strains,
     unpack_state,
 )
 
@@ -41,23 +41,27 @@ def _tube(length=0.2, od=1.0e-3, idi=0.8e-3, e=60e9, g=23e9, **kw):
                     outer_diameter=od, inner_diameter=idi, **kw)
 
 
-def _context(k: int):
-    """First-segment context of a k-tube assembly with one tendon per tube."""
+def _assembly(k: int, routings=None) -> AssemblySpec:
+    """A k-tube assembly with one tendon per tube, anchored at its tip."""
     tubes = [
         _tube(length=0.20, od=1.4e-3, idi=1.16e-3),
         _tube(length=0.24, od=1.0e-3, idi=0.8e-3,
               rest_shape=ArcRest(kappa=5.0)),
         _tube(length=0.30, od=0.6e-3, idi=0.0, e=200e9, g=77e9),
     ][:k]
-    routings = [
+    routings = routings or [
         HelicalRouting(radius=4e-3, period=0.5, phase=0.4),
         StraightRouting([0.0, 3e-3]),
         StraightRouting([-2e-3, 1e-3]),
     ]
     tendons = [TendonSpec(routing=routings[i], tension=1.5, tube=i)
                for i in range(k)]
-    asm = AssemblySpec(tubes=tubes, tendons=tendons)
-    return build_problem(asm, SolverOptions()).contexts[0]
+    return AssemblySpec(tubes=tubes, tendons=tendons)
+
+
+def _context(k: int, routings=None):
+    """First segment of :func:`_assembly`, where every tube is active."""
+    return build_problem(_assembly(k, routings), SolverOptions()).contexts[0]
 
 
 def _random_state(rng, k: int, batch=(), s=0.05) -> RodState:
@@ -81,14 +85,18 @@ def _random_state(rng, k: int, batch=(), s=0.05) -> RodState:
 
 
 def _reference_system(state: RodState, ctx):
-    """``oracles.stack_system`` fed from a segment context at one state."""
+    """``oracles.stack_system`` fed from a segment record at one state.
+
+    Rest strains are constant along every tube, so their rates are zero.
+    """
+    zero = np.zeros(3)
     sections = []
-    for tube, loads in zip(ctx.tubes, ctx.loads):
-        ustar, ustar_dot = tube.rest.curvature(state.s + tube.offset)
-        vstar, vstar_dot = tube.rest.stretch(state.s + tube.offset)
-        tendons = [t.routing.eval(state.s) + (t.tension,) for t in loads]
-        sections.append((tube.kse_diag, tube.kbt_diag, ustar, ustar_dot,
-                         vstar, vstar_dot, tendons))
+    for i in range(ctx.n_active):
+        carried = np.flatnonzero(ctx.carriers == i)
+        tendons = [ctx.routings[t].eval(state.s + ctx.routing_offsets[t])
+                   + (ctx.tensions[t],) for t in carried]
+        sections.append((ctx.kse[i], ctx.kbt[i], ctx.ustar[i], zero,
+                         ctx.vstar[i], zero, tendons))
     return stack_system(state.u1, state.v1, state.theta, state.u_d3,
                         state.beta, sections)
 
@@ -120,21 +128,22 @@ class TestDerivedStrains:
     def test_reference_tube_passthrough(self):
         rng = np.random.default_rng(47)
         state = _random_state(rng, 3)
-        us, vs = derived_strains(state)
-        np.testing.assert_array_equal(us[0], state.u1)
-        np.testing.assert_array_equal(vs[0], state.v1)
+        strains = tube_strains(state, _context(3))
+        np.testing.assert_array_equal(strains.u[0], state.u1)
+        np.testing.assert_array_equal(strains.v[0], state.v1)
 
     def test_inner_tube_frame_change(self):
         rng = np.random.default_rng(53)
         state = _random_state(rng, 2)
-        us, vs = derived_strains(state)
+        strains = tube_strains(state, _context(2))
         theta = state.theta[0]
         c, sn = np.cos(theta), np.sin(theta)
         rot = np.array([[c, -sn, 0.0], [sn, c, 0.0], [0.0, 0.0, 1.0]])
         expect_u = rot.T @ state.u1
         expect_u[2] = state.u_d3[0]
-        np.testing.assert_allclose(us[1], expect_u, atol=1e-14)
-        np.testing.assert_allclose(vs[1], state.beta[0] * (rot.T @ state.v1),
+        np.testing.assert_allclose(strains.u[1], expect_u, atol=1e-14)
+        np.testing.assert_allclose(strains.v[1],
+                                   state.beta[0] * (rot.T @ state.v1),
                                    atol=1e-14)
 
 
@@ -247,7 +256,7 @@ class TestRateSolve:
             if condition:
                 assert cond[row] == alone_cond
 
-    def test_ill_conditioned_raises(self):
+    def test_ill_conditioned_flags(self):
         self._flags_only(np.diag([1.0, 1.0, 1.0, 1e-13]), np.ones(4), True)
         # the estimate is only taken, and so only judged, on request
         _, _, failed = solve_rates(np.diag([1.0, 1.0, 1.0, 1e-13]),
@@ -255,7 +264,7 @@ class TestRateSolve:
         assert not failed
 
     @pytest.mark.parametrize("condition", [False, True])
-    def test_singular_system_raises(self, condition):
+    def test_singular_system_flags(self, condition):
         a = np.diag([2.0, 1.0, 0.0, 3.0])
         b = np.array([2.0, 1.0, 0.0, 3.0])
         self._flags_only(a, b, condition)
@@ -263,7 +272,7 @@ class TestRateSolve:
         assert failed
 
     @pytest.mark.parametrize("condition", [False, True])
-    def test_non_finite_system_raises(self, condition):
+    def test_non_finite_system_flags(self, condition):
         a = np.eye(4)
         a[1, 2] = np.nan
         self._flags_only(a, np.ones(4), condition)
@@ -283,11 +292,9 @@ class TestRateSolve:
 
 class TestTendonKinematics:
     def test_degenerate_path_raises(self):
-        # raises the row's failure flag, not an exception
-        ctx = _context(1)
-        # ensure the offending tendon has a straight path: rdot = 0 so the
-        # tangent collapses with v1
-        ctx.loads[0][0].routing = StraightRouting([3e-3, 0.0])
+        # raises the row's failure flag, not an exception; a straight path
+        # has rdot = 0, so the tangent collapses with v1
+        ctx = _context(1, routings=[StraightRouting([3e-3, 0.0])])
 
         def state(v1):
             v1 = np.asarray(v1, dtype=float)
@@ -314,15 +321,14 @@ class TestTendonKinematics:
         # At rest a straight tendon runs along the unit tangent e3, so its
         # load operator is T·hat(e3)² = −T·diag(1, 1, 0): it stiffens the
         # shear rows by the tension and leaves the axial row alone.
-        ctx = _context(1)
-        ctx.loads[0][0].routing = StraightRouting([3e-3, 0.0])
-        tension = ctx.loads[0][0].tension
+        ctx = _context(1, routings=[StraightRouting([3e-3, 0.0])])
+        tension = 1.5
         state = RodState(p=np.zeros(3), R=np.eye(3), u1=np.zeros(3),
                          v1=np.array([0.0, 0.0, 1.0]),
                          theta=np.zeros(0), u_d3=np.zeros(0),
                          beta=np.zeros(0), s=0.05)
         a_sys, _, _ = assemble_system(state, ctx)
-        kse = ctx.tubes[0].kse_diag
+        kse = ctx.kse[0]
         np.testing.assert_allclose(
             a_sys[3:6, 3:6], np.diag(kse + tension * np.array([1.0, 1.0, 0.0])),
             rtol=1e-14, atol=1e-12)
@@ -334,18 +340,19 @@ class TestTendonKinematics:
 
 class TestWrench:
     def test_matches_constitutive_law(self):
-        ctx = _context(3)
+        asm = _assembly(3)
+        ctx = build_problem(asm, SolverOptions()).contexts[0]
         rng = np.random.default_rng(83)
         state = _random_state(rng, 3)
-        ns, ms = tube_wrench(state, ctx)
-        us, vs = derived_strains(state)
-        for i, tube in enumerate(ctx.tubes):
-            ustar, _ = tube.rest.curvature(state.s + tube.offset)
-            vstar, _ = tube.rest.stretch(state.s + tube.offset)
-            np.testing.assert_allclose(ns[i], tube.kse_diag * (vs[i] - vstar),
-                                       atol=1e-9)
-            np.testing.assert_allclose(ms[i], tube.kbt_diag * (us[i] - ustar),
-                                       atol=1e-12)
+        strains = tube_strains(state, ctx)
+        for i, tube in enumerate(asm.tubes):
+            pair = section_stiffness(tube)
+            ustar, _ = tube.rest_shape.curvature(state.s)
+            vstar, _ = tube.rest_shape.stretch(state.s)
+            np.testing.assert_allclose(
+                strains.n[i], pair.kse_diag * (strains.v[i] - vstar), atol=1e-9)
+            np.testing.assert_allclose(
+                strains.m[i], pair.kbt_diag * (strains.u[i] - ustar), atol=1e-12)
 
 
 class TestStateDerivative:
