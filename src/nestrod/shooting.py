@@ -8,7 +8,10 @@ wrench mismatches to zero with a damped Newton iteration. Tension is
 ramped in uniform continuation steps so high-tension scenarios start
 from an already-bent warm guess. The ramp and Newton's damped phase run
 on a coarse grid where the rest guess shows a small enough step-doubling
-error; one Newton solve at the requested step count then polishes.
+error; one Newton solve at the requested step count then polishes. The
+polish integrates the coarse solution alone; if it misses the tolerances,
+chord steps with the coarse grid's Jacobian follow, and the FD stencil is
+integrated only when a chord step contracts the residual too little.
 
 A batch row that cannot be integrated (see :data:`FAILURES`) is a state
 of that row, not an exception: it carries a failure code, reads an
@@ -44,6 +47,11 @@ _FRAME, _TENDON, _RATES, _TRANSITION = 1, 2, 3, 4
 
 # Backtracking halves the Newton step at most this many times (down to 2^-10).
 _LINE_SEARCH_HALVINGS = 10
+
+# A chord step, taken with a Jacobian carried over from another grid, is
+# kept only if it cuts the scaled residual to at most this fraction: the
+# simplified-Newton contraction test.
+_CHORD_CONTRACTION = 0.5
 
 # Intermediate tension-ramp steps only need to stay inside Newton's basin,
 # so they stop this factor short of the final tolerances.
@@ -533,10 +541,22 @@ class _Outcome(NamedTuple):
     converged: bool
     trail: list[np.ndarray]       # recorded states at ``guess``
     failure: int = 0              # failure code of the start guess itself
+    # FD Jacobian at ``guess`` when its stencil rows were integrated anyway,
+    # else the last one formed (or handed in); set only on a converged solve.
+    jacobian: np.ndarray | None = None
+
+
+def _newton_step(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
+    # An exactly singular Jacobian (a zero LU pivot) takes the least-squares
+    # step instead.
+    if np.linalg.slogdet(jac)[0] == 0.0:
+        return np.linalg.lstsq(jac, -res, rcond=None)[0]
+    return np.linalg.solve(jac, -res)
 
 
 def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
-            relax: float = 1.0, iter_cap: int | None = None) -> _Outcome:
+            relax: float = 1.0, iter_cap: int | None = None,
+            jacobian: np.ndarray | None = None) -> _Outcome:
     """Damped Newton on the shooting residual.
 
     ``relax`` loosens the convergence target by that factor (the returned
@@ -551,6 +571,14 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
     residual, so the line search passes over it, and a stencil with a
     failed row ends the solve where it stands: no Jacobian can be formed
     there. If the start guess itself fails, the outcome carries its code.
+
+    With a ``jacobian`` in hand (the coarse grid's, for the polish), the
+    first batch is the guess alone, and the iterations start as chord
+    (simplified Newton) steps: each integrates only its full-step candidate
+    and is kept while it cuts the scaled residual by ``_CHORD_CONTRACTION``
+    at least. The first step that does not drops the Jacobian, and the
+    iteration goes on from the current guess as above, starting with the
+    stencil rows alone.
     """
     size = problem.guess_size
     n = problem.n_tubes
@@ -567,8 +595,11 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
     factors = 0.5 ** np.arange(_LINE_SEARCH_HALVINGS + 1)
     ladder = factors.size
 
-    res_all, trail_all, cond, failed = boundary_residual(
-        np.concatenate([guess[None, :], guess + offsets]), problem, options)
+    chord = jacobian is not None
+    first = guess[None, :] if chord \
+        else np.concatenate([guess[None, :], guess + offsets])
+    res_all, trail_all, cond, failed = boundary_residual(first, problem,
+                                                         options)
     res, trail, cond_max = res_all[0], _row(trail_all, 0), float(cond[0])
     metric = _scaled_max(res, tol)
     if failed[0]:
@@ -576,11 +607,25 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
                         int(failed[0]))
     # Residuals and condition estimates of the stencil rows around the
     # guess, once integrated; their estimates count only once they are used.
-    stencil = res_all[1:], cond[1:]
+    stencil = None if chord else (res_all[1:], cond[1:])
+    jac = jacobian
     iterations = 0
     while metric >= relax:
         if iterations >= cap:
             return _Outcome(guess, res, metric, iterations, cond_max, False, trail)
+        if chord:
+            cand = guess + _newton_step(jac, res)
+            res_all, trail_all, cond, _ = boundary_residual(
+                cand[None, :], problem, options)
+            cond_max = max(cond_max, float(cond[0]))
+            cand_metric = _scaled_max(res_all[0], tol)
+            iterations += 1
+            if cand_metric <= _CHORD_CONTRACTION * metric:
+                guess, res, metric = cand, res_all[0], cand_metric
+                trail = _row(trail_all, 0)
+            else:
+                chord = False
+            continue
         if stencil is None:
             rows, _, cond, _ = boundary_residual(guess + offsets, problem,
                                                  options)
@@ -591,12 +636,7 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
             return _Outcome(guess, res, metric, iterations, cond_max, False, trail)
         cond_max = max(cond_max, float(np.max(cond)))
         jac = ((rows - res) / h[:, None]).T
-        # An exactly singular Jacobian (a zero LU pivot) takes the
-        # least-squares step instead.
-        if np.linalg.slogdet(jac)[0] == 0.0:
-            step = np.linalg.lstsq(jac, -res, rcond=None)[0]
-        else:
-            step = np.linalg.solve(jac, -res)
+        step = _newton_step(jac, res)
 
         # One batched call covers the whole backtracking ladder plus the
         # stencil around the full step; take the longest step that still
@@ -615,7 +655,10 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
         trail = _row(trail_all, j)
         if j == 0:
             stencil = res_all[ladder:], cond[ladder:]
-    return _Outcome(guess, res, metric, iterations, cond_max, True, trail)
+    if stencil is not None and np.isfinite(stencil[0]).all():
+        jac = ((stencil[0] - res) / h[:, None]).T
+    return _Outcome(guess, res, metric, iterations, cond_max, True, trail,
+                    jacobian=jac)
 
 
 def _rest_pass(assembly: AssemblySpec,
@@ -639,10 +682,12 @@ class _Level(NamedTuple):
 
 
 def _solve_level(assembly: AssemblySpec, options: SolverOptions,
-                 initial_guess: np.ndarray | None) -> _Level:
+                 initial_guess: np.ndarray | None,
+                 jacobian: np.ndarray | None = None) -> _Level:
     """The attempts on one grid: a given guess directly at full tension,
     then the tension ramp from the rest guess. Returns how the first
-    attempt that converged, or else the last one, ended."""
+    attempt that converged, or else the last one, ended. A ``jacobian`` in
+    hand goes to the given guess's attempt alone (see :func:`_newton`)."""
     # The ramp is sized by the combined pull of all tendons: three tendons
     # at 2 N load the stack like one at 6 N, and the first step has to stay
     # inside Newton's basin around the rest state.
@@ -653,12 +698,13 @@ def _solve_level(assembly: AssemblySpec, options: SolverOptions,
     # past this count the adaptive subdivision is the better tool anyway.
     ramp_steps = min(ramp_steps, 64)
 
-    attempts: list[tuple[np.ndarray, bool]] = []
+    attempts: list[tuple[np.ndarray | None, bool, np.ndarray | None]] = []
     if initial_guess is not None:
-        attempts.append((np.asarray(initial_guess, dtype=float), False))
-    attempts.append((None, True))
+        attempts.append((np.asarray(initial_guess, dtype=float), False,
+                         jacobian))
+    attempts.append((None, True, None))
 
-    for start_guess, use_ramp in attempts:
+    for start_guess, use_ramp, start_jacobian in attempts:
         total_iterations = 0
         cond_max = 0.0
         problem_full = build_problem(assembly, options, tension_scale=1.0)
@@ -698,7 +744,8 @@ def _solve_level(assembly: AssemblySpec, options: SolverOptions,
             if out is None:
                 # Either no prediction was available or it overshot the
                 # physical domain / stalled; run from the last converged guess.
-                out = _newton(problem, options, guess, relax, cap)
+                out = _newton(problem, options, guess, relax, cap,
+                              start_jacobian)
                 if out.failure:
                     failure = ("integration left the physical domain "
                                f"({FAILURES[out.failure]})")
@@ -792,23 +839,26 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
     coarse grid (see :func:`_coarse_steps`), if there is one, and then once
     more at the requested step count, warm-started from the coarse solution;
     if the coarse grid does not converge, the requested grid starts from
-    the same guess instead. Raises :class:`NoConvergence` with a diagnostic
-    report when every route fails.
+    the same guess instead. The polish integrates the coarse solution alone
+    on the requested grid; if that misses the tolerances, it takes chord
+    steps with the coarse grid's Jacobian, and falls back to the FD stencil
+    when one contracts too little. Raises :class:`NoConvergence` with a
+    diagnostic report when every route fails.
     """
     options = options or SolverOptions()
     coarse = _coarse_steps(assembly, options)
     levels = [options] if coarse is None \
         else [replace(options, steps_per_segment=coarse), options]
-    guess = initial_guess
+    guess, jacobian = initial_guess, None
     iterations, steps_run, cond_max = 0, 0, 0.0
     coarse_tip = None
     for level_options in levels:
-        level = _solve_level(assembly, level_options, guess)
+        level = _solve_level(assembly, level_options, guess, jacobian)
         iterations += level.report.iterations
         steps_run += level.report.continuation_steps
         cond_max = max(cond_max, level.report.condition_max)
         if level_options is not options and level.outcome is not None:
-            guess = level.outcome.guess
+            guess, jacobian = level.outcome.guess, level.outcome.jacobian
             coarse_tip = level.outcome.trail[-1][-1, 0:3]
     report = replace(level.report, iterations=iterations,
                      continuation_steps=steps_run, condition_max=cond_max)

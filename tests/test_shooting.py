@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,6 +41,20 @@ from nestrod.statics import RodState
 def _tube(length=0.2, od=1.0e-3, idi=0.8e-3, e=60e9, g=23e9, **kw):
     return TubeSpec(length=length, elastic_modulus=e, shear_modulus=g,
                     outer_diameter=od, inner_diameter=idi, **kw)
+
+
+def _count_rows(monkeypatch) -> list[tuple[int, int]]:
+    """Record (steps per segment, batch rows) of every shooting-map call."""
+    calls = []
+    inner = shooting.boundary_residual
+
+    def counted(guess, problem, options):
+        calls.append((options.steps_per_segment,
+                      guess.shape[0] if guess.ndim == 2 else 1))
+        return inner(guess, problem, options)
+
+    monkeypatch.setattr(shooting, "boundary_residual", counted)
+    return calls
 
 
 def _two_tube(tension=0.2):
@@ -251,34 +266,81 @@ class TestShoot:
 
 class TestNewtonBatches:
     def test_one_evaluation_per_iteration(self, monkeypatch):
-        # On each grid, every continuation step starts from one stencil
-        # batch, every full step carries the next stencil, and the recorded
-        # shape comes from the accepted row: no record pass. The only
-        # single-row evaluations are the rest guess's step doubling that
-        # picks the coarse grid.
-        calls = []
-        inner = shooting.boundary_residual
-
-        def counted(guess, problem, options):
-            rows = guess.shape[0] if guess.ndim == 2 else 1
-            calls.append((options.steps_per_segment, rows))
-            return inner(guess, problem, options)
-
-        monkeypatch.setattr(shooting, "boundary_residual", counted)
+        # On the coarse grid, every continuation step starts from one
+        # stencil batch, every full step carries the next stencil, and the
+        # recorded shape comes from the accepted row: no record pass. The
+        # polish integrates the coarse solution alone and then one chord
+        # step with the coarse grid's Jacobian, a single row each. The
+        # other single-row evaluations are the rest guess's step doubling
+        # that picks the coarse grid.
+        calls = _count_rows(monkeypatch)
         asm, opts = preset("ctr_theta_90")
         opts.steps_per_segment = 50
         report = shoot(asm, opts).report
         size = 8
         ladder = shooting._LINE_SEARCH_HALVINGS + 1
-        assert [c for c in calls if c[1] == 1] == [(12, 1), (24, 1)]
-        batches = [c for c in calls if c[1] > 1]
-        assert len(batches) == report.iterations + report.continuation_steps
+        assert [c for c in calls if c[1] == 1] == \
+            [(12, 1), (24, 1), (50, 1), (50, 1)]
+        assert len(calls) - 2 == report.iterations + report.continuation_steps
         # coarse grid: the ramp's one step and four Newton iterations
-        assert Counter(batches) == {(12, size + 1): 1, (12, ladder + size): 4,
-                                    (50, size + 1): 1, (50, ladder + size): 1}
+        assert Counter(c for c in calls if c[1] > 1) == \
+            {(12, size + 1): 1, (12, ladder + size): 4}
         # the polish is one step at the requested count, after all coarse
         # batches
-        assert [c[0] for c in batches] == [12] * 5 + [50] * 2
+        assert [c[0] for c in calls[2:]] == [12] * 5 + [50] * 2
+
+    def test_polish_without_iterations_is_one_row(self, monkeypatch):
+        # two_tube_0's coarse solution already meets the tolerances at 50
+        # steps: the requested grid integrates it once, alone, and no
+        # stencil there.
+        calls = _count_rows(monkeypatch)
+        asm, opts = preset("two_tube_0", allow_placeholders=True)
+        opts.steps_per_segment = 50
+        shoot(asm, opts)
+        assert [c for c in calls if c[0] == 50] == [(50, 1)]
+
+    def test_failed_chord_step_falls_back_to_the_stencil(self, monkeypatch):
+        # A chord step that does not halve the scaled residual is dropped:
+        # the iteration goes on from the same guess with the FD stencil
+        # rows alone (its centre row is known), and ends exactly where
+        # Newton without a Jacobian in hand ends. The negated Jacobian
+        # steps away from the solution.
+        asm, opts = preset("ctr_theta_90")
+        coarse_opts = replace(opts, steps_per_segment=12)
+        opts.steps_per_segment = 50
+        guess = shoot(asm, coarse_opts).guess
+        coarse = shooting._newton(build_problem(asm, coarse_opts),
+                                  coarse_opts, guess)
+        assert coarse.iterations == 0 and coarse.jacobian.shape == (8, 8)
+        problem = build_problem(asm, opts)
+        calls = _count_rows(monkeypatch)
+        plain = shooting._newton(problem, opts, guess)
+        plain_rows = [rows for _, rows in calls]
+        calls.clear()
+        out = shooting._newton(problem, opts, guess, jacobian=-coarse.jacobian)
+        size = problem.guess_size
+        assert plain.converged and plain.iterations >= 1
+        assert plain_rows[0] == size + 1
+        assert [rows for _, rows in calls] == [1, 1, size] + plain_rows[1:]
+        assert out.converged
+        assert out.iterations == plain.iterations + 1
+        np.testing.assert_array_equal(out.guess, plain.guess)
+        np.testing.assert_array_equal(out.trail[-1], plain.trail[-1])
+
+    def test_warm_start_at_the_tolerance_stays_on_one_row(self, monkeypatch):
+        # A guess solved at 200 steps is warm-started at 400: the coarse
+        # grid moves it by its own discretization error, and the requested
+        # grid brings it back with single-row chord steps, no stencil.
+        asm, opts = preset("two_tube_helical", allow_placeholders=True)
+        opts.steps_per_segment = 200
+        first = shoot(asm, opts)
+        calls = _count_rows(monkeypatch)
+        fine = shoot(asm, replace(opts, steps_per_segment=400),
+                     initial_guess=first.guess)
+        assert fine.report.converged
+        assert {rows for steps, rows in calls if steps == 400} == {1}
+        np.testing.assert_allclose(fine.tip_position, first.tip_position,
+                                   atol=1e-6)
 
     def test_discretization_error_is_the_coarse_to_fine_tip_gap(self):
         asm, opts = preset("ctr_theta_90")
@@ -292,18 +354,11 @@ class TestNewtonBatches:
                              [10, 2 * shooting._COARSE_FLOOR - 1])
     def test_no_coarse_grid_below_twice_the_floor(self, monkeypatch,
                                                   requested):
-        steps = []
-        inner = shooting.boundary_residual
-
-        def counted(guess, problem, options):
-            steps.append(options.steps_per_segment)
-            return inner(guess, problem, options)
-
-        monkeypatch.setattr(shooting, "boundary_residual", counted)
+        calls = _count_rows(monkeypatch)
         asm, opts = preset("ctr_theta_90")
         opts.steps_per_segment = requested
         report = shoot(asm, opts).report
-        assert set(steps) == {opts.steps_per_segment}
+        assert {steps for steps, _ in calls} == {opts.steps_per_segment}
         assert report.discretization_error is None
         assert "discretization_error" not in report.as_dict()
 
