@@ -549,9 +549,10 @@ class _Outcome(NamedTuple):
 def _newton_step(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
     # An exactly singular Jacobian (a zero LU pivot) takes the least-squares
     # step instead.
-    if np.linalg.slogdet(jac)[0] == 0.0:
+    try:
+        return np.linalg.solve(jac, -res)
+    except np.linalg.LinAlgError:
         return np.linalg.lstsq(jac, -res, rcond=None)[0]
-    return np.linalg.solve(jac, -res)
 
 
 def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,

@@ -14,22 +14,18 @@ import numpy as np
 DRIFT_LIMIT = 0.1
 
 E3 = np.array([0.0, 0.0, 1.0])
-# Projector onto the shared-axis component: diag(0, 0, 1).
-E33 = np.diag(E3)
+
+# Row j spreads component j of a vector over the flattened skew matrix, so
+# that hat(v) is one constant contraction.
+_HAT = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+                 [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+                 [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
 
 
 def hat(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix of a 3-vector, so that ``hat(a) @ b == cross(a, b)``."""
     v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    out[..., 0, 1] = -z
-    out[..., 0, 2] = y
-    out[..., 1, 0] = z
-    out[..., 1, 2] = -x
-    out[..., 2, 0] = -y
-    out[..., 2, 1] = x
-    return out
+    return (v @ _HAT).reshape(v.shape[:-1] + (3, 3))
 
 
 def rot_d3(theta) -> np.ndarray:

@@ -9,15 +9,31 @@ A x = b built from four row groups:
   * shear/extension balance of the whole stack, first two components (2 rows)
   * third (axial) component of each tube's own force balance (k rows)
 
-for k active tubes, giving 2k + 4 equations for 2k + 4 unknowns. Tendon
-loads enter each tube's rows through that tube's assigned tendons; the
-rate-proportional parts of the tendon load land in A and the rest in b.
+for k active tubes, giving 2k + 4 equations for 2k + 4 unknowns.
+
+The system is built from per-tube blocks. Tube i balances its own rates
+[u̇_i, v̇_i] with a 6x6 operator Op_i = diag(Kbt_i, Kse_i) + Σ L_t pw_t R_t
+over the tendons t it carries, where L_t = [hat(r); I], R_t = [hat(r), −I]
+and pw_t is the tendon's tension-scaled tangent projector; its right-hand
+side b_i holds the wrench cross products and the rest of the tendon load.
+The substitution map C_i writes [u̇_i, v̇_i] in the unknowns (rotated by the
+tube's twist, with its own twist and dilation rates), and a constant 0/1
+placement P_i sums rows 0-1 of each rotated half into the stack rows and
+sends row 2 to the tube's own row:
+
+  A = Σ_i P_i blockdiag(rot_i, rot_i) Op_i C_i,
+
+and b likewise, carried as one extra column. With one tube the block is
+the system.
 
 Each segment is one :class:`SegmentContext` record, built once per
-problem: stiffness and constant rest strains stacked per active tube, and
-the tendon loads stacked per carried tendon. :func:`tube_strains` is the
-one map from a state to every tube's strains and internal wrench; the
-assembly here, the boundary transfer and the recording pass all read it.
+problem: stiffness and constant rest strains stacked per active tube, the
+tendon loads stacked per carried tendon, and the constant parts of the
+assembly (the tendon-free blocks, the carrier one-hot, the constant part
+of C_i, the placement, and the tendon levers of station-independent
+routings). :func:`tube_strains` is the one map from a state to every
+tube's strains and internal wrench; the assembly here, the boundary
+transfer and the recording pass all read it.
 
 ``nestrod.oracles.stack_system`` assembles the same system tube by tube
 from first principles; a regression test pins this module against it.
@@ -36,14 +52,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .so3 import E33, hat, rot_d3
+from .so3 import hat, rot_d3
 
 PB_DOT_MIN = 1e-9
 COND_LIMIT = 1e12
 
 _EYE3 = np.eye(3)
-_DIAG = np.arange(3)
+_DIAG6 = np.arange(6)
 _ZERO = np.zeros(())
+# The wrench cross products u×m, v×n and u×n as one stacked product, read
+# from the joined [u, v] and [m, n] rows.
+_CROSS_A = [0, 1, 2, 3, 4, 5, 0, 1, 2]
+_CROSS_B = [0, 1, 2, 3, 4, 5, 3, 4, 5]
+# Spin terms of the substitution map, θ̇_i [−u_y, u_x, −v_y, v_x], in its
+# rows 0, 1, 3 and 4.
+_SPIN = [1, 0, 4, 3]
+_SPIN_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
+_SPIN_ROWS = [0, 1, 3, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +99,17 @@ class SegmentContext:
     are segment constants, since every rest shape is constant along its
     tube. The tendon arrays hold one entry per tendon whose distributed
     load the segment carries, grouped by carrying tube under the
-    scenario's strategy; ``path`` stacks their routings once, when every
-    routing is station-independent.
+    scenario's strategy.
+
+    The constant parts of the assembly are built once, here: ``stiffness``
+    and ``rest`` join [Kbt, Kse] and [u*, v*] per tube; ``block`` is each
+    tube's tendon-free balance [diag(Kbt, Kse) | 0]; ``carry`` is the
+    (k, T) one-hot of the carrying tubes; ``subst`` is the constant part of
+    each tube's (7, 2k+5) substitution map and ``subst_at`` the flat
+    positions of its state-dependent v_rot and spin entries; ``place`` is
+    the (2k+4, 6k) 0/1 placement of the rotated per-tube rows; ``path``
+    stacks (r, ṙ, r̈, L, R) of the routings when every routing is
+    station-independent.
     """
 
     start: float
@@ -89,9 +123,43 @@ class SegmentContext:
     routing_offsets: np.ndarray   # (T,) routing station - composite station
     tensions: np.ndarray          # (T,)
     carriers: np.ndarray          # (T,) local index of the carrying tube
+    stiffness: np.ndarray = field(init=False)   # (k, 6) [Kbt, Kse]
+    rest: np.ndarray = field(init=False)        # (k, 6) [u*, v*]
+    block: np.ndarray = field(init=False)       # (k, 6, 7)
+    carry: np.ndarray = field(init=False)       # (k, T)
+    subst: np.ndarray = field(init=False)       # (k, 7, 2k+5)
+    subst_at: np.ndarray = field(init=False)    # (7(k-1),)
+    place: np.ndarray = field(init=False)       # (2k+4, 6k)
     path: tuple | None = field(init=False)
 
     def __post_init__(self):
+        k, n_tendons = len(self.tubes), len(self.routings)
+        m = 2 * k + 4
+        tubes, inner = np.arange(k), np.arange(1, k)
+        self.stiffness = np.concatenate([self.kbt, self.kse], axis=-1)
+        self.rest = np.concatenate([self.ustar, self.vstar], axis=-1)
+        self.block = np.zeros((k, 6, 7))
+        self.block[:, _DIAG6, _DIAG6] = self.stiffness
+        self.carry = np.zeros((k, n_tendons))
+        self.carry[self.carriers, np.arange(n_tendons)] = 1.0
+        # Row 2 picks u̇₁,₃ for the reference tube and u̇_d3,i for the
+        # others; row 6 carries the constant one.
+        self.subst = np.zeros((k, 7, m + 1))
+        self.subst[0, 2, 2] = 1.0
+        self.subst[inner, 2, 5 + inner] = 1.0
+        self.subst[:, 6, m] = 1.0
+        at = np.arange(self.subst.size).reshape(self.subst.shape)
+        self.subst_at = np.concatenate(
+            [at[inner, 3:6, 4 + k + inner], at[inner, :, m][:, _SPIN_ROWS]],
+            axis=-1).ravel()
+        # Rows 0-1 of each rotated half sum into the stack rows; row 2 is
+        # the tube's own twist or axial row.
+        self.place = np.zeros((m, 6 * k))
+        for half, top in ((0, 0), (1, 2 + k)):
+            col = 6 * tubes + 3 * half
+            self.place[top, col] = 1.0
+            self.place[top + 1, col + 1] = 1.0
+            self.place[top + 2 + tubes, col + 2] = 1.0
         constant = all(getattr(r, "constant", False) for r in self.routings)
         self.path = _path_stacks(self.routings, self.routing_offsets,
                                  0.5 * (self.start + self.end)) \
@@ -157,7 +225,10 @@ class TubeStrains(NamedTuple):
     n: np.ndarray        # (..., k, 3) internal force
     m: np.ndarray        # (..., k, 3) internal moment
     rot: np.ndarray      # (..., k, 3, 3) rot_d3(θ_i); the identity for tube 0
+                         # (a single tube's is one (1, 3, 3) identity)
     v_rot: np.ndarray    # (..., k, 3) rot_d3(θ_i)ᵀ v₁, so that v_i = β_i v_rot_i
+    uv: np.ndarray       # (..., k, 6) [u, v] joined
+    mn: np.ndarray       # (..., k, 6) [m, n] joined; n and m are views of it
 
 
 def tube_strains(state: RodState, ctx: SegmentContext) -> TubeStrains:
@@ -169,210 +240,114 @@ def tube_strains(state: RodState, ctx: SegmentContext) -> TubeStrains:
     curvature, and v_i = β_i rot_d3(θ_i)ᵀ v₁. Its wrench follows from its
     constitutive law, n_i = Kse_i (v_i − v*_i) and m_i = Kbt_i (u_i − u*_i).
     """
+    uv1 = np.concatenate([state.u1, state.v1], axis=-1)
     if ctx.n_active == 1:
-        u = state.u1[..., None, :]
-        v = v_rot = state.v1[..., None, :]
-        rot = np.broadcast_to(_EYE3, u.shape + (3,))
+        # u and v stay views of the state, so that a recorded trail is not
+        # held twice.
+        uv = uv1[..., None, :]
+        u, v = state.u1[..., None, :], state.v1[..., None, :]
+        rot, v_rot = _EYE3[None], v
     else:
-        zero = np.zeros(state.theta.shape[:-1] + (1,))
-        rot = rot_d3(np.concatenate([zero, state.theta], axis=-1))
-        rot_t = np.swapaxes(rot, -1, -2)
-        u = (rot_t @ state.u1[..., None, :, None])[..., 0]
-        v_rot = (rot_t @ state.v1[..., None, :, None])[..., 0]
-        u[..., 1:, 2] = state.u_d3
-        u[..., 0, :] = state.u1
-        beta = np.concatenate([np.ones_like(zero), state.beta], axis=-1)
-        v = beta[..., None] * v_rot
-        v[..., 0, :] = state.v1
-    return TubeStrains(u, v, ctx.kse * (v - ctx.vstar),
-                       ctx.kbt * (u - ctx.ustar), rot, v_rot)
+        batch = uv1.shape[:-1]
+        rot = rot_d3(np.concatenate([np.zeros(batch + (1,)), state.theta],
+                                    axis=-1))
+        # rot_d3(θ_i)ᵀ applied to u₁ and v₁ at once, as the 3x2 [u₁ v₁].
+        turned = rot.swapaxes(-1, -2) @ uv1.reshape(batch + (1, 2, 3)) \
+            .swapaxes(-1, -2)
+        v_rot = turned[..., 1]
+        uv = np.empty(batch + (ctx.n_active, 6))
+        uv[..., 0:3] = turned[..., 0]
+        uv[..., 1:, 2] = state.u_d3
+        uv[..., 3:6] = v_rot
+        uv[..., 1:, 3:6] *= state.beta[..., None]
+        u, v = uv[..., 0:3], uv[..., 3:6]
+    mn = ctx.stiffness * (uv - ctx.rest)
+    return TubeStrains(u, v, mn[..., 3:6], mn[..., 0:3], rot, v_rot, uv, mn)
 
 
 # ---------------------------------------------------------------------------
-# stacked assembly
+# fused assembly
 # ---------------------------------------------------------------------------
 
 
 def _path_stacks(routings, offsets, s: float) -> tuple:
-    """(r, ṙ, r̈, hat(r)) of every routing at composite station ``s``."""
+    """(r, ṙ, r̈, L, R) of every routing at composite station ``s``: the
+    tendon load on [u̇, v̇] is L pw R with L = [hat(r); I], R = [hat(r), −I]."""
     r, rdot, rddot = (np.stack(col) for col in zip(
         *(path.eval(s + o) for path, o in zip(routings, offsets))))
-    return r, rdot, rddot, hat(r)
-
-
-def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Last-axis cross product without np.cross's axis juggling.
-
-    ``a`` must already have the full output shape; ``b`` may broadcast up.
-    """
-    out = np.empty(a.shape)
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
+    lever = np.empty(r.shape[:-1] + (6, 3))
+    lever[..., 0:3, :] = hat(r)
+    lever[..., 3:6, :] = _EYE3
+    return r, rdot, rddot, lever, -lever.swapaxes(-1, -2)
 
 
 def assemble_system(state: RodState, ctx: SegmentContext):
     """Build the (2k+4)-square system A x = b at the current station.
 
-    Every tube is stacked on one array axis so batched shooting stays
-    cheap. Returns (A, b, collapsed): ``collapsed`` flags the batch rows
-    where a tendon path tangent vanished (‖ṗᵇ‖ < PB_DOT_MIN); their tendon
-    load is evaluated with ‖ṗᵇ‖ set to one instead and means nothing.
+    Each tube's own balance is a (6, 7) block [Op_i | b_i] on its rates
+    [u̇_i, v̇_i]; the substitution map C_i turns it into rows over the
+    unknowns, blockdiag(rot_i, rot_i) moves them into the reference frame,
+    and the placement sums rows 0-1 of both halves into the stack rows and
+    sends row 2 to the tube's own row (see :class:`SegmentContext`). Every
+    tube is stacked on one array axis so batched shooting stays cheap.
+    Returns (A, b, collapsed): ``collapsed`` flags the batch rows where a
+    tendon path tangent vanished (‖ṗᵇ‖ < PB_DOT_MIN); their tendon load is
+    evaluated with ‖ṗᵇ‖ set to one instead and means nothing.
     """
     k = ctx.n_active
     m = 2 * k + 4
     batch = state.u1.shape[:-1]
-    u_all, v_all, n_int, m_int, rt, v_rot = tube_strains(state, ctx)
+    _, _, _, _, rot, v_rot, uv, mn = tube_strains(state, ctx)
 
-    # Tendon operators accumulated per carrying tube.
+    # Tendon loads per carried tendon: L pw [R | w] with R = [hat(r), −I],
+    # summed onto the carrying tubes.
     collapsed = np.zeros(batch, dtype=bool)
     if ctx.routings:
-        r_t, rdot_t, rddot_t, hr = ctx.path or _path_stacks(
+        r, rdot, rddot, lever, right = ctx.path or _path_stacks(
             ctx.routings, ctx.routing_offsets, state.s)
-        idx = ctx.carriers
-        u_t = u_all[..., idx, :]                                 # (..., T, 3)
-        v_t = v_all[..., idx, :]
-        pb = _cross3(u_t, r_t) + rdot_t + v_t
+        uv_t = uv[..., ctx.carriers, :]                          # (..., T, 6)
+        hu = hat(uv_t[..., 0:3])
+        pb = (hu @ r[..., None])[..., 0] + rdot + uv_t[..., 3:6]
         norm2 = (pb * pb).sum(axis=-1)
         short = norm2 < PB_DOT_MIN**2
         if short.any():
             collapsed = short.any(axis=-1)
             norm2 = np.where(short, 1.0, norm2)
-        scale = ctx.tensions / norm2**1.5
         hp = hat(pb)
-        pw = scale[..., None, None] * (hp @ hp)
-        pw_hr = pw @ hr
-        mu_t = hr @ pw_hr
-        mv_t = hr @ pw
-        w = _cross3(u_t, pb + rdot_t) + rddot_t
-        wc = w[..., None]
-        f_w_t = (pw @ wc)[..., 0]
-        m_w_t = (mv_t @ wc)[..., 0]
-        if len(ctx.routings) == 1 and k == 1:
-            mu, mv, fu, fv, m_w, f_w = mu_t, mv_t, pw_hr, pw, m_w_t, f_w_t
-        else:
-            mu = np.zeros(batch + (k, 3, 3))
-            mv = np.zeros(batch + (k, 3, 3))
-            fu = np.zeros(batch + (k, 3, 3))
-            fv = np.zeros(batch + (k, 3, 3))
-            m_w = np.zeros(batch + (k, 3))
-            f_w = np.zeros(batch + (k, 3))
-            for t, i in enumerate(idx):
-                mu[..., i, :, :] += mu_t[..., t, :, :]
-                mv[..., i, :, :] += mv_t[..., t, :, :]
-                fu[..., i, :, :] += pw_hr[..., t, :, :]
-                fv[..., i, :, :] += pw[..., t, :, :]
-                m_w[..., i, :] += m_w_t[..., t, :]
-                f_w[..., i, :] += f_w_t[..., t, :]
-        op_m_u = mu.copy() if mu is mu_t else mu
-        op_m_u[..., _DIAG, _DIAG] += ctx.kbt
-        op_m_v = -mv
-        op_f_u = fu
-        op_f_v = -fv
-        op_f_v[..., _DIAG, _DIAG] += ctx.kse
-        bmom = -_cross3(u_all, m_int) - _cross3(v_all, n_int) + m_w
-        bfor = -_cross3(u_all, n_int) + f_w
+        pw = (ctx.tensions / norm2**1.5)[..., None, None] * (hp @ hp)
+        rw = np.empty(pb.shape[:-1] + (3, 7))
+        rw[..., 0:6] = right
+        rw[..., 6] = (hu @ (pb + rdot)[..., None])[..., 0] + rddot
+        loads = (lever @ pw @ rw).reshape(batch + (len(ctx.routings), 42))
+        block = ctx.block + (ctx.carry @ loads).reshape(batch + (k, 6, 7))
     else:
-        op_m_u = np.zeros(batch + (k, 3, 3))
-        op_m_u[..., _DIAG, _DIAG] = ctx.kbt
-        op_f_v = np.zeros(batch + (k, 3, 3))
-        op_f_v[..., _DIAG, _DIAG] = ctx.kse
-        op_m_v = np.zeros(batch + (k, 3, 3))
-        op_f_u = op_m_v
-        bmom = -_cross3(u_all, m_int) - _cross3(v_all, n_int)
-        bfor = -_cross3(u_all, n_int)
-
+        block = np.empty(batch + (k, 6, 7))
+        block[...] = ctx.block
+    # b_i = −[u×m + v×n, u×n], the three cross products stacked in one.
+    cr = (hat(uv[..., _CROSS_A].reshape(batch + (k, 3, 3)))
+          @ mn[..., _CROSS_B].reshape(batch + (k, 3, 3, 1)))[..., 0]
+    block[..., 0:3, 6] -= cr[..., 0, :] + cr[..., 1, :]
+    block[..., 3:6, 6] -= cr[..., 2, :]
     if k == 1:
-        # Single tube: no rotation, no extra columns; the system is the
-        # plain 2x2 block matrix of the tube's own balance operators.
-        top = np.concatenate([op_m_u[..., 0, :, :], op_m_v[..., 0, :, :]],
-                             axis=-1)
-        bot = np.concatenate([op_f_u[..., 0, :, :], op_f_v[..., 0, :, :]],
-                             axis=-1)
-        return (np.concatenate([top, bot], axis=-2),
-                np.concatenate([bmom[..., 0, :], bfor[..., 0, :]], axis=-1),
-                collapsed)
+        return block[..., 0, :, 0:6], block[..., 0, :, 6], collapsed
 
-    # Substitution maps u̇_i = c_uu·u̇₁ + e₃·u̇_d3 + k_u,
-    # v̇_i = c_vv·v̇₁ + c_vb·β̇ + k_v (identity for the reference tube).
-    zero = np.zeros(batch + (1,))
-    beta_all = np.concatenate([np.ones_like(zero), state.beta], axis=-1)
-    thdot_all = np.concatenate([zero, state.u_d3 - state.u1[..., 2:3]],
-                               axis=-1)
-    rt_t = np.swapaxes(rt, -1, -2)
-    c_uu = rt_t - E33
-    c_uu[..., 0, :, :] = _EYE3
-    c_vv = beta_all[..., None, None] * rt_t
-    c_vv[..., 0, :, :] = _EYE3
-    c_vb = v_rot
-    spin_u = np.empty(batch + (k, 3))
-    spin_u[..., 0] = u_all[..., 1]
-    spin_u[..., 1] = -u_all[..., 0]
-    spin_u[..., 2] = 0.0
-    spin_v = np.empty(batch + (k, 3))
-    spin_v[..., 0] = v_rot[..., 1]
-    spin_v[..., 1] = -v_rot[..., 0]
-    spin_v[..., 2] = 0.0
-    k_u = thdot_all[..., None] * spin_u
-    k_v = (beta_all * thdot_all)[..., None] * spin_v
+    # C_i: [u̇_i, v̇_i, 1] = C_i [x, 1], with u̇_i = rot_iᵀ u̇₁ (third
+    # component u̇_d3,i), v̇_i = β_i rot_iᵀ v̇₁ + β̇_i v_rot_i, and the spin
+    # terms θ̇_i [−u_y, u_x, ·, −v_y, v_x, ·] in the last column.
+    rt = rot.swapaxes(-1, -2)
+    subst = np.empty(batch + ctx.subst.shape)
+    subst[...] = ctx.subst
+    subst[..., 0:2, 0:3] = rt[..., 0:2, :]
+    subst[..., 3:6, 3:6] = rt
+    subst[..., 1:, 3:6, 3:6] *= state.beta[..., None, None]
+    theta_dot = state.u_d3 - state.u1[..., 2:3]
+    spin = theta_dot[..., None] * uv[..., 1:, _SPIN] * _SPIN_SIGN
+    subst.reshape(batch + (-1,))[..., ctx.subst_at] = np.concatenate(
+        [v_rot[..., 1:, :], spin], axis=-1).reshape(batch + (-1,))
 
-    a_m_u1 = op_m_u @ c_uu
-    a_m_v1 = op_m_v @ c_vv
-    a_f_u1 = op_f_u @ c_uu
-    a_f_v1 = op_f_v @ c_vv
-    b_m = bmom - (op_m_u @ k_u[..., None])[..., 0] \
-        - (op_m_v @ k_v[..., None])[..., 0]
-    b_f = bfor - (op_f_u @ k_u[..., None])[..., 0] \
-        - (op_f_v @ k_v[..., None])[..., 0]
-    a_m_uz = op_m_u[..., :, 2]
-    a_m_b = (op_m_v @ c_vb[..., None])[..., 0]
-    a_f_uz = op_f_u[..., :, 2]
-    a_f_b = (op_f_v @ c_vb[..., None])[..., 0]
-
-    # Rotated copies for the two stack rows.
-    ra_m_u1 = rt @ a_m_u1
-    ra_m_v1 = rt @ a_m_v1
-    ra_f_u1 = rt @ a_f_u1
-    ra_f_v1 = rt @ a_f_v1
-    rb_m = (rt @ b_m[..., None])[..., 0]
-    rb_f = (rt @ b_f[..., None])[..., 0]
-    ra_m_uz = (rt @ a_m_uz[..., None])[..., 0]
-    ra_m_b = (rt @ a_m_b[..., None])[..., 0]
-    ra_f_uz = (rt @ a_f_uz[..., None])[..., 0]
-    ra_f_b = (rt @ a_f_b[..., None])[..., 0]
-
-    a_sys = np.zeros(batch + (m, m))
-    b_sys = np.zeros(batch + (m,))
-    rows = np.arange(k)
-
-    a_sys[..., 0:2, 0:3] = ra_m_u1.sum(axis=-3)[..., 0:2, :]
-    a_sys[..., 0:2, 3:6] = ra_m_v1.sum(axis=-3)[..., 0:2, :]
-    a_sys[..., 2 + k:4 + k, 0:3] = ra_f_u1.sum(axis=-3)[..., 0:2, :]
-    a_sys[..., 2 + k:4 + k, 3:6] = ra_f_v1.sum(axis=-3)[..., 0:2, :]
-    b_sys[..., 0:2] = rb_m.sum(axis=-2)[..., 0:2]
-    b_sys[..., 2 + k:4 + k] = rb_f.sum(axis=-2)[..., 0:2]
-
-    a_sys[..., 2 + rows, 0:3] = a_m_u1[..., 2, :]
-    a_sys[..., 2 + rows, 3:6] = a_m_v1[..., 2, :]
-    a_sys[..., 4 + k + rows, 0:3] = a_f_u1[..., 2, :]
-    a_sys[..., 4 + k + rows, 3:6] = a_f_v1[..., 2, :]
-    b_sys[..., 2 + rows] = b_m[..., 2]
-    b_sys[..., 4 + k + rows] = b_f[..., 2]
-
-    cols_uz = 5 + rows[1:]
-    cols_b = 4 + k + rows[1:]
-    a_sys[..., 2 + rows[1:], cols_uz] = a_m_uz[..., 1:, 2]
-    a_sys[..., 2 + rows[1:], cols_b] = a_m_b[..., 1:, 2]
-    a_sys[..., 4 + k + rows[1:], cols_uz] = a_f_uz[..., 1:, 2]
-    a_sys[..., 4 + k + rows[1:], cols_b] = a_f_b[..., 1:, 2]
-    a_sys[..., 0:2, cols_uz] = np.swapaxes(ra_m_uz[..., 1:, 0:2], -1, -2)
-    a_sys[..., 0:2, cols_b] = np.swapaxes(ra_m_b[..., 1:, 0:2], -1, -2)
-    a_sys[..., 2 + k:4 + k, cols_uz] = np.swapaxes(ra_f_uz[..., 1:, 0:2], -1, -2)
-    a_sys[..., 2 + k:4 + k, cols_b] = np.swapaxes(ra_f_b[..., 1:, 0:2], -1, -2)
-    return a_sys, b_sys, collapsed
+    rows = rot[..., None, :, :] @ (block @ subst).reshape(batch + (k, 2, 3, m + 1))
+    system = ctx.place @ rows.reshape(batch + (6 * k, m + 1))
+    return system[..., 0:m], system[..., m], collapsed
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +407,12 @@ def state_derivative(state: RodState, ctx: SegmentContext,
     :func:`assemble_system` and :func:`solve_rates`. A flagged row's
     derivative stays finite but means nothing.
     """
-    k = ctx.n_active
     a_sys, b_sys, collapsed = assemble_system(state, ctx)
     x, cond, failed = solve_rates(a_sys, b_sys, condition=diagnostics)
-    batch = x.shape[:-1]
-    dy = np.empty(batch + (18 + 3 * (k - 1),))
-    dy[..., 0:3] = (state.R @ state.v1[..., None])[..., 0]
-    dy[..., 3:12] = (state.R @ hat(state.u1)).reshape(batch + (9,))
-    dy[..., 12:18] = x[..., 0:6]                             # u̇₁, v̇₁
-    dy[..., 18:17 + k] = state.u_d3 - state.u1[..., 2:3]     # θ̇
-    dy[..., 17 + k:] = x[..., 6:]                            # u̇_d3, β̇
+    dy = np.concatenate([
+        (state.R @ state.v1[..., None])[..., 0],
+        (state.R @ hat(state.u1)).reshape(x.shape[:-1] + (9,)),
+        x[..., 0:6],                                         # u̇₁, v̇₁
+        state.u_d3 - state.u1[..., 2:3],                     # θ̇
+        x[..., 6:]], axis=-1)                                # u̇_d3, β̇
     return dy, cond, collapsed, failed

@@ -1,10 +1,13 @@
 """Regression pins: two presets and one hard fuzz draw must solve exactly
 as the pinned build did, and a slow tube within its iteration budget.
 
-The tip, the Newton iteration and continuation step counts, and the scaled
-residual were recorded from a build whose acceptance battery passed. A
-solver change that claims identical results has to reproduce them; one
-that moves them on purpose re-pins them and says why.
+The tip and the Newton iteration and continuation step counts were
+recorded from a build whose acceptance battery passed. A solver change
+that claims identical results has to reproduce them; one that moves them
+on purpose re-pins them and says why. The scaled residual of a converged
+solve is the round-off left after Newton's last step, so a one-ulp change
+anywhere moves it by tens of percent while the tip holds: it is pinned as
+converged (below one) and within a decade of the recorded value.
 """
 
 from __future__ import annotations
@@ -21,12 +24,6 @@ from nestrod.shooting import SolverOptions, shoot
 #  scaled residual). Both run a coarse grid (12 and 10 steps per segment)
 #  before the requested one; the counts add up both grids. Their tips lie
 #  3.3e-11 m and 1.4e-11 m from those of the single-grid build before.
-#  The scaled residuals are the round-off left at convergence, so they were
-#  re-pinned when the boundary transfer began to read the assembly's
-#  per-tube strains (matmul instead of einsum, one ulp apart; from 7.98e-7
-#  and 8.20e-3 of tolerance), and again when the polish's last step became
-#  a chord step with the coarse grid's Jacobian (from 4.51e-7 and 8.50e-3);
-#  tips and counts held both times.
 _PINS = [
     ("ctr_theta_90", 50,
      (0.026736597121270744, -0.026987057546531214, 0.14328992228271406),
@@ -35,6 +32,11 @@ _PINS = [
      (0.059349485360322536, -0.003396979260875325, 0.27082436704353596),
      17, 5, 0.0062088722136854095),
 ]
+
+
+def _assert_converged_near(scaled: float, pinned: float) -> None:
+    assert scaled < 1.0
+    assert pinned / 10.0 <= scaled <= pinned * 10.0
 
 
 @pytest.mark.parametrize("name,steps,tip,iterations,ramp,scaled", _PINS,
@@ -46,7 +48,7 @@ def test_tip_matches_pinned_build(name, steps, tip, iterations, ramp, scaled):
     assert solution.tip_position.tolist() == pytest.approx(tip, rel=0, abs=1e-12)
     assert solution.report.iterations == iterations
     assert solution.report.continuation_steps == ramp
-    assert solution.report.scaled_residual == pytest.approx(scaled, rel=1e-9)
+    _assert_converged_near(solution.report.scaled_residual, scaled)
 
 
 def test_fuzz_draw_matches_pinned_build():
@@ -64,8 +66,8 @@ def test_fuzz_draw_matches_pinned_build():
     assert solution.tip_position.tolist() == pytest.approx(tip, rel=0, abs=1e-12)
     assert solution.report.iterations == 24
     assert solution.report.continuation_steps == 4
-    assert solution.report.scaled_residual == pytest.approx(
-        9.279244039817058e-05, rel=1e-9)
+    _assert_converged_near(solution.report.scaled_residual,
+                           9.279244039817058e-05)
 
 
 def test_slow_tube_polishes_in_one_iteration(monkeypatch):

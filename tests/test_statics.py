@@ -17,6 +17,7 @@ from nestrod.assembly import (
     ArcRest,
     AssemblySpec,
     HelicalRouting,
+    Strategy,
     StraightRouting,
     TendonSpec,
     TubeSpec,
@@ -41,8 +42,10 @@ def _tube(length=0.2, od=1.0e-3, idi=0.8e-3, e=60e9, g=23e9, **kw):
                     outer_diameter=od, inner_diameter=idi, **kw)
 
 
-def _assembly(k: int, routings=None) -> AssemblySpec:
-    """A k-tube assembly with one tendon per tube, anchored at its tip."""
+def _assembly(k: int, routings=None, tubes_of=None,
+              strategy=Strategy.OUTERMOST_OF_SEGMENT) -> AssemblySpec:
+    """A k-tube assembly with tendons anchored at their tubes' tips: one
+    per tube unless ``tubes_of`` lists each tendon's tube."""
     tubes = [
         _tube(length=0.20, od=1.4e-3, idi=1.16e-3),
         _tube(length=0.24, od=1.0e-3, idi=0.8e-3,
@@ -54,14 +57,16 @@ def _assembly(k: int, routings=None) -> AssemblySpec:
         StraightRouting([0.0, 3e-3]),
         StraightRouting([-2e-3, 1e-3]),
     ]
-    tendons = [TendonSpec(routing=routings[i], tension=1.5, tube=i)
-               for i in range(k)]
-    return AssemblySpec(tubes=tubes, tendons=tendons)
+    tubes_of = range(k) if tubes_of is None else tubes_of
+    tendons = [TendonSpec(routing=routings[j], tension=1.5, tube=i)
+               for j, i in enumerate(tubes_of)]
+    return AssemblySpec(tubes=tubes, tendons=tendons, strategy=strategy)
 
 
-def _context(k: int, routings=None):
+def _context(k: int, routings=None, **kw):
     """First segment of :func:`_assembly`, where every tube is active."""
-    return build_problem(_assembly(k, routings), SolverOptions()).contexts[0]
+    return build_problem(_assembly(k, routings, **kw),
+                         SolverOptions()).contexts[0]
 
 
 def _random_state(rng, k: int, batch=(), s=0.05) -> RodState:
@@ -147,37 +152,80 @@ class TestDerivedStrains:
                                    atol=1e-14)
 
 
+def _row(state: RodState, index) -> RodState:
+    """Batch row ``index`` of a batched state."""
+    return RodState(state.p[index], state.R[index], state.u1[index],
+                    state.v1[index], state.theta[index], state.u_d3[index],
+                    state.beta[index], state.s)
+
+
+def _assert_matches_reference(state: RodState, ctx, a_vec, b_vec):
+    a_ref, b_ref = _reference_system(state, ctx)
+    np.testing.assert_allclose(a_vec, a_ref, atol=1e-12 * np.max(np.abs(a_ref)))
+    np.testing.assert_allclose(b_vec, b_ref,
+                               atol=1e-12 * max(np.max(np.abs(b_ref)), 1.0))
+
+
 class TestAssemblyRoutes:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_vectorized_matches_reference(self, k):
-        ctx = _context(k)
+        # Under the default strategy the outermost tube carries every
+        # tendon; under TERMINATING_TUBE each tube carries its own.
         rng = np.random.default_rng(59 + k)
+        for strategy, carriers in (
+                (Strategy.OUTERMOST_OF_SEGMENT, np.zeros(k, dtype=int)),
+                (Strategy.TERMINATING_TUBE, np.arange(k))):
+            ctx = _context(k, strategy=strategy)
+            np.testing.assert_array_equal(np.sort(ctx.carriers), carriers)
+            for _ in range(10):
+                state = _random_state(rng, k)
+                a_vec, b_vec, _ = assemble_system(state, ctx)
+                assert a_vec.shape == (2 * k + 4, 2 * k + 4)
+                _assert_matches_reference(state, ctx, a_vec, b_vec)
+
+    @pytest.mark.parametrize("tubes_of,carriers", [
+        ([1, 1], [1, 1]),          # two tendons on the inner tube
+        ([], []),                  # tendon-free, as the ctr_theta_* pairs
+    ], ids=["two_on_one_tube", "tendon_free"])
+    def test_two_tube_scatter_matches_reference(self, tubes_of, carriers):
+        ctx = _context(2, tubes_of=tubes_of,
+                       strategy=Strategy.TERMINATING_TUBE)
+        np.testing.assert_array_equal(ctx.carriers, carriers)
+        rng = np.random.default_rng(67)
         for _ in range(10):
-            state = _random_state(rng, k)
-            a_ref, b_ref = _reference_system(state, ctx)
+            state = _random_state(rng, 2)
             a_vec, b_vec, _ = assemble_system(state, ctx)
-            assert a_vec.shape == (2 * k + 4, 2 * k + 4)
-            scale_a = np.max(np.abs(a_ref))
-            scale_b = max(np.max(np.abs(b_ref)), 1.0)
-            np.testing.assert_allclose(a_vec, a_ref, atol=1e-12 * scale_a)
-            np.testing.assert_allclose(b_vec, b_ref, atol=1e-12 * scale_b)
+            _assert_matches_reference(state, ctx, a_vec, b_vec)
 
     def test_batched_assembly(self):
-        ctx = _context(2)
         rng = np.random.default_rng(61)
-        state = _random_state(rng, 2, batch=(5,))
-        a_vec, b_vec, _ = assemble_system(state, ctx)
-        assert a_vec.shape == (5, 8, 8)
-        for i in range(5):
-            single = RodState(state.p[i], state.R[i], state.u1[i],
-                              state.v1[i], state.theta[i], state.u_d3[i],
-                              state.beta[i], state.s)
-            a_one, b_one = _reference_system(single, ctx)
-            scale = np.max(np.abs(a_one))
-            np.testing.assert_allclose(a_vec[i], a_one, atol=1e-12 * scale)
-            np.testing.assert_allclose(b_vec[i], b_one,
-                                       atol=1e-12 * max(np.max(np.abs(b_one)),
-                                                        1.0))
+        for k, batch in ((2, (5,)), (3, (2, 3))):
+            ctx = _context(k, strategy=Strategy.TERMINATING_TUBE)
+            state = _random_state(rng, k, batch=batch)
+            a_vec, b_vec, collapsed = assemble_system(state, ctx)
+            assert a_vec.shape == batch + (2 * k + 4, 2 * k + 4)
+            assert collapsed.shape == batch and not collapsed.any()
+            for index in np.ndindex(batch):
+                _assert_matches_reference(_row(state, index), ctx,
+                                          a_vec[index], b_vec[index])
+
+    def test_collapsed_row_spares_the_rest_of_its_batch(self):
+        # Straight routings have ṙ = 0, so a row with no strain at all has
+        # no tendon tangent on any tube.
+        ctx = _context(2, routings=[StraightRouting([3e-3, 0.0]),
+                                    StraightRouting([0.0, -2e-3])],
+                       strategy=Strategy.TERMINATING_TUBE)
+        rng = np.random.default_rng(71)
+        state = _random_state(rng, 2, batch=(4,))
+        state.u1[2] = 0.0
+        state.v1[2] = 0.0
+        state.u_d3[2] = 0.0
+        a_vec, b_vec, collapsed = assemble_system(state, ctx)
+        np.testing.assert_array_equal(collapsed, [False, False, True, False])
+        assert np.all(np.isfinite(a_vec)) and np.all(np.isfinite(b_vec))
+        for row in (0, 1, 3):
+            _assert_matches_reference(_row(state, row), ctx, a_vec[row],
+                                      b_vec[row])
 
 
 class TestRestEquilibrium:
