@@ -460,10 +460,6 @@ class SegmentPlan:
     events: list[BoundaryEvent]
 
     @property
-    def boundaries(self) -> list[float]:
-        return [seg.end for seg in self.segments]
-
-    @property
     def total_length(self) -> float:
         return self.segments[-1].end
 

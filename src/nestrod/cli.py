@@ -123,14 +123,23 @@ def _cmd_sweep(args) -> int:
     if not 0 <= index < limit:
         raise ValidationError(
             f"--axis {args.axis}: index out of range (have {limit})")
-    rows = []
-    warm = None
-    for value in _sweep_values(args):
-        assembly = scn.assembly
+    assembly = scn.assembly
+
+    def set_point(value: float) -> None:
         if kind == "tension":
             assembly.tendons[index].tension = value
         else:
             assembly.base_twists[index] = math.radians(value)
+
+    # Bad input at any point exits 1 before the first solve, as ``solve``.
+    values = _sweep_values(args)
+    for value in values:
+        set_point(value)
+        assembly.validate()
+    rows = []
+    warm = None
+    for value in values:
+        set_point(value)
         options = _options(scn, args)
         try:
             solution = shoot(assembly, options, initial_guess=warm)
@@ -141,7 +150,7 @@ def _cmd_sweep(args) -> int:
                          solution.report.scaled_residual))
             print(f"{kind}[{index}] = {value:10.4f}  tip "
                   f"{tip[0]: .6f} {tip[1]: .6f} {tip[2]: .6f}")
-        except (NoConvergence, NestrodError) as exc:
+        except NoConvergence as exc:
             rows.append((value, 0, 0,
                          math.nan, math.nan, math.nan, math.nan))
             print(f"{kind}[{index}] = {value:10.4f}  FAILED: {exc}")

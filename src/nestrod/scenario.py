@@ -95,14 +95,6 @@ def _split_unit(key: str):
     return key, None, 1.0
 
 
-@dataclass(frozen=True)
-class Placeholder:
-    """A documented stand-in for a value the original source never gave."""
-
-    value: object            # float or tuple of floats, already SI-converted
-    reason: str
-
-
 # ---------------------------------------------------------------------------
 # text parsing
 # ---------------------------------------------------------------------------

@@ -4,14 +4,18 @@ The base pose and base twists are clamped; the unknown base strains
 [u₁, v₁, twist curvature and dilation of each inner tube] are found by
 shooting: integrate the cross-section ODE station by station, apply the
 load transfer at every tube end / tendon anchor, and drive the terminal
-wrench mismatches to zero with a damped Newton iteration. Tension is
-ramped in uniform continuation steps so high-tension scenarios start
-from an already-bent warm guess. The ramp and Newton's damped phase run
-on a coarse grid where the rest guess shows a small enough step-doubling
-error; one Newton solve at the requested step count then polishes. The
-polish integrates the coarse solution alone; if it misses the tolerances,
-chord steps with the coarse grid's Jacobian follow, and the FD stencil is
-integrated only when a chord step contracts the residual too little.
+wrench mismatches to zero with a damped Newton iteration. A solve
+compiles the assembly once (:class:`Problem`); only the tendon tensions
+move, by :meth:`Problem.scaled`. A caller's start guess is one Newton
+solve at full tension; without one, or if it stalls, tension is ramped
+from the rest guess in uniform continuation steps, so high-tension
+scenarios start from an already-bent warm guess. The ramp and Newton's
+damped phase run on a coarse grid where the rest guess shows a small
+enough step-doubling error; one Newton solve at the requested step count
+then polishes. The polish integrates the coarse solution alone; if it
+misses the tolerances, chord steps with the coarse grid's Jacobian
+follow, and the FD stencil is integrated only when a chord step
+contracts the residual too little.
 
 A batch row that cannot be integrated (see :data:`FAILURES`) is a state
 of that row, not an exception: it carries a failure code, reads an
@@ -20,6 +24,7 @@ infinite residual, and the other rows of its batch go on unchanged.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -75,6 +80,10 @@ _COARSE_FLOOR = 10
 # two at most; the paper's own model error is a few percent of length.
 _COARSE_TIP_TOL = 1e-2
 
+# Finite-difference steps of the Jacobian stencil on the curvatures (u₁,
+# inner twist curvatures), the strains v₁ and the dilations β.
+_FD_CURVATURE, _FD_STRAIN, _FD_BETA = 1e-6, 1e-8, 1e-8
+
 
 @dataclass
 class SolverOptions:
@@ -85,9 +94,6 @@ class SolverOptions:
     moment_tol: float = 1e-10        # N·m, per residual component
     max_iterations: int = 50         # Newton cap per continuation step
     continuation_step: float = 0.5   # N of tension per ramp step
-    fd_step_curvature: float = 1e-6
-    fd_step_strain: float = 1e-8
-    fd_step_beta: float = 1e-8
 
 
 @dataclass
@@ -106,7 +112,8 @@ class EventContext:
 
 @dataclass
 class Problem:
-    """Assembly compiled to per-segment contexts at one tension scale."""
+    """Assembly compiled to per-segment contexts; :meth:`scaled` gives it
+    at another tension."""
 
     assembly: AssemblySpec
     plan: SegmentPlan
@@ -122,9 +129,23 @@ class Problem:
     def guess_size(self) -> int:
         return 4 + 2 * self.n_tubes
 
+    def scaled(self, scale: float) -> Problem:
+        """A copy with every tendon tension times ``scale``, in the segments'
+        distributed loads and at the anchors; all else is shared."""
+        contexts = [copy.copy(ctx) for ctx in self.contexts]
+        for ctx in contexts:
+            ctx.tensions = ctx.tensions * scale
+        events = [replace(event, terminating=[
+            (replace(tendon, tension=tendon.tension * scale), assigned, anchored)
+            for tendon, assigned, anchored in event.terminating])
+            for event in self.events]
+        return replace(self, contexts=contexts, events=events)
 
-def build_problem(assembly: AssemblySpec, options: SolverOptions,
-                  tension_scale: float = 1.0) -> Problem:
+
+def build_problem(assembly: AssemblySpec, options: SolverOptions) -> Problem:
+    """Validate and compile ``assembly`` at full tension, once per solve;
+    other tensions come from :meth:`Problem.scaled`. No ``options`` enter
+    the problem, so one serves every grid."""
     plan = segment_plan(assembly)
     assignment = assign_tendons(assembly, plan)
 
@@ -139,7 +160,7 @@ def build_problem(assembly: AssemblySpec, options: SolverOptions,
                       for tube in assembly.tubes])
 
     tendon_ctx = [
-        TendonContext(routing=t.routing, tension=t.tension * tension_scale,
+        TendonContext(routing=t.routing, tension=t.tension,
                       offset=assembly.base_offsets[t.tube])
         for t in assembly.tendons
     ]
@@ -467,10 +488,6 @@ class SegmentSolution:
     tube_n: np.ndarray               # (S, k, 3) internal force, own frame
     tube_m: np.ndarray               # (S, k, 3)
 
-    @property
-    def ref_tube(self) -> int:
-        return self.tubes[0]
-
 
 @dataclass
 class Solution:
@@ -581,17 +598,13 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
     iteration goes on from the current guess as above, starting with the
     stencil rows alone.
     """
-    size = problem.guess_size
     n = problem.n_tubes
     tol = np.where(np.array(problem.residual_classes) == "f",
                    options.force_tol, options.moment_tol)
     cap = options.max_iterations if iter_cap is None \
         else min(iter_cap, options.max_iterations)
-    h = np.empty(size)
-    h[0:3] = options.fd_step_curvature
-    h[3:6] = options.fd_step_strain
-    h[6:5 + n] = options.fd_step_curvature
-    h[5 + n:] = options.fd_step_beta
+    h = np.repeat([_FD_CURVATURE, _FD_STRAIN, _FD_CURVATURE, _FD_BETA],
+                  [3, 3, n - 1, n - 1])
     offsets = np.diag(h)
     factors = 0.5 ** np.arange(_LINE_SEARCH_HALVINGS + 1)
     ladder = factors.size
@@ -662,149 +675,135 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
                     jacobian=jac)
 
 
-def _rest_pass(assembly: AssemblySpec,
-               options: SolverOptions) -> tuple[np.ndarray, int]:
-    """Tip position and failure code of the rest guess integrated without
-    tension. A failure here does not depend on tension, so no shorter ramp
-    step can get past it."""
-    problem = build_problem(assembly, options, tension_scale=0.0)
-    _, trail, _, failed = boundary_residual(rest_guess(problem), problem,
-                                            options)
+def _rest_pass(rest: Problem, options: SolverOptions) -> tuple[np.ndarray, int]:
+    """Tip position and failure code of the rest guess integrated on the
+    tension-free problem ``rest``. A failure here does not depend on
+    tension, so no shorter ramp step can get past it."""
+    _, trail, _, failed = boundary_residual(rest_guess(rest), rest, options)
     return trail[-1][-1, 0:3], int(failed)
 
 
 class _Level(NamedTuple):
-    """How the attempts on one grid ended."""
+    """How the solve on one grid ended."""
 
     report: ConvergenceReport
     outcome: _Outcome | None      # Newton's accepted full-tension solve
-    problem: Problem              # the full-tension problem on this grid
-    scale: float                  # tension scale where a failed attempt stalled
+    scale: float                  # tension scale where a failed ramp stalled
 
 
-def _solve_level(assembly: AssemblySpec, options: SolverOptions,
-                 initial_guess: np.ndarray | None,
-                 jacobian: np.ndarray | None = None) -> _Level:
-    """The attempts on one grid: a given guess directly at full tension,
-    then the tension ramp from the rest guess. Returns how the first
-    attempt that converged, or else the last one, ended. A ``jacobian`` in
-    hand goes to the given guess's attempt alone (see :func:`_newton`)."""
+def _solve_level(problem: Problem, rest: Problem, options: SolverOptions,
+                 guess: np.ndarray | None,
+                 jacobian: np.ndarray | None) -> _Level:
+    """The solve on one grid of the full-tension ``problem``. A given
+    ``guess`` is one Newton solve, with ``jacobian`` if there is one (see
+    :func:`_newton`). Without a guess, or if its solve does not converge,
+    the tension ramp runs from the rest guess, and the report counts the
+    ramp alone. ``rest`` is the tension-free problem."""
+    if guess is not None:
+        out = _newton(problem, options, np.asarray(guess, dtype=float),
+                      jacobian=jacobian)
+        if out.converged:
+            return _Level(ConvergenceReport(
+                converged=True, iterations=out.iterations,
+                continuation_steps=1, scaled_residual=out.metric,
+                residual=out.residual, condition_max=out.condition_max),
+                out, 1.0)
+
     # The ramp is sized by the combined pull of all tendons: three tendons
     # at 2 N load the stack like one at 6 N, and the first step has to stay
     # inside Newton's basin around the rest state.
-    total_tension = sum(t.tension for t in assembly.tendons)
-    ramp_steps = max(1, math.ceil(total_tension / options.continuation_step)) \
-        if total_tension > 0 else 1
+    total_tension = sum(t.tension for t in problem.assembly.tendons)
     # Extreme tensions would otherwise schedule thousands of uniform steps;
-    # past this count the adaptive subdivision is the better tool anyway.
-    ramp_steps = min(ramp_steps, 64)
+    # past 64 the adaptive subdivision is the better tool anyway.
+    ramp_steps = min(max(1, math.ceil(total_tension
+                                      / options.continuation_step)), 64)
+    queue = [(j + 1) / ramp_steps for j in range(ramp_steps)]
+    min_gap = (1.0 / ramp_steps) / 64.0
+    step_budget = ramp_steps + 24
 
-    attempts: list[tuple[np.ndarray | None, bool, np.ndarray | None]] = []
-    if initial_guess is not None:
-        attempts.append((np.asarray(initial_guess, dtype=float), False,
-                         jacobian))
-    attempts.append((None, True, None))
-
-    for start_guess, use_ramp, start_jacobian in attempts:
-        total_iterations = 0
-        cond_max = 0.0
-        problem_full = build_problem(assembly, options, tension_scale=1.0)
-        guess = start_guess if start_guess is not None else rest_guess(problem_full)
-        queue = [(j + 1) / ramp_steps for j in range(ramp_steps)] if use_ramp \
-            else [1.0]
-        min_gap = (1.0 / ramp_steps) / 64.0
-        step_budget = ramp_steps + 24
-        history: list[tuple[float, np.ndarray]] = []
-        s_done = 0.0
-        steps_run = 0
-        rest_checked = False
-        # Residual of the last Newton solve that got to evaluate one.
-        last_res = np.full(len(problem_full.residual_classes), np.inf)
-        while queue:
-            scale = queue[0]
-            problem = problem_full if scale == 1.0 else build_problem(
-                assembly, options, tension_scale=scale)
-            start = guess
-            if len(history) >= 2:
-                # Secant prediction along the ramp: warm-started steps then
-                # land inside Newton's fast region instead of re-entering
-                # the damped phase every time.
-                (s_a, g_a), (s_b, g_b) = history[-2], history[-1]
-                if s_b > s_a:
-                    start = g_b + (g_b - g_a) * ((scale - s_b) / (s_b - s_a))
-            relax = 1.0 if scale == 1.0 else _RAMP_RELAX
-            cap = None if scale == 1.0 else _RAMP_ITER_CAP
-            out = None
-            failure = "stalled line search or iteration cap"
-            if start is not guess:
-                out = _newton(problem, options, start, relax, cap)
-                if not out.failure:
-                    last_res = out.residual
-                if not out.converged:
-                    out = None
-            if out is None:
-                # Either no prediction was available or it overshot the
-                # physical domain / stalled; run from the last converged guess.
-                out = _newton(problem, options, guess, relax, cap,
-                              start_jacobian)
-                if out.failure:
-                    failure = ("integration left the physical domain "
-                               f"({FAILURES[out.failure]})")
-                    out = None
-                else:
-                    last_res = out.residual
-            metric = float("inf")
-            if out is not None:
-                metric = out.metric
-                total_iterations += out.iterations
-                cond_max = max(cond_max, out.condition_max)
-                if out.converged:
-                    guess = out.guess
-                    history.append((scale, guess))
-                    queue.pop(0)
-                    s_done = scale
-                    steps_run += 1
-                    continue
-            # The step was too ambitious: retry halfway between the last
-            # converged tension and this one, until the interval collapses.
-            steps_run += 1
-            retry = use_ramp and scale - s_done > min_gap \
-                and steps_run < step_budget
-            if retry and s_done == 0.0 and not rest_checked:
-                rest_checked = True
-                code = _rest_pass(assembly, options)[1]
-                if code:
-                    failure = ("integration fails without tension "
-                               f"({FAILURES[code]})")
-                    retry = False
-            if retry:
-                queue.insert(0, 0.5 * (s_done + scale))
+    total_iterations, steps_run, cond_max, s_done = 0, 0, 0.0, 0.0
+    guess = rest_guess(problem)
+    history: list[tuple[float, np.ndarray]] = []
+    rest_checked = False
+    # Residual of the last Newton solve that got to evaluate one.
+    last_res = np.full(len(problem.residual_classes), np.inf)
+    while queue:
+        scale = queue[0]
+        at_scale = problem if scale == 1.0 else problem.scaled(scale)
+        start = guess
+        if len(history) >= 2:
+            # Secant prediction along the ramp: warm-started steps then
+            # land inside Newton's fast region instead of re-entering
+            # the damped phase every time.
+            (s_a, g_a), (s_b, g_b) = history[-2], history[-1]
+            if s_b > s_a:
+                start = g_b + (g_b - g_a) * ((scale - s_b) / (s_b - s_a))
+        relax = 1.0 if scale == 1.0 else _RAMP_RELAX
+        cap = None if scale == 1.0 else _RAMP_ITER_CAP
+        out = None
+        failure = "stalled line search or iteration cap"
+        if start is not guess:
+            out = _newton(at_scale, options, start, relax, cap)
+            if not out.failure:
+                last_res = out.residual
+            if not out.converged:
+                out = None
+        if out is None:
+            # Either no prediction was available or it overshot the
+            # physical domain / stalled; run from the last converged guess.
+            out = _newton(at_scale, options, guess, relax, cap)
+            if out.failure:
+                failure = ("integration left the physical domain "
+                           f"({FAILURES[out.failure]})")
+                out = None
+            else:
+                last_res = out.residual
+        metric = float("inf")
+        steps_run += 1
+        if out is not None:
+            metric = out.metric
+            total_iterations += out.iterations
+            cond_max = max(cond_max, out.condition_max)
+            if out.converged:
+                guess = out.guess
+                history.append((scale, guess))
+                queue.pop(0)
+                s_done = scale
                 continue
-            failed = _Level(ConvergenceReport(
-                converged=False, iterations=total_iterations,
-                continuation_steps=steps_run, scaled_residual=metric,
-                residual=last_res, condition_max=cond_max, message=failure),
-                None, problem_full, scale)
-            break
-        else:
-            # The ramp always ends with the full-tension step, so ``out`` is
-            # Newton's accepted solve of ``problem_full``.
-            return _Level(ConvergenceReport(
-                converged=True, iterations=total_iterations,
-                continuation_steps=steps_run, scaled_residual=out.metric,
-                residual=out.residual, condition_max=cond_max),
-                out, problem_full, 1.0)
-    return failed
+        # The step was too ambitious: retry halfway between the last
+        # converged tension and this one, until the interval collapses.
+        retry = scale - s_done > min_gap and steps_run < step_budget
+        if retry and s_done == 0.0 and not rest_checked:
+            rest_checked = True
+            code = _rest_pass(rest, options)[1]
+            if code:
+                failure = ("integration fails without tension "
+                           f"({FAILURES[code]})")
+                retry = False
+        if retry:
+            queue.insert(0, 0.5 * (s_done + scale))
+            continue
+        return _Level(ConvergenceReport(
+            converged=False, iterations=total_iterations,
+            continuation_steps=steps_run, scaled_residual=metric,
+            residual=last_res, condition_max=cond_max, message=failure),
+            None, scale)
+    # The ramp always ends with the full-tension step, so ``out`` is
+    # Newton's accepted solve of ``problem``.
+    return _Level(ConvergenceReport(
+        converged=True, iterations=total_iterations,
+        continuation_steps=steps_run, scaled_residual=out.metric,
+        residual=out.residual, condition_max=cond_max), out, 1.0)
 
 
-def _coarse_steps(assembly: AssemblySpec, options: SolverOptions) -> int | None:
+def _coarse_steps(rest: Problem, options: SolverOptions) -> int | None:
     """Step count of the coarse grid for ``options``, or None for none.
 
     This is the coarsest count on the halving ladder below the requested
-    one, and no lower than ``_COARSE_FLOOR``, at which the tension-free
-    rest guess integrates with no failed row and its tip moves by at most
-    ``_COARSE_TIP_TOL`` of the robot's length when the step count is
-    doubled.
+    one, and no lower than ``_COARSE_FLOOR``, at which the rest guess
+    integrates on the tension-free problem ``rest`` with no failed row and
+    its tip moves by at most ``_COARSE_TIP_TOL`` of the robot's length when
+    the step count is doubled.
     """
     ladder = []
     steps = options.steps_per_segment // 2
@@ -813,17 +812,13 @@ def _coarse_steps(assembly: AssemblySpec, options: SolverOptions) -> int | None:
         steps //= 2
     if not ladder:
         return None
-    length = segment_plan(assembly).total_length
+    length = rest.plan.total_length
     tips: dict[int, tuple[np.ndarray, int]] = {}
-
-    def tip(steps: int) -> tuple[np.ndarray, int]:
-        if steps not in tips:
-            tips[steps] = _rest_pass(assembly,
-                                     replace(options, steps_per_segment=steps))
-        return tips[steps]
-
     for steps in reversed(ladder):
-        (coarse, failed), (fine, failed_fine) = tip(steps), tip(2 * steps)
+        for s in (steps, 2 * steps):
+            if s not in tips:
+                tips[s] = _rest_pass(rest, replace(options, steps_per_segment=s))
+        (coarse, failed), (fine, failed_fine) = tips[steps], tips[2 * steps]
         if not (failed or failed_fine) and \
                 np.linalg.norm(coarse - fine) <= _COARSE_TIP_TOL * length:
             return steps
@@ -834,27 +829,31 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
           initial_guess: np.ndarray | None = None) -> Solution:
     """Solve the clamped-base statics of an assembly.
 
-    A caller-supplied ``initial_guess`` (e.g. the previous point of a sweep)
-    is tried directly at full tension first; if that stalls, the solver
-    falls back to the tension ramp from the rest guess. Both run first on a
-    coarse grid (see :func:`_coarse_steps`), if there is one, and then once
-    more at the requested step count, warm-started from the coarse solution;
-    if the coarse grid does not converge, the requested grid starts from
-    the same guess instead. The polish integrates the coarse solution alone
-    on the requested grid; if that misses the tolerances, it takes chord
-    steps with the coarse grid's Jacobian, and falls back to the FD stencil
-    when one contracts too little. Raises :class:`NoConvergence` with a
+    The assembly is compiled once (:func:`build_problem`); the rest passes
+    and ramp steps scale its tensions. A caller-supplied ``initial_guess``
+    (e.g. the previous point of a sweep) is one Newton solve at full
+    tension; if that stalls, the solver falls back to the tension ramp from
+    the rest guess. Both run first on a coarse grid (see
+    :func:`_coarse_steps`), if there is one, and then once more at the
+    requested step count, warm-started from the coarse solution; if the
+    coarse grid does not converge, the requested grid starts from the same
+    guess instead. The polish integrates the coarse solution alone on the
+    requested grid; if that misses the tolerances, it takes chord steps
+    with the coarse grid's Jacobian, and falls back to the FD stencil when
+    one contracts too little. Raises :class:`NoConvergence` with a
     diagnostic report when every route fails.
     """
     options = options or SolverOptions()
-    coarse = _coarse_steps(assembly, options)
+    problem = build_problem(assembly, options)
+    rest = problem.scaled(0.0)
+    coarse = _coarse_steps(rest, options)
     levels = [options] if coarse is None \
         else [replace(options, steps_per_segment=coarse), options]
     guess, jacobian = initial_guess, None
     iterations, steps_run, cond_max = 0, 0, 0.0
     coarse_tip = None
     for level_options in levels:
-        level = _solve_level(assembly, level_options, guess, jacobian)
+        level = _solve_level(problem, rest, level_options, guess, jacobian)
         iterations += level.report.iterations
         steps_run += level.report.continuation_steps
         cond_max = max(cond_max, level.report.condition_max)
@@ -869,7 +868,7 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
             f"scaled residual {report.scaled_residual:.3e} after {iterations} "
             f"iterations: {report.message}", report=report)
     segments = [_expand_segment(ctx, rec)
-                for ctx, rec in zip(level.problem.contexts, level.outcome.trail)]
+                for ctx, rec in zip(problem.contexts, level.outcome.trail)]
     if coarse_tip is not None:
         report.discretization_error = float(
             np.linalg.norm(segments[-1].p[-1] - coarse_tip))

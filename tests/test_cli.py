@@ -277,6 +277,25 @@ class TestSweepCommand:
                          "--to", "1"]) == 1
         assert "tension:J or twist:I" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis, start, message", [
+        ("tension:0", "-1", "tension must be >= 0"),
+        ("twist:0", "10", "its base twist must be 0"),
+    ])
+    def test_invalid_point_exits_1_before_solving(
+            self, tmp_path, capsys, monkeypatch, axis, start, message):
+        # A swept value that fails validate() is bad input, as for solve:
+        # exit 1 before any point is solved, and no sweep file.
+        def never(*args, **kwargs):
+            raise AssertionError("solved a sweep with an invalid point")
+
+        monkeypatch.setattr(cli, "shoot", never)
+        rc = cli.main(["sweep", "two_tube_0", "--placeholders", "--axis", axis,
+                       "--from", start, "--to", "0", "--num", "2",
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_sweep.csv"))
+
 
 class TestValidateCommand:
     class _FakeReport:

@@ -342,6 +342,28 @@ class TestNewtonBatches:
         np.testing.assert_allclose(fine.tip_position, first.tip_position,
                                    atol=1e-6)
 
+    def test_one_segment_plan_per_solve(self, monkeypatch):
+        # The assembly is compiled once per solve: the ramp's steps, the
+        # rest passes and both grids scale that one problem's tensions.
+        calls = []
+        inner = shooting.segment_plan
+
+        def counted(assembly):
+            calls.append(assembly)
+            return inner(assembly)
+
+        monkeypatch.setattr(shooting, "segment_plan", counted)
+        asm, opts = preset("two_tube_helical", allow_placeholders=True)
+        opts.steps_per_segment = 50
+        ramped = shoot(asm, opts)
+        assert ramped.report.continuation_steps > 2
+        assert ramped.report.discretization_error is not None
+        assert len(calls) == 1
+        calls.clear()
+        warm = shoot(asm, opts, initial_guess=ramped.guess)
+        assert warm.report.continuation_steps == 2
+        assert len(calls) == 1
+
     def test_discretization_error_is_the_coarse_to_fine_tip_gap(self):
         asm, opts = preset("ctr_theta_90")
         opts.steps_per_segment = 50
@@ -368,10 +390,11 @@ class TestNewtonBatches:
         # 20 steps gets no coarse grid.
         asm, opts = preset("single_tube_helical_backbone",
                            allow_placeholders=True)
+        rest = build_problem(asm, opts).scaled(0.0)
         opts.steps_per_segment = 150
-        assert shooting._coarse_steps(asm, opts) == 18
+        assert shooting._coarse_steps(rest, opts) == 18
         opts.steps_per_segment = 20
-        assert shooting._coarse_steps(asm, opts) is None
+        assert shooting._coarse_steps(rest, opts) is None
 
     def test_failed_coarse_grid_leaves_the_requested_grid_as_before(
             self, monkeypatch):
