@@ -391,12 +391,18 @@ class AssemblySpec:
                         f"tube {i + 2} (OD {inner.outer_diameter}) does not fit inside "
                         f"tube {i + 1} (ID {outer.inner_diameter})"
                     )
+        placed = (len(self.base_offsets) == n
+                  and all(0 <= t.tube < n for t in self.tendons))
         for j, tendon in enumerate(self.tendons):
             problems += tendon.validate(self.tubes, f"tendon {j + 1}")
+            # A retracted tube can carry its anchor behind the base plate
+            # (a termination at or below zero is TendonSpec's problem).
+            if (placed and (tendon.termination or 0.0) > 0
+                    and self.termination_station(j) <= STATION_TOL):
+                problems.append(f"tendon {j + 1}: anchors at/behind the base plate")
         piecewise = [j for j, t in enumerate(self.tendons)
                      if isinstance(t.routing, PiecewiseAngularRouting)]
-        if (piecewise and len(self.base_offsets) == n
-                and all(0 <= t.tube < n for t in self.tendons)):
+        if piecewise and placed:
             # The tendon runs from the base plate to its anchor, in the arc
             # length of its tube; the knots have to span that. The anchor
             # is where segment_plan puts it, snapped onto a nearby boundary.
@@ -491,27 +497,14 @@ def segment_plan(assembly: AssemblySpec) -> SegmentPlan:
     """Split the assembly at every tube tip and tendon termination.
 
     Stations within ``STATION_TOL`` of each other merge (tendon terminations
-    snap onto tube tips); a termination more than ``STATION_TOL`` beyond its
-    tube's tip is a validation error, raised by :meth:`AssemblySpec.validate`.
+    snap onto tube tips); a termination beyond its tube's tip or at/behind
+    the base plate is a validation error, raised by
+    :meth:`AssemblySpec.validate`.
     """
     assembly.validate()
     n = len(assembly.tubes)
     tips = [assembly.tip_station(i) for i in range(n)]
     terms = [assembly.termination_station(j) for j in range(len(assembly.tendons))]
-
-    problems = []
-    for j, (tendon, ts) in enumerate(zip(assembly.tendons, terms)):
-        tube_tip = tips[tendon.tube]
-        if ts > tube_tip + STATION_TOL:
-            problems.append(
-                f"tendon {j + 1}: anchors at composite station {ts:.6f} m, beyond its "
-                f"tube's tip at {tube_tip:.6f} m"
-            )
-        if ts <= STATION_TOL:
-            problems.append(f"tendon {j + 1}: anchors at/behind the base plate")
-    if problems:
-        raise ValidationError(problems)
-
     merged, snapped_terms = _snap_stations(tips, terms)
     boundaries = [b for b in merged if b > STATION_TOL]
 

@@ -670,9 +670,6 @@ def build_runtime(tree: dict):
         moment_tol = f.take("moment_tol", "moment")
         if moment_tol is not None:
             options.moment_tol = moment_tol
-        step = f.take("continuation_step", "force")
-        if step is not None:
-            options.continuation_step = step
         f.finish()
 
     if problems:

@@ -8,14 +8,16 @@ wrench mismatches to zero with a damped Newton iteration. A solve
 compiles the assembly once (:class:`Problem`); only the tendon tensions
 move, by :meth:`Problem.scaled`. A caller's start guess is one Newton
 solve at full tension; without one, or if it stalls, tension is ramped
-from the rest guess in uniform continuation steps, so high-tension
-scenarios start from an already-bent warm guess. The ramp and Newton's
-damped phase run on a coarse grid where the rest guess shows a small
-enough step-doubling error; one Newton solve at the requested step count
-then polishes. The polish integrates the coarse solution alone; if it
-misses the tolerances, chord steps with the coarse grid's Jacobian
-follow, and the FD stencil is integrated only when a chord step
-contracts the residual too little.
+from the rest guess, so high-tension scenarios start from an already-bent
+warm guess. The ramp sizes its first step by the stack's load parameter
+T·ℓ²/EI, doubles it after an easy step and halves it after a failed one;
+each step is one Newton solve. The ramp and Newton's damped phase run on
+a coarse grid where the rest guess shows a small enough step-doubling
+error; one Newton solve at the requested step count then polishes. The
+polish integrates the coarse solution alone; if it misses the
+tolerances, chord steps with the coarse grid's Jacobian follow, and the
+FD stencil is integrated only when a chord step contracts the residual
+too little.
 
 A batch row that cannot be integrated (see :data:`FAILURES`) is a state
 of that row, not an exception: it carries a failure code, reads an
@@ -64,8 +66,24 @@ _RAMP_RELAX = 1e4
 
 # With the relaxed target, a healthy intermediate step converges in a
 # handful of iterations; past this many it is cheaper to subdivide the
-# tension step than to keep crawling along a damped valley.
+# tension step than to keep crawling along a damped valley. A caller's
+# start guess gets the same budget before the ramp takes over.
 _RAMP_ITER_CAP = 12
+
+# The ramp's first step takes at most this much of the stack's load
+# parameter λ = Σⱼ Tⱼ·ℓⱼ² / Σᵢ EIᵢ (tendon j anchored at ℓⱼ, tubes i at the
+# base): on the bundled presets, a load that small still converges from
+# the rest state within the step's iteration cap.
+_RAMP_LOAD_STEP = 4.0
+
+# An intermediate step that converges in at most this many iterations
+# doubles the next one; a failed step is retried at half its size, down to
+# the first step over _RAMP_FLOOR. _RAMP_ATTEMPTS bounds the Newton solves
+# of one ramp: all-easy steps reach full tension from a first step of
+# 2^-20 in 21.
+_RAMP_EASY_ITERATIONS = 2
+_RAMP_FLOOR = 64
+_RAMP_ATTEMPTS = 48
 
 # Coarse-to-fine: the ramp and Newton's damped phase only have to stay in
 # the basin of the solution, so they run on a coarse grid, and one Newton
@@ -87,13 +105,13 @@ _FD_CURVATURE, _FD_STRAIN, _FD_BETA = 1e-6, 1e-8, 1e-8
 
 @dataclass
 class SolverOptions:
-    """Knobs of the shooting driver; defaults suit the bundled scenarios."""
+    """Knobs of the shooting driver; defaults suit the bundled scenarios.
+    The tension ramp sizes its own steps from the assembly."""
 
     steps_per_segment: int = 200
     force_tol: float = 1e-8          # N, per residual component
     moment_tol: float = 1e-10        # N·m, per residual component
     max_iterations: int = 50         # Newton cap per continuation step
-    continuation_step: float = 0.5   # N of tension per ramp step
 
 
 @dataclass
@@ -691,109 +709,97 @@ class _Level(NamedTuple):
     scale: float                  # tension scale where a failed ramp stalled
 
 
+def _first_ramp_step(problem: Problem) -> float:
+    """Tension scale of the ramp's first step: 1 / ⌈λ / _RAMP_LOAD_STEP⌉
+    for the stack's load parameter λ, and the whole tension for a small λ."""
+    assembly = problem.assembly
+    load = sum(t.tension * assembly.termination_station(j) ** 2
+               for j, t in enumerate(assembly.tendons))
+    load /= problem.contexts[0].kbt[:, 0].sum()
+    return 1.0 / max(1, math.ceil(load / _RAMP_LOAD_STEP))
+
+
 def _solve_level(problem: Problem, rest: Problem, options: SolverOptions,
                  guess: np.ndarray | None,
                  jacobian: np.ndarray | None) -> _Level:
     """The solve on one grid of the full-tension ``problem``. A given
-    ``guess`` is one Newton solve, with ``jacobian`` if there is one (see
-    :func:`_newton`). Without a guess, or if its solve does not converge,
-    the tension ramp runs from the rest guess, and the report counts the
-    ramp alone. ``rest`` is the tension-free problem."""
+    ``guess`` is one Newton solve of at most ``_RAMP_ITER_CAP`` iterations,
+    with ``jacobian`` if there is one (see :func:`_newton`). Without a
+    guess, or if its solve does not converge, the tension ramp runs from
+    the rest guess, one Newton solve per step. The report counts every
+    Newton solve run. ``rest`` is the tension-free problem."""
+    iterations, steps_run, cond_max = 0, 0, 0.0
+
+    def solved(out: _Outcome) -> _Level:
+        return _Level(ConvergenceReport(
+            converged=True, iterations=iterations,
+            continuation_steps=steps_run, scaled_residual=out.metric,
+            residual=out.residual, condition_max=cond_max), out, 1.0)
+
     if guess is not None:
         out = _newton(problem, options, np.asarray(guess, dtype=float),
-                      jacobian=jacobian)
+                      iter_cap=_RAMP_ITER_CAP, jacobian=jacobian)
+        iterations, steps_run, cond_max = out.iterations, 1, out.condition_max
         if out.converged:
-            return _Level(ConvergenceReport(
-                converged=True, iterations=out.iterations,
-                continuation_steps=1, scaled_residual=out.metric,
-                residual=out.residual, condition_max=out.condition_max),
-                out, 1.0)
+            return solved(out)
 
-    # The ramp is sized by the combined pull of all tendons: three tendons
-    # at 2 N load the stack like one at 6 N, and the first step has to stay
-    # inside Newton's basin around the rest state.
-    total_tension = sum(t.tension for t in problem.assembly.tendons)
-    # Extreme tensions would otherwise schedule thousands of uniform steps;
-    # past 64 the adaptive subdivision is the better tool anyway.
-    ramp_steps = min(max(1, math.ceil(total_tension
-                                      / options.continuation_step)), 64)
-    queue = [(j + 1) / ramp_steps for j in range(ramp_steps)]
-    min_gap = (1.0 / ramp_steps) / 64.0
-    step_budget = ramp_steps + 24
-
-    total_iterations, steps_run, cond_max, s_done = 0, 0, 0.0, 0.0
-    guess = rest_guess(problem)
-    history: list[tuple[float, np.ndarray]] = []
+    step = _first_ramp_step(problem)
+    floor = step / _RAMP_FLOOR
+    s_done, guess = 0.0, rest_guess(problem)
+    history = [(s_done, guess)]           # (scale, guess) of converged steps
     rest_checked = False
     # Residual of the last Newton solve that got to evaluate one.
     last_res = np.full(len(problem.residual_classes), np.inf)
-    while queue:
-        scale = queue[0]
-        at_scale = problem if scale == 1.0 else problem.scaled(scale)
+    for _ in range(_RAMP_ATTEMPTS):
+        # A remainder below the floor joins this step, so that steps whose
+        # sum rounds to just under one still end at full tension.
+        final = s_done + step > 1.0 - floor
+        scale = 1.0 if final else s_done + step
         start = guess
         if len(history) >= 2:
-            # Secant prediction along the ramp: warm-started steps then
-            # land inside Newton's fast region instead of re-entering
-            # the damped phase every time.
-            (s_a, g_a), (s_b, g_b) = history[-2], history[-1]
-            if s_b > s_a:
-                start = g_b + (g_b - g_a) * ((scale - s_b) / (s_b - s_a))
-        relax = 1.0 if scale == 1.0 else _RAMP_RELAX
-        cap = None if scale == 1.0 else _RAMP_ITER_CAP
-        out = None
-        failure = "stalled line search or iteration cap"
-        if start is not guess:
-            out = _newton(at_scale, options, start, relax, cap)
-            if not out.failure:
-                last_res = out.residual
-            if not out.converged:
-                out = None
-        if out is None:
-            # Either no prediction was available or it overshot the
-            # physical domain / stalled; run from the last converged guess.
-            out = _newton(at_scale, options, guess, relax, cap)
-            if out.failure:
-                failure = ("integration left the physical domain "
-                           f"({FAILURES[out.failure]})")
-                out = None
-            else:
-                last_res = out.residual
-        metric = float("inf")
+            # Secant prediction along the ramp (the rest guess is its
+            # zero-tension point): steps then land inside Newton's fast
+            # region instead of re-entering the damped phase every time.
+            (s_a, g_a), (s_b, g_b) = history[-2:]
+            start = g_b + (g_b - g_a) * ((scale - s_b) / (s_b - s_a))
+        out = _newton(problem if final else problem.scaled(scale), options,
+                      start, 1.0 if final else _RAMP_RELAX,
+                      None if final else _RAMP_ITER_CAP)
         steps_run += 1
-        if out is not None:
-            metric = out.metric
-            total_iterations += out.iterations
-            cond_max = max(cond_max, out.condition_max)
-            if out.converged:
-                guess = out.guess
-                history.append((scale, guess))
-                queue.pop(0)
-                s_done = scale
-                continue
-        # The step was too ambitious: retry halfway between the last
-        # converged tension and this one, until the interval collapses.
-        retry = scale - s_done > min_gap and steps_run < step_budget
-        if retry and s_done == 0.0 and not rest_checked:
+        iterations += out.iterations
+        cond_max = max(cond_max, out.condition_max)
+        if not out.failure:
+            last_res = out.residual
+        if out.converged and final:
+            return solved(out)
+        if out.converged:
+            guess, s_done = out.guess, scale
+            history.append((scale, guess))
+            if out.iterations <= _RAMP_EASY_ITERATIONS:
+                step *= 2.0
+            continue
+        failure = ("integration left the physical domain "
+                   f"({FAILURES[out.failure]})" if out.failure
+                   else "stalled line search or iteration cap")
+        # The step was too ambitious: retry at half of it, until it falls
+        # below the floor. A failure of the rest guess itself does not
+        # depend on tension, so no shorter step can get past it.
+        step = 0.5 * (scale - s_done)
+        if step < floor:
+            break
+        if s_done == 0.0 and not rest_checked:
             rest_checked = True
             code = _rest_pass(rest, options)[1]
             if code:
                 failure = ("integration fails without tension "
                            f"({FAILURES[code]})")
-                retry = False
-        if retry:
-            queue.insert(0, 0.5 * (s_done + scale))
-            continue
-        return _Level(ConvergenceReport(
-            converged=False, iterations=total_iterations,
-            continuation_steps=steps_run, scaled_residual=metric,
-            residual=last_res, condition_max=cond_max, message=failure),
-            None, scale)
-    # The ramp always ends with the full-tension step, so ``out`` is
-    # Newton's accepted solve of ``problem``.
+                break
+    else:
+        failure = f"no full tension after {_RAMP_ATTEMPTS} ramp steps"
     return _Level(ConvergenceReport(
-        converged=True, iterations=total_iterations,
-        continuation_steps=steps_run, scaled_residual=out.metric,
-        residual=out.residual, condition_max=cond_max), out, 1.0)
+        converged=False, iterations=iterations, continuation_steps=steps_run,
+        scaled_residual=out.metric, residual=last_res, condition_max=cond_max,
+        message=failure), None, scale)
 
 
 def _coarse_steps(rest: Problem, options: SolverOptions) -> int | None:
@@ -864,7 +870,7 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
                      continuation_steps=steps_run, condition_max=cond_max)
     if level.outcome is None:
         raise NoConvergence(
-            f"shooting stalled at tension scale {level.scale:.3f} with "
+            f"shooting stalled at tension scale {level.scale:.3g} with "
             f"scaled residual {report.scaled_residual:.3e} after {iterations} "
             f"iterations: {report.message}", report=report)
     segments = [_expand_segment(ctx, rec)

@@ -163,8 +163,7 @@ class TestSingleTubeAgreement:
                 assembly = AssemblySpec(
                     tubes=[tube],
                     tendons=[TendonSpec(routing=routing, tension=tension)])
-                options = SolverOptions(steps_per_segment=150,
-                                        continuation_step=5.0)
+                options = SolverOptions(steps_per_segment=150)
 
                 # assembled 6x6 system at a random smooth state
                 problem = build_problem(assembly, options)
@@ -218,7 +217,7 @@ class TestSingleTubeAgreement:
                     tubes=[tube],
                     tendons=[TendonSpec(routing=StraightRouting([offset, 0.0]),
                                         tension=tension)])
-                sol = shoot(assembly, SolverOptions(continuation_step=5.0))
+                sol = shoot(assembly)
                 chain = planar_energy_minimize(
                     tube.length, pair.kbt_diag[0], pair.kse_diag[2],
                     offset, tension)

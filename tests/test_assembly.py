@@ -288,6 +288,18 @@ class TestValidation:
         with pytest.raises(ValidationError, match="beyond"):
             asm.validate()
 
+    def test_termination_behind_the_base_plate(self):
+        # 30 mm along a tube retracted by 50 mm is 20 mm behind the base.
+        asm = AssemblySpec(
+            tubes=[_tube(length=0.2)], base_offsets=[0.05],
+            tendons=[TendonSpec(routing=StraightRouting([3e-3, 0]),
+                                tension=1.0, termination=0.03)])
+        with pytest.raises(ValidationError,
+                           match="tendon 1: anchors at/behind the base plate"):
+            asm.validate()
+        asm.tendons[0].termination = 0.06
+        asm.validate()
+
 
 class TestSegmentPlan:
     def _three_tube(self, strategy=Strategy.OUTERMOST_OF_SEGMENT):

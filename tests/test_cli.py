@@ -18,7 +18,7 @@ tube {
   inner_diameter_mm 0.8
 }
 tendon {
-  tension_N 3
+  tension_N 30
   routing {
     kind straight
     offset_mm [3, 0]

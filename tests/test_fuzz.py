@@ -23,10 +23,9 @@ from nestrod.assembly import (AssemblySpec, HelicalRouting, StraightRouting,
 from nestrod.errors import NoConvergence
 from nestrod.shooting import ConvergenceReport, Solution, SolverOptions, shoot
 
-# Ramp steps per solve and Newton iterations per step are capped so a
-# draw costs well under a second; the caps only change how soon a hard
-# case gives up, not which outcomes are allowed.
-_RAMP_STEPS = 6
+# Newton iterations per step are capped so a draw costs well under a
+# second; the cap only changes how soon a hard case gives up, not which
+# outcomes are allowed.
 _MAX_ITERATIONS = 15
 
 
@@ -58,11 +57,8 @@ def _cases(draw):
             routing=routing, tension=10.0 ** draw(st.floats(-1.0, 2.2)),
             tube=draw(st.integers(0, n_tubes - 1))))
     assembly = AssemblySpec(tubes=tubes, tendons=tendons)
-    total = sum(t.tension for t in tendons)
-    options = SolverOptions(
-        steps_per_segment=draw(st.integers(5, 30)),
-        continuation_step=max(0.5, total / _RAMP_STEPS),
-        max_iterations=_MAX_ITERATIONS)
+    options = SolverOptions(steps_per_segment=draw(st.integers(5, 30)),
+                            max_iterations=_MAX_ITERATIONS)
     return assembly, options
 
 

@@ -130,6 +130,14 @@ class TestParsing:
         with pytest.raises(ValidationError, match="unknown keys"):
             build_scenario(parse_text(text))
 
+    def test_retired_continuation_step_is_an_unknown_key(self):
+        # The tension ramp sizes its own steps; the old knob is bad input.
+        text = _SAMPLE.replace("  max_iterations 30",
+                               "  max_iterations 30\n  continuation_step_N 0.5")
+        with pytest.raises(ValidationError,
+                           match=r"solver: unknown keys \['continuation_step_N'\]"):
+            build_scenario(parse_text(text))
+
 
 class TestCanonicalForm:
     def test_fixed_point(self):

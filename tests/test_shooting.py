@@ -342,6 +342,26 @@ class TestNewtonBatches:
         np.testing.assert_allclose(fine.tip_position, first.tip_position,
                                    atol=1e-6)
 
+    def test_stalled_warm_start_is_capped_and_counted(self, monkeypatch):
+        # A start guess 50 rad/m off in u₁ gets _RAMP_ITER_CAP Newton
+        # iterations before the ramp from rest takes over. The report counts
+        # every ladder batch run, the warm start's included, as an iteration
+        # and every Newton solve as a step. At 15 steps per segment there is
+        # no coarse grid, so no chord step.
+        asm, opts = preset("two_tube_0", allow_placeholders=True)
+        opts.steps_per_segment = 15
+        guess = shoot(asm, opts).guess.copy()
+        guess[0:3] += 50.0
+        calls = _count_rows(monkeypatch)
+        report = shoot(asm, opts, initial_guess=guess).report
+        rows = [r for _, r in calls]
+        size, ladder = guess.size, shooting._LINE_SEARCH_HALVINGS + 1
+        assert report.converged and report.continuation_steps > 1
+        assert rows.count(size + 1) == report.continuation_steps
+        assert rows.count(ladder + size) == report.iterations
+        ramp_start = rows.index(size + 1, 1)
+        assert rows[:ramp_start].count(ladder + size) == shooting._RAMP_ITER_CAP
+
     def test_one_segment_plan_per_solve(self, monkeypatch):
         # The assembly is compiled once per solve: the ramp's steps, the
         # rest passes and both grids scale that one problem's tensions.
@@ -464,18 +484,21 @@ class TestNewtonBatches:
         assert np.all(np.isinf(alone_res)) and alone_cond == 0.0
 
     def test_one_batch_per_iteration_on_a_hard_draw(self, monkeypatch):
-        # At 5 steps per segment many line-search candidates of this tube
-        # drift off the rotation group (tests/test_regression.py pins its
-        # solution). Each Newton solve still starts with one stencil batch
-        # and spends one ladder-plus-stencil batch per iteration; the other
-        # batches are stencils after a shorter step. The only single-row
-        # evaluation is the ramp's tension-free check of the rest guess,
-        # made once when the first ramp step stalls.
-        tube = _tube(length=0.05, od=0.5e-3, idi=0.2e-3, e=40e9, g=15e9)
-        tendon = TendonSpec(routing=HelicalRouting(radius=0.5e-3, period=0.05),
-                            tension=1.0)
-        asm = AssemblySpec(tubes=[tube], tendons=[tendon])
-        opts = SolverOptions(steps_per_segment=5, max_iterations=15)
+        # A thin inner tube runs 30 mm past its outer one with a tendon
+        # 3 mm off its axis. At 10 steps per segment, below the coarse-grid
+        # floor, some line-search candidates leave the physical domain. Each
+        # Newton solve, one per ramp step, still starts with one stencil
+        # batch and spends one ladder-plus-stencil batch per iteration; the
+        # other batches are stencils after a shorter step. The only
+        # single-row evaluation is the ramp's tension-free check of the
+        # rest guess, made once when the first ramp step stalls.
+        asm = AssemblySpec(
+            tubes=[_tube(length=0.12, od=1.0e-3, idi=0.45e-3, e=75e9, g=29e9),
+                   _tube(length=0.15, od=0.32e-3, idi=0.18e-3, e=110e9,
+                         g=42e9)],
+            tendons=[TendonSpec(routing=StraightRouting([3e-3, 0.0]),
+                                tension=1.0, tube=1)])
+        opts = SolverOptions(steps_per_segment=10, max_iterations=15)
         size = build_problem(asm, opts).guess_size
         ladder = shooting._LINE_SEARCH_HALVINGS + 1
         widths, tensions, failed_rows = [], [], []
@@ -497,12 +520,23 @@ class TestNewtonBatches:
         assert [t for w, t in zip(widths, tensions) if w == 1] == [0.0]
 
 
+class TestRamp:
+    def test_first_step_is_sized_by_the_load_parameter(self):
+        # No tendon, no load: the whole tension in one step. three_tube_c's
+        # load parameter Σ T·ℓ² / Σ EI is 72.3, so a nineteenth of it.
+        problem = build_problem(AssemblySpec(tubes=[_tube()]), SolverOptions())
+        assert shooting._first_ramp_step(problem) == 1.0
+        asm, opts = preset("three_tube_c", allow_placeholders=True)
+        assert shooting._first_ramp_step(build_problem(asm, opts)) == \
+            pytest.approx(1.0 / 19.0)
+
+
 class TestFailureReport:
     def test_no_convergence_carries_a_report(self):
         asm = AssemblySpec(
             tubes=[_tube(length=0.2)],
             tendons=[TendonSpec(routing=StraightRouting([3e-3, 0.0]),
-                                tension=3.0)])
+                                tension=30.0)])
         opts = SolverOptions(steps_per_segment=8, max_iterations=1)
         with pytest.raises(NoConvergence) as err:
             shoot(asm, opts)
