@@ -658,18 +658,12 @@ def build_runtime(tree: dict):
     options = SolverOptions()
     if "solver" in tree:
         f = _Fields(tree["solver"], "solver", problems)
-        steps = f.take("steps_per_segment", None)
-        if steps is not None:
-            options.steps_per_segment = int(steps)
-        iters = f.take("max_iterations", None)
-        if iters is not None:
-            options.max_iterations = int(iters)
-        force_tol = f.take("force_tol", "force")
-        if force_tol is not None:
-            options.force_tol = force_tol
-        moment_tol = f.take("moment_tol", "moment")
-        if moment_tol is not None:
-            options.moment_tol = moment_tol
+        for key, dim in (("steps_per_segment", None), ("force_tol", "force"),
+                         ("moment_tol", "moment")):
+            value = f.take(key, dim)
+            if value is not None:
+                setattr(options, key, value)
+        options.steps_per_segment = int(options.steps_per_segment)
         f.finish()
 
     if problems:

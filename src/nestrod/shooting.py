@@ -64,16 +64,17 @@ _CHORD_CONTRACTION = 0.5
 # so they stop this factor short of the final tolerances.
 _RAMP_RELAX = 1e4
 
-# With the relaxed target, a healthy intermediate step converges in a
-# handful of iterations; past this many it is cheaper to subdivide the
-# tension step than to keep crawling along a damped valley. A caller's
-# start guess gets the same budget before the ramp takes over.
-_RAMP_ITER_CAP = 12
+# Iteration budget of every Newton solve: a caller's start guess, each
+# ramp step, the final one included, and the polish. A healthy solve
+# converges in a handful of iterations; past this many it is cheaper to
+# subdivide the tension step than to keep crawling along a damped valley.
+_NEWTON_CAP = 12
 
 # The ramp's first step takes at most this much of the stack's load
-# parameter λ = Σⱼ Tⱼ·ℓⱼ² / Σᵢ EIᵢ (tendon j anchored at ℓⱼ, tubes i at the
-# base): on the bundled presets, a load that small still converges from
-# the rest state within the step's iteration cap.
+# parameter λ, the largest over the segments s of Σⱼ Tⱼ·(ℓⱼ − sₛ)² / Σᵢ EIᵢ
+# (tendons j anchored at ℓⱼ past the segment's start sₛ, its tubes i): on
+# the bundled presets, a load that small still converges from the rest
+# state within the iteration cap.
 _RAMP_LOAD_STEP = 4.0
 
 # An intermediate step that converges in at most this many iterations
@@ -106,12 +107,11 @@ _FD_CURVATURE, _FD_STRAIN, _FD_BETA = 1e-6, 1e-8, 1e-8
 @dataclass
 class SolverOptions:
     """Knobs of the shooting driver; defaults suit the bundled scenarios.
-    The tension ramp sizes its own steps from the assembly."""
+    The ramp sizes its own steps, and every Newton solve has one budget."""
 
     steps_per_segment: int = 200
     force_tol: float = 1e-8          # N, per residual component
     moment_tol: float = 1e-10        # N·m, per residual component
-    max_iterations: int = 50         # Newton cap per continuation step
 
 
 @dataclass
@@ -460,9 +460,11 @@ class ConvergenceReport:
     residual: np.ndarray
     condition_max: float
     message: str = ""
-    # Distance in m between the coarse grid's tip and the requested grid's,
-    # or None when no coarse grid converged first.
+    # Richardson estimate in m of the requested grid's tip error (RK4: d /
+    # ((N / N_c)⁴ − 1) for the tip gap d to the coarse grid of N_c steps),
+    # and N_c; both None when no coarse grid converged first.
     discretization_error: float | None = None
+    coarse_steps: int | None = None
 
     def as_dict(self) -> dict:
         """Plain-JSON record; a non-finite figure reads None (JSON null)."""
@@ -479,6 +481,7 @@ class ConvergenceReport:
         # same record as before there was one.
         if self.discretization_error is not None:
             out["discretization_error"] = _finite(self.discretization_error)
+            out["coarse_steps"] = self.coarse_steps
         return out
 
 
@@ -591,13 +594,13 @@ def _newton_step(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
 
 
 def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
-            relax: float = 1.0, iter_cap: int | None = None,
+            relax: float = 1.0,
             jacobian: np.ndarray | None = None) -> _Outcome:
     """Damped Newton on the shooting residual.
 
     ``relax`` loosens the convergence target by that factor (the returned
-    metric is always against the unrelaxed tolerances); ``iter_cap``
-    tightens the iteration budget below the configured maximum.
+    metric is always against the unrelaxed tolerances); every solve stops
+    after ``_NEWTON_CAP`` iterations.
 
     Each iteration costs one batched integration. The first batch is the
     FD stencil at the guess, and every line-search batch also carries the
@@ -619,8 +622,6 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
     n = problem.n_tubes
     tol = np.where(np.array(problem.residual_classes) == "f",
                    options.force_tol, options.moment_tol)
-    cap = options.max_iterations if iter_cap is None \
-        else min(iter_cap, options.max_iterations)
     h = np.repeat([_FD_CURVATURE, _FD_STRAIN, _FD_CURVATURE, _FD_BETA],
                   [3, 3, n - 1, n - 1])
     offsets = np.diag(h)
@@ -643,7 +644,7 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
     jac = jacobian
     iterations = 0
     while metric >= relax:
-        if iterations >= cap:
+        if iterations >= _NEWTON_CAP:
             return _Outcome(guess, res, metric, iterations, cond_max, False, trail)
         if chord:
             cand = guess + _newton_step(jac, res)
@@ -713,9 +714,11 @@ def _first_ramp_step(problem: Problem) -> float:
     """Tension scale of the ramp's first step: 1 / ⌈λ / _RAMP_LOAD_STEP⌉
     for the stack's load parameter λ, and the whole tension for a small λ."""
     assembly = problem.assembly
-    load = sum(t.tension * assembly.termination_station(j) ** 2
-               for j, t in enumerate(assembly.tendons))
-    load /= problem.contexts[0].kbt[:, 0].sum()
+    anchors = [(t.tension, assembly.termination_station(j))
+               for j, t in enumerate(assembly.tendons)]
+    load = max(sum(tension * (station - ctx.start) ** 2
+                   for tension, station in anchors if station > ctx.start)
+               / ctx.kbt[:, 0].sum() for ctx in problem.contexts)
     return 1.0 / max(1, math.ceil(load / _RAMP_LOAD_STEP))
 
 
@@ -723,11 +726,11 @@ def _solve_level(problem: Problem, rest: Problem, options: SolverOptions,
                  guess: np.ndarray | None,
                  jacobian: np.ndarray | None) -> _Level:
     """The solve on one grid of the full-tension ``problem``. A given
-    ``guess`` is one Newton solve of at most ``_RAMP_ITER_CAP`` iterations,
-    with ``jacobian`` if there is one (see :func:`_newton`). Without a
-    guess, or if its solve does not converge, the tension ramp runs from
-    the rest guess, one Newton solve per step. The report counts every
-    Newton solve run. ``rest`` is the tension-free problem."""
+    ``guess`` is one Newton solve, with ``jacobian`` if there is one (see
+    :func:`_newton`). Without a guess, or if it does not converge, the
+    tension ramp runs from the rest guess, one Newton solve per step; a
+    failed step, the final one too, is retried at half its size. The report
+    counts every Newton solve run. ``rest`` is the tension-free problem."""
     iterations, steps_run, cond_max = 0, 0, 0.0
 
     def solved(out: _Outcome) -> _Level:
@@ -738,7 +741,7 @@ def _solve_level(problem: Problem, rest: Problem, options: SolverOptions,
 
     if guess is not None:
         out = _newton(problem, options, np.asarray(guess, dtype=float),
-                      iter_cap=_RAMP_ITER_CAP, jacobian=jacobian)
+                      jacobian=jacobian)
         iterations, steps_run, cond_max = out.iterations, 1, out.condition_max
         if out.converged:
             return solved(out)
@@ -763,8 +766,7 @@ def _solve_level(problem: Problem, rest: Problem, options: SolverOptions,
             (s_a, g_a), (s_b, g_b) = history[-2:]
             start = g_b + (g_b - g_a) * ((scale - s_b) / (s_b - s_a))
         out = _newton(problem if final else problem.scaled(scale), options,
-                      start, 1.0 if final else _RAMP_RELAX,
-                      None if final else _RAMP_ITER_CAP)
+                      start, 1.0 if final else _RAMP_RELAX)
         steps_run += 1
         iterations += out.iterations
         cond_max = max(cond_max, out.condition_max)
@@ -876,8 +878,10 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
     segments = [_expand_segment(ctx, rec)
                 for ctx, rec in zip(problem.contexts, level.outcome.trail)]
     if coarse_tip is not None:
+        gap = np.linalg.norm(segments[-1].p[-1] - coarse_tip)
         report.discretization_error = float(
-            np.linalg.norm(segments[-1].p[-1] - coarse_tip))
+            gap / ((options.steps_per_segment / coarse) ** 4 - 1.0))
+        report.coarse_steps = coarse
     return Solution(assembly=assembly, options=options,
                     guess=level.outcome.guess, segments=segments,
                     report=report)

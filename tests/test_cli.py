@@ -18,7 +18,7 @@ tube {
   inner_diameter_mm 0.8
 }
 tendon {
-  tension_N 30
+  tension_N 100
   routing {
     kind straight
     offset_mm [3, 0]
@@ -26,7 +26,6 @@ tendon {
 }
 solver {
   steps_per_segment 8
-  max_iterations 1
 }
 """
 

@@ -64,7 +64,7 @@ def test_fuzz_draw_matches_pinned_build():
                     outer_diameter=0.5e-3, inner_diameter=0.2e-3)
     tendon = TendonSpec(routing=HelicalRouting(radius=0.5e-3, period=0.05),
                         tension=1.0)
-    options = SolverOptions(steps_per_segment=5, max_iterations=15)
+    options = SolverOptions(steps_per_segment=5)
     solution = shoot(AssemblySpec(tubes=[tube], tendons=[tendon]), options)
     tip = (1.6962581560872787e-05, 0.001690194351583599, 0.04993617927703931)
     assert solution.tip_position.tolist() == pytest.approx(tip, rel=0, abs=1e-12)

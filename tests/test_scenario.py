@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from nestrod import cli
 from nestrod.assembly import ArcRest, HelicalRouting, Strategy
 from nestrod.errors import ParseError, UnitError, UnknownPreset, ValidationError
 from nestrod.scenario import (
@@ -62,7 +63,7 @@ tendon {
 }
 solver {
   steps_per_segment 50
-  max_iterations 30
+  force_tol_N 2e-8
 }
 """
 
@@ -92,7 +93,7 @@ class TestParsing:
         assert asm.tendons[0].routing.phase == pytest.approx(
             math.radians(310.0))
         assert sc.options.steps_per_segment == 50
-        assert sc.options.max_iterations == 30
+        assert sc.options.force_tol == pytest.approx(2e-8)
 
     def test_parse_errors_are_aggregated_with_line_numbers(self):
         bad = "name x\nlonely\ntube {\n  length_mm\n"
@@ -132,11 +133,22 @@ class TestParsing:
 
     def test_retired_continuation_step_is_an_unknown_key(self):
         # The tension ramp sizes its own steps; the old knob is bad input.
-        text = _SAMPLE.replace("  max_iterations 30",
-                               "  max_iterations 30\n  continuation_step_N 0.5")
+        text = _SAMPLE.replace("  steps_per_segment 50",
+                               "  steps_per_segment 50\n  continuation_step_N 0.5")
         with pytest.raises(ValidationError,
                            match=r"solver: unknown keys \['continuation_step_N'\]"):
             build_scenario(parse_text(text))
+
+    def test_retired_max_iterations_is_an_unknown_key(self, tmp_path, capsys):
+        # Every Newton solve has the same iteration budget; the old knob is
+        # bad input, and the CLI says which key it does not know.
+        scn = tmp_path / "unit_sample.scn"
+        scn.write_text(_SAMPLE.replace(
+            "  steps_per_segment 50", "  steps_per_segment 50\n  max_iterations 30"))
+        assert cli.main(["solve", str(scn), "--out", str(tmp_path)]) == 1
+        assert "solver: unknown keys ['max_iterations']" in \
+            capsys.readouterr().err
+        assert not list(tmp_path.glob("*.json"))
 
 
 class TestCanonicalForm:
@@ -184,9 +196,9 @@ class TestOverrides:
     def test_dotted_paths_reach_block_lists(self):
         tree = parse_text(_SAMPLE)
         out = apply_overrides(tree, ["tube.0.length_mm=150",
-                                     "solver.max_iterations=10"])
+                                     "solver.steps_per_segment=10"])
         assert out["tube"][0]["length_mm"] == 150.0
-        assert out["solver"]["max_iterations"] == 10.0
+        assert out["solver"]["steps_per_segment"] == 10.0
         # the original is untouched
         assert tree["tube"][0]["length_mm"] == 140.0
 

@@ -343,7 +343,7 @@ class TestNewtonBatches:
                                    atol=1e-6)
 
     def test_stalled_warm_start_is_capped_and_counted(self, monkeypatch):
-        # A start guess 50 rad/m off in u₁ gets _RAMP_ITER_CAP Newton
+        # A start guess 50 rad/m off in u₁ gets _NEWTON_CAP Newton
         # iterations before the ramp from rest takes over. The report counts
         # every ladder batch run, the warm start's included, as an iteration
         # and every Newton solve as a step. At 15 steps per segment there is
@@ -360,7 +360,7 @@ class TestNewtonBatches:
         assert rows.count(size + 1) == report.continuation_steps
         assert rows.count(ladder + size) == report.iterations
         ramp_start = rows.index(size + 1, 1)
-        assert rows[:ramp_start].count(ladder + size) == shooting._RAMP_ITER_CAP
+        assert rows[:ramp_start].count(ladder + size) == shooting._NEWTON_CAP
 
     def test_one_segment_plan_per_solve(self, monkeypatch):
         # The assembly is compiled once per solve: the ramp's steps, the
@@ -384,13 +384,33 @@ class TestNewtonBatches:
         assert warm.report.continuation_steps == 2
         assert len(calls) == 1
 
-    def test_discretization_error_is_the_coarse_to_fine_tip_gap(self):
+    def test_discretization_error_estimates_the_requested_grid(self):
+        # The coarse-to-fine tip gap d over (N / N_c)⁴ − 1, with N_c beside
+        # it in the record.
         asm, opts = preset("ctr_theta_90")
         opts.steps_per_segment = 50
         report = shoot(asm, opts).report
         assert 0.0 < report.discretization_error < 1e-7
-        assert report.as_dict()["discretization_error"] == \
-            report.discretization_error
+        assert report.coarse_steps == 12
+        record = report.as_dict()
+        assert record["discretization_error"] == report.discretization_error
+        assert record["coarse_steps"] == 12
+
+    def test_discretization_error_matches_a_finer_solve(self):
+        # Against the tip moved by a solve at 4N steps, scaled by 4⁴ / (4⁴ −
+        # 1) to the requested grid's own error: within a factor of 2 on the
+        # helix backbone, whose 25-step coarse grid is the roughest of the
+        # bundled presets.
+        asm, opts = preset("single_tube_helical_backbone",
+                           allow_placeholders=True)
+        opts.steps_per_segment = 200
+        solution = shoot(asm, opts)
+        finer = shoot(asm, replace(opts, steps_per_segment=800),
+                      initial_guess=solution.guess)
+        actual = 256.0 / 255.0 * np.linalg.norm(solution.tip_position
+                                                - finer.tip_position)
+        assert solution.report.coarse_steps == 25
+        assert actual / 2.0 < solution.report.discretization_error < 2.0 * actual
 
     @pytest.mark.parametrize("requested",
                              [10, 2 * shooting._COARSE_FLOOR - 1])
@@ -402,7 +422,9 @@ class TestNewtonBatches:
         report = shoot(asm, opts).report
         assert {steps for steps, _ in calls} == {opts.steps_per_segment}
         assert report.discretization_error is None
+        assert report.coarse_steps is None
         assert "discretization_error" not in report.as_dict()
+        assert "coarse_steps" not in report.as_dict()
 
     def test_coarse_grid_skips_steps_that_drift(self):
         # The helix backbone's rest guess drifts off the rotation group at
@@ -484,7 +506,7 @@ class TestNewtonBatches:
         assert np.all(np.isinf(alone_res)) and alone_cond == 0.0
 
     def test_one_batch_per_iteration_on_a_hard_draw(self, monkeypatch):
-        # A thin inner tube runs 30 mm past its outer one with a tendon
+        # A thin inner tube runs 10 mm past its outer one with a tendon
         # 3 mm off its axis. At 10 steps per segment, below the coarse-grid
         # floor, some line-search candidates leave the physical domain. Each
         # Newton solve, one per ramp step, still starts with one stencil
@@ -494,11 +516,11 @@ class TestNewtonBatches:
         # rest guess, made once when the first ramp step stalls.
         asm = AssemblySpec(
             tubes=[_tube(length=0.12, od=1.0e-3, idi=0.45e-3, e=75e9, g=29e9),
-                   _tube(length=0.15, od=0.32e-3, idi=0.18e-3, e=110e9,
+                   _tube(length=0.13, od=0.30e-3, idi=0.18e-3, e=110e9,
                          g=42e9)],
             tendons=[TendonSpec(routing=StraightRouting([3e-3, 0.0]),
-                                tension=1.0, tube=1)])
-        opts = SolverOptions(steps_per_segment=10, max_iterations=15)
+                                tension=2.0, tube=1)])
+        opts = SolverOptions(steps_per_segment=10)
         size = build_problem(asm, opts).guess_size
         ladder = shooting._LINE_SEARCH_HALVINGS + 1
         widths, tensions, failed_rows = [], [], []
@@ -529,6 +551,51 @@ class TestRamp:
         asm, opts = preset("three_tube_c", allow_placeholders=True)
         assert shooting._first_ramp_step(build_problem(asm, opts)) == \
             pytest.approx(1.0 / 19.0)
+        # λ is read per segment. A thin inner tube 30 mm past a stiff outer
+        # one, 1 N at 3 mm: at the base λ is 6.3, but the distal segment
+        # alone carries T·ℓ² / EI ≈ 17.7, so a fifth of the tension.
+        asm = AssemblySpec(
+            tubes=[_tube(length=0.12, od=1.0e-3, idi=0.45e-3, e=75e9, g=29e9),
+                   _tube(length=0.15, od=0.32e-3, idi=0.18e-3, e=110e9,
+                         g=42e9)],
+            tendons=[TendonSpec(routing=StraightRouting([3e-3, 0.0]),
+                                tension=1.0, tube=1)])
+        problem = build_problem(asm, SolverOptions())
+        assert shooting._first_ramp_step(problem) == pytest.approx(0.2)
+
+    def test_every_newton_solve_stays_within_the_cap(self, monkeypatch):
+        # A fuzz draw at 5 steps per segment that takes 44 iterations in one
+        # full-tension Newton solve: no Newton solve, the final ramp step
+        # included, may run past the one cap.
+        asm = AssemblySpec(
+            tubes=[_tube(length=0.104, od=1.02e-3, idi=0.565e-3, e=198e9,
+                         g=20.5e9),
+                   _tube(length=0.249, od=0.454e-3, idi=0.355e-3, e=114e9,
+                         g=58.5e9)],
+            tendons=[TendonSpec(routing=HelicalRouting(
+                radius=0.519e-3, period=0.0993, phase=3.67),
+                tension=0.1075, tube=1)])
+        spent = []
+        inner = shooting._newton
+
+        def counted(*args, **kwargs):
+            out = inner(*args, **kwargs)
+            spent.append((out.iterations, out.converged))
+            return out
+
+        monkeypatch.setattr(shooting, "_newton", counted)
+        opts = SolverOptions(steps_per_segment=5)
+        report = shoot(asm, opts).report
+        assert report.converged
+        assert len(spent) == report.continuation_steps
+        assert max(n for n, _ in spent) <= shooting._NEWTON_CAP
+        # With the whole tension as its first step, the ramp's first step is
+        # its final one: it spends the cap and is retried at half its size.
+        spent.clear()
+        monkeypatch.setattr(shooting, "_first_ramp_step", lambda problem: 1.0)
+        assert shoot(asm, opts).report.converged
+        assert spent[0] == (shooting._NEWTON_CAP, False)
+        assert max(n for n, _ in spent) <= shooting._NEWTON_CAP
 
 
 class TestFailureReport:
@@ -536,8 +603,8 @@ class TestFailureReport:
         asm = AssemblySpec(
             tubes=[_tube(length=0.2)],
             tendons=[TendonSpec(routing=StraightRouting([3e-3, 0.0]),
-                                tension=30.0)])
-        opts = SolverOptions(steps_per_segment=8, max_iterations=1)
+                                tension=100.0)])
+        opts = SolverOptions(steps_per_segment=8)
         with pytest.raises(NoConvergence) as err:
             shoot(asm, opts)
         report = err.value.report
