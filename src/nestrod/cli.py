@@ -48,7 +48,7 @@ def _load(args) -> sc.Scenario:
 
 def _options(scn: sc.Scenario, args):
     options = scn.options
-    if getattr(args, "steps", None):
+    if getattr(args, "steps", None) is not None:
         options.steps_per_segment = args.steps
     return options
 

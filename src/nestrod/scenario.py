@@ -663,7 +663,11 @@ def build_runtime(tree: dict):
             value = f.take(key, dim)
             if value is not None:
                 setattr(options, key, value)
-        options.steps_per_segment = int(options.steps_per_segment)
+        # A whole number reads as an int; anything else is left for
+        # SolverOptions.validate to reject.
+        steps = options.steps_per_segment
+        if isinstance(steps, float) and steps.is_integer():
+            options.steps_per_segment = int(steps)
         f.finish()
 
     if problems:

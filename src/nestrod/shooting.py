@@ -28,17 +28,18 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import AssemblySpec, SegmentPlan, assign_tendons, section_stiffness, segment_plan
-from .errors import NoConvergence
+from .assembly import (AssemblySpec, assign_tendons, section_stiffness,
+                       segment_plan)
+from .errors import NoConvergence, ValidationError
 from .so3 import DRIFT_LIMIT, reorthonormalize, rot_d3
 from .statics import (COND_LIMIT, PB_DOT_MIN, RodState, SegmentContext,
-                      TendonContext, pack_state, state_derivative, tube_strains,
-                      unpack_state)
+                      pack_state, state_derivative, tube_strains, unpack_state)
 
 # Why a batch row failed, by failure code; code 0 is a row that integrated
 # cleanly. Newton and the ramp back off from a failed row instead of
@@ -113,6 +114,21 @@ class SolverOptions:
     force_tol: float = 1e-8          # N, per residual component
     moment_tol: float = 1e-10        # N·m, per residual component
 
+    def validate(self) -> None:
+        """Raise :class:`ValidationError` listing every unusable setting."""
+        problems = []
+        steps = self.steps_per_segment
+        if not (isinstance(steps, numbers.Integral) and steps > 0):
+            problems.append("solver: steps_per_segment must be a positive "
+                            f"integer, got {steps!r}")
+        for key in ("force_tol", "moment_tol"):
+            tol = getattr(self, key)
+            if not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
+                problems.append(f"solver: {key} must be positive and finite, "
+                                f"got {tol!r}")
+        if problems:
+            raise ValidationError(problems)
+
 
 @dataclass
 class EventContext:
@@ -121,7 +137,8 @@ class EventContext:
     station: float
     ending: list[int]                    # local tube indices in the old segment
     continuing: list[int]                # local tube indices in the old segment
-    terminating: list[tuple[TendonContext, int, int]]  # (tendon, assigned, anchored)
+    # (index among the old segment's carried tendons, assigned, anchored)
+    terminating: list[tuple[int, int, int]]
 
     @property
     def final(self) -> bool:
@@ -134,7 +151,6 @@ class Problem:
     at another tension."""
 
     assembly: AssemblySpec
-    plan: SegmentPlan
     contexts: list[SegmentContext]
     events: list[EventContext]
     residual_classes: list[str]          # "f" or "m" per residual component
@@ -148,16 +164,12 @@ class Problem:
         return 4 + 2 * self.n_tubes
 
     def scaled(self, scale: float) -> Problem:
-        """A copy with every tendon tension times ``scale``, in the segments'
-        distributed loads and at the anchors; all else is shared."""
+        """A copy with every tendon tension times ``scale``; the segments
+        hold the only tension arrays, and all else is shared."""
         contexts = [copy.copy(ctx) for ctx in self.contexts]
         for ctx in contexts:
             ctx.tensions = ctx.tensions * scale
-        events = [replace(event, terminating=[
-            (replace(tendon, tension=tendon.tension * scale), assigned, anchored)
-            for tendon, assigned, anchored in event.terminating])
-            for event in self.events]
-        return replace(self, contexts=contexts, events=events)
+        return replace(self, contexts=contexts)
 
 
 def build_problem(assembly: AssemblySpec, options: SolverOptions) -> Problem:
@@ -177,36 +189,33 @@ def build_problem(assembly: AssemblySpec, options: SolverOptions) -> Problem:
     vstar = np.stack([tube.rest_shape.stretch(0.0)[0]
                       for tube in assembly.tubes])
 
-    tendon_ctx = [
-        TendonContext(routing=t.routing, tension=t.tension,
-                      offset=assembly.base_offsets[t.tube])
-        for t in assembly.tendons
-    ]
+    tendons = assembly.tendons
 
     contexts = []
-    for seg, seg_assign in zip(plan.segments, assignment):
+    events = []
+    classes: list[str] = []
+    for seg, seg_assign, event in zip(plan.segments, assignment, plan.events):
         locals_of = {g: a for a, g in enumerate(seg.tubes)}
         carried = sorted(seg.tendons, key=lambda j: locals_of[seg_assign[j]])
         contexts.append(SegmentContext(
             start=seg.start, end=seg.end, tubes=list(seg.tubes),
             kse=kse[seg.tubes], kbt=kbt[seg.tubes],
             ustar=ustar[seg.tubes], vstar=vstar[seg.tubes],
-            routings=[tendon_ctx[j].routing for j in carried],
-            routing_offsets=np.array([tendon_ctx[j].offset for j in carried]),
-            tensions=np.array([tendon_ctx[j].tension for j in carried],
+            routings=[tendons[j].routing for j in carried],
+            routing_offsets=np.array([assembly.base_offsets[tendons[j].tube]
+                                      for j in carried]),
+            tensions=np.array([tendons[j].tension for j in carried],
                               dtype=float),
             carriers=np.array([locals_of[seg_assign[j]] for j in carried],
                               dtype=int)))
 
-    events = []
-    classes: list[str] = []
-    for seg, seg_assign, event in zip(plan.segments, assignment, plan.events):
-        locals_of = {g: a for a, g in enumerate(seg.tubes)}
         ending = sorted(locals_of[g] for g in event.ending_tubes)
         continuing = [a for a in range(len(seg.tubes)) if a not in ending]
+        # A tendon anchoring here runs over the whole segment, so the
+        # segment carries it.
         terminating = [
-            (tendon_ctx[j], locals_of[seg_assign[j]],
-             locals_of[assembly.tendons[j].tube])
+            (carried.index(j), locals_of[seg_assign[j]],
+             locals_of[tendons[j].tube])
             for j in event.terminating_tendons
         ]
         events.append(EventContext(station=event.station, ending=ending,
@@ -215,8 +224,8 @@ def build_problem(assembly: AssemblySpec, options: SolverOptions) -> Problem:
         classes.extend(["f", "m"] * len(ending))
         if not continuing:
             classes.extend(["f", "f", "m", "m"])
-    return Problem(assembly=assembly, plan=plan, contexts=contexts,
-                   events=events, residual_classes=classes)
+    return Problem(assembly=assembly, contexts=contexts, events=events,
+                   residual_classes=classes)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +331,12 @@ def apply_transition(state: RodState, event: EventContext, ctx: SegmentContext,
     # Each tube's leftover wrench, in its own frame, after the point loads
     # of the tendons anchoring on it.
     left_n, left_m = strains.n, strains.m
-    for tendon, assigned, anchored in event.terminating:
-        r, rdot, _ = tendon.routing.eval(state.s + tendon.offset)
+    for i, assigned, anchored in event.terminating:
+        r, rdot, _ = ctx.routings[i].eval(state.s + ctx.routing_offsets[i])
         pb = np.cross(strains.u[..., assigned, :], r) + rdot \
             + strains.v[..., assigned, :]
-        f_a = -tendon.tension * pb / np.linalg.norm(pb, axis=-1, keepdims=True)
+        f_a = -ctx.tensions[i] * pb \
+            / np.linalg.norm(pb, axis=-1, keepdims=True)
         spin = rot_d3(theta[..., assigned] - theta[..., anchored])
         left_n[..., anchored, :] -= _mv(spin, f_a)
         left_m[..., anchored, :] -= _mv(spin, np.cross(r, f_a))
@@ -455,7 +465,7 @@ def boundary_residual(guess: np.ndarray, problem: Problem,
 class ConvergenceReport:
     converged: bool
     iterations: int
-    continuation_steps: int
+    continuation_steps: int           # Newton solves run, on every grid
     scaled_residual: float            # max |component| / its tolerance
     residual: np.ndarray
     condition_max: float
@@ -643,9 +653,7 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
     stencil = None if chord else (res_all[1:], cond[1:])
     jac = jacobian
     iterations = 0
-    while metric >= relax:
-        if iterations >= _NEWTON_CAP:
-            return _Outcome(guess, res, metric, iterations, cond_max, False, trail)
+    while metric >= relax and iterations < _NEWTON_CAP:
         if chord:
             cand = guess + _newton_step(jac, res)
             res_all, trail_all, cond, _ = boundary_residual(
@@ -666,7 +674,7 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
         rows, cond = stencil
         stencil = None
         if not np.isfinite(rows).all():
-            return _Outcome(guess, res, metric, iterations, cond_max, False, trail)
+            break
         cond_max = max(cond_max, float(np.max(cond)))
         jac = ((rows - res) / h[:, None]).T
         step = _newton_step(jac, res)
@@ -682,16 +690,17 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
         better = np.flatnonzero(cand_metrics < metric)
         iterations += 1
         if not better.size:
-            return _Outcome(guess, res, metric, iterations, cond_max, False, trail)
+            break
         j = int(better[0])
         guess, res, metric = cands[j], res_all[j], float(cand_metrics[j])
         trail = _row(trail_all, j)
         if j == 0:
             stencil = res_all[ladder:], cond[ladder:]
-    if stencil is not None and np.isfinite(stencil[0]).all():
+    converged = metric < relax
+    if converged and stencil is not None and np.isfinite(stencil[0]).all():
         jac = ((stencil[0] - res) / h[:, None]).T
-    return _Outcome(guess, res, metric, iterations, cond_max, True, trail,
-                    jacobian=jac)
+    return _Outcome(guess, res, metric, iterations, cond_max, converged, trail,
+                    jacobian=jac if converged else None)
 
 
 def _rest_pass(rest: Problem, options: SolverOptions) -> tuple[np.ndarray, int]:
@@ -705,9 +714,27 @@ def _rest_pass(rest: Problem, options: SolverOptions) -> tuple[np.ndarray, int]:
 class _Level(NamedTuple):
     """How the solve on one grid ended."""
 
-    report: ConvergenceReport
+    solves: list[_Outcome]        # every Newton solve run, in order
     outcome: _Outcome | None      # Newton's accepted full-tension solve
     scale: float                  # tension scale where a failed ramp stalled
+    message: str = ""             # why the grid failed
+
+
+def _report(solves: list[_Outcome], failure: str | None = None
+            ) -> ConvergenceReport:
+    """The report of every Newton solve run, in order; ``failure`` says why
+    the solve failed, None for a converged one. The residual and its scaled
+    figure are those of the last solve that evaluated its start guess, or
+    of the last solve if none did."""
+    last = next((out for out in reversed(solves) if not out.failure),
+                solves[-1])
+    return ConvergenceReport(
+        converged=failure is None,
+        iterations=sum(out.iterations for out in solves),
+        continuation_steps=len(solves), scaled_residual=last.metric,
+        residual=last.residual,
+        condition_max=max(out.condition_max for out in solves),
+        message=failure or "")
 
 
 def _first_ramp_step(problem: Problem) -> float:
@@ -729,54 +756,39 @@ def _solve_level(problem: Problem, rest: Problem, options: SolverOptions,
     ``guess`` is one Newton solve, with ``jacobian`` if there is one (see
     :func:`_newton`). Without a guess, or if it does not converge, the
     tension ramp runs from the rest guess, one Newton solve per step; a
-    failed step, the final one too, is retried at half its size. The report
-    counts every Newton solve run. ``rest`` is the tension-free problem."""
-    iterations, steps_run, cond_max = 0, 0, 0.0
-
-    def solved(out: _Outcome) -> _Level:
-        return _Level(ConvergenceReport(
-            converged=True, iterations=iterations,
-            continuation_steps=steps_run, scaled_residual=out.metric,
-            residual=out.residual, condition_max=cond_max), out, 1.0)
-
+    failed step, the final one too, is retried at half its size. The level
+    lists every Newton solve run. ``rest`` is the tension-free problem."""
+    solves: list[_Outcome] = []
     if guess is not None:
         out = _newton(problem, options, np.asarray(guess, dtype=float),
                       jacobian=jacobian)
-        iterations, steps_run, cond_max = out.iterations, 1, out.condition_max
+        solves.append(out)
         if out.converged:
-            return solved(out)
+            return _Level(solves, out, 1.0)
 
     step = _first_ramp_step(problem)
     floor = step / _RAMP_FLOOR
-    s_done, guess = 0.0, rest_guess(problem)
-    history = [(s_done, guess)]           # (scale, guess) of converged steps
+    history = [(0.0, rest_guess(problem))]  # (scale, guess) of converged steps
     rest_checked = False
-    # Residual of the last Newton solve that got to evaluate one.
-    last_res = np.full(len(problem.residual_classes), np.inf)
     for _ in range(_RAMP_ATTEMPTS):
+        s_done, start = history[-1]
         # A remainder below the floor joins this step, so that steps whose
         # sum rounds to just under one still end at full tension.
         final = s_done + step > 1.0 - floor
         scale = 1.0 if final else s_done + step
-        start = guess
         if len(history) >= 2:
             # Secant prediction along the ramp (the rest guess is its
             # zero-tension point): steps then land inside Newton's fast
             # region instead of re-entering the damped phase every time.
-            (s_a, g_a), (s_b, g_b) = history[-2:]
-            start = g_b + (g_b - g_a) * ((scale - s_b) / (s_b - s_a))
+            s_a, g_a = history[-2]
+            start = start + (start - g_a) * ((scale - s_done) / (s_done - s_a))
         out = _newton(problem if final else problem.scaled(scale), options,
                       start, 1.0 if final else _RAMP_RELAX)
-        steps_run += 1
-        iterations += out.iterations
-        cond_max = max(cond_max, out.condition_max)
-        if not out.failure:
-            last_res = out.residual
+        solves.append(out)
         if out.converged and final:
-            return solved(out)
+            return _Level(solves, out, 1.0)
         if out.converged:
-            guess, s_done = out.guess, scale
-            history.append((scale, guess))
+            history.append((scale, out.guess))
             if out.iterations <= _RAMP_EASY_ITERATIONS:
                 step *= 2.0
             continue
@@ -784,8 +796,7 @@ def _solve_level(problem: Problem, rest: Problem, options: SolverOptions,
                    f"({FAILURES[out.failure]})" if out.failure
                    else "stalled line search or iteration cap")
         # The step was too ambitious: retry at half of it, until it falls
-        # below the floor. A failure of the rest guess itself does not
-        # depend on tension, so no shorter step can get past it.
+        # below the floor or the rest guess itself fails (see _rest_pass).
         step = 0.5 * (scale - s_done)
         if step < floor:
             break
@@ -798,10 +809,7 @@ def _solve_level(problem: Problem, rest: Problem, options: SolverOptions,
                 break
     else:
         failure = f"no full tension after {_RAMP_ATTEMPTS} ramp steps"
-    return _Level(ConvergenceReport(
-        converged=False, iterations=iterations, continuation_steps=steps_run,
-        scaled_residual=out.metric, residual=last_res, condition_max=cond_max,
-        message=failure), None, scale)
+    return _Level(solves, None, scale, failure)
 
 
 def _coarse_steps(rest: Problem, options: SolverOptions) -> int | None:
@@ -818,9 +826,7 @@ def _coarse_steps(rest: Problem, options: SolverOptions) -> int | None:
     while steps >= _COARSE_FLOOR:
         ladder.append(steps)
         steps //= 2
-    if not ladder:
-        return None
-    length = rest.plan.total_length
+    length = rest.contexts[-1].end
     tips: dict[int, tuple[np.ndarray, int]] = {}
     for steps in reversed(ladder):
         for s in (steps, 2 * steps):
@@ -848,33 +854,33 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
     guess instead. The polish integrates the coarse solution alone on the
     requested grid; if that misses the tolerances, it takes chord steps
     with the coarse grid's Jacobian, and falls back to the FD stencil when
-    one contracts too little. Raises :class:`NoConvergence` with a
+    one contracts too little. Raises :class:`ValidationError` for unusable
+    ``options`` before any integration, and :class:`NoConvergence` with a
     diagnostic report when every route fails.
     """
     options = options or SolverOptions()
+    options.validate()
     problem = build_problem(assembly, options)
     rest = problem.scaled(0.0)
     coarse = _coarse_steps(rest, options)
     levels = [options] if coarse is None \
         else [replace(options, steps_per_segment=coarse), options]
     guess, jacobian = initial_guess, None
-    iterations, steps_run, cond_max = 0, 0, 0.0
+    solves: list[_Outcome] = []
     coarse_tip = None
     for level_options in levels:
         level = _solve_level(problem, rest, level_options, guess, jacobian)
-        iterations += level.report.iterations
-        steps_run += level.report.continuation_steps
-        cond_max = max(cond_max, level.report.condition_max)
+        solves += level.solves
         if level_options is not options and level.outcome is not None:
             guess, jacobian = level.outcome.guess, level.outcome.jacobian
             coarse_tip = level.outcome.trail[-1][-1, 0:3]
-    report = replace(level.report, iterations=iterations,
-                     continuation_steps=steps_run, condition_max=cond_max)
     if level.outcome is None:
+        report = _report(solves, level.message)
         raise NoConvergence(
             f"shooting stalled at tension scale {level.scale:.3g} with "
-            f"scaled residual {report.scaled_residual:.3e} after {iterations} "
-            f"iterations: {report.message}", report=report)
+            f"scaled residual {report.scaled_residual:.3e} after "
+            f"{report.iterations} iterations: {report.message}", report=report)
+    report = _report(solves)
     segments = [_expand_segment(ctx, rec)
                 for ctx, rec in zip(problem.contexts, level.outcome.trail)]
     if coarse_tip is not None:

@@ -77,19 +77,6 @@ _SPIN_ROWS = [0, 1, 3, 4]
 
 
 @dataclass
-class TendonContext:
-    """One tendon anchoring at a boundary: routing, current tension, and
-    the routing station's offset from the composite station.
-
-    The routing is a function of the terminating tube's own arc length.
-    """
-
-    routing: object
-    tension: float
-    offset: float = 0.0        # routing station = composite station + offset
-
-
-@dataclass
 class SegmentContext:
     """Everything the ODE needs between two boundaries, stacked per tube.
 
@@ -99,7 +86,8 @@ class SegmentContext:
     are segment constants, since every rest shape is constant along its
     tube. The tendon arrays hold one entry per tendon whose distributed
     load the segment carries, grouped by carrying tube under the
-    scenario's strategy.
+    scenario's strategy; they are the problem's one record of the tendon
+    tensions, and the anchor loads at the segment's end read them too.
 
     The constant parts of the assembly are built once, here: ``stiffness``
     and ``rest`` join [Kbt, Kse] and [u*, v*] per tube; ``block`` is each

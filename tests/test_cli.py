@@ -74,6 +74,29 @@ tendon {
 """
 
 
+# A well-posed tube whose solver block the settings tests fill in.
+_SOLVER_SETTING = """\
+name solver_setting
+tube {{
+  length_mm 100
+  elastic_modulus_GPa 60
+  shear_modulus_GPa 23
+  outer_diameter_mm 1.0
+  inner_diameter_mm 0.8
+}}
+tendon {{
+  tension_N 1
+  routing {{
+    kind straight
+    offset_mm [3, 0]
+  }}
+}}
+solver {{
+  {setting}
+}}
+"""
+
+
 def _reject_constant(name):
     raise ValueError(f"not strict JSON: {name}")
 
@@ -209,6 +232,33 @@ class TestSolveCommand:
         assert "tendon runs over [0.0, 0.1] m" in err
         assert not list(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize("setting, flags, message", [
+        ("steps_per_segment 0", [], "steps_per_segment must be a positive"),
+        ("steps_per_segment -3", [], "steps_per_segment must be a positive"),
+        ("steps_per_segment 2.5", [], "positive integer, got 2.5"),
+        ("steps_per_segment 20", ["--steps", "0"], "positive integer, got 0"),
+        ("steps_per_segment 20", ["--steps", "-5"],
+         "positive integer, got -5"),
+        ("moment_tol_Nm 0", [], "moment_tol must be positive and finite"),
+        ("force_tol_N -1", [], "force_tol must be positive and finite"),
+    ])
+    def test_invalid_solver_setting_exits_1_before_integrating(
+            self, tmp_path, capsys, monkeypatch, setting, flags, message):
+        from nestrod import shooting
+
+        def never(*args, **kwargs):
+            raise AssertionError("integrated with invalid solver settings")
+
+        monkeypatch.setattr(shooting, "integrate_segment", never)
+        scn = tmp_path / "solver_setting.scn"
+        scn.write_text(_SOLVER_SETTING.format(setting=setting))
+        rc = cli.main(["solve", str(scn), "--out", str(tmp_path), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver: ")
+        assert message in err
+        assert not list(tmp_path.glob("*.json"))
+
     def test_frame_drift_exits_2_with_report(self, tmp_path, capsys):
         # Ten RK4 steps cannot follow the helix backbone: the integrated
         # frame drifts off the rotation group, which ends the solve as a
@@ -275,6 +325,21 @@ class TestSweepCommand:
         assert cli.main(["sweep", "ctr_theta_0", "--axis", "bend:x",
                          "--to", "1"]) == 1
         assert "tension:J or twist:I" in capsys.readouterr().err
+
+    def test_invalid_steps_exit_1_before_integrating(
+            self, tmp_path, capsys, monkeypatch):
+        from nestrod import shooting
+
+        def never(*args, **kwargs):
+            raise AssertionError("integrated with invalid solver settings")
+
+        monkeypatch.setattr(shooting, "integrate_segment", never)
+        rc = cli.main(["sweep", "two_tube_0", "--placeholders", "--axis",
+                       "tension:0", "--to", "1", "--num", "2", "--steps", "-5",
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        assert "integer, got -5" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_sweep.csv"))
 
     @pytest.mark.parametrize("axis, start, message", [
         ("tension:0", "-1", "tension must be >= 0"),

@@ -21,7 +21,7 @@ from nestrod.assembly import (
     section_stiffness,
 )
 from nestrod import shooting
-from nestrod.errors import NoConvergence
+from nestrod.errors import NoConvergence, ValidationError
 from nestrod.oracles import single_tube_shoot
 from nestrod.scenario import preset
 from nestrod.shooting import (
@@ -130,6 +130,29 @@ class TestRestEquilibrium:
         assert classes.count("m") == 5
         # two interior boundaries then the four composite tip rows
         assert classes == ["f", "m", "f", "m", "f", "m", "f", "f", "m", "m"]
+
+
+class TestProblem:
+    @pytest.mark.parametrize("strategy", ["outermost", "terminating"])
+    def test_scaled_matches_a_recompile(self, strategy):
+        # two_tube_0 anchors a tendon at the outer tube's tip, an interior
+        # boundary, so its anchor load is scaled along with the segments'.
+        asm, _ = preset("two_tube_0", allow_placeholders=True,
+                        overrides=(f"strategy={strategy}",))
+        opts = SolverOptions(steps_per_segment=20)
+        scale = 0.37
+        problem = build_problem(asm, opts)
+        guess = rest_guess(problem) + np.outer([0.0, 1.0, -1.0], np.full(
+            problem.guess_size, 1e-4))
+        at_scale = replace(asm, tendons=[
+            replace(t, tension=t.tension * scale) for t in asm.tendons])
+        scaled = boundary_residual(guess, problem.scaled(scale), opts)
+        compiled = boundary_residual(guess, build_problem(at_scale, opts),
+                                     opts)
+        assert not scaled[3].any()
+        np.testing.assert_array_equal(scaled[0], compiled[0])
+        assert not np.array_equal(scaled[0], boundary_residual(
+            guess, problem, opts)[0])
 
 
 class TestShoot:
@@ -599,6 +622,19 @@ class TestRamp:
 
 
 class TestFailureReport:
+    @pytest.mark.parametrize("settings", [
+        {"steps_per_segment": 20.0}, {"steps_per_segment": -1},
+        {"force_tol": math.nan}, {"moment_tol": math.inf},
+    ])
+    def test_unusable_options_raise_before_integrating(self, monkeypatch,
+                                                       settings):
+        def never(*args, **kwargs):
+            raise AssertionError("integrated with unusable options")
+
+        monkeypatch.setattr(shooting, "integrate_segment", never)
+        with pytest.raises(ValidationError, match="solver: "):
+            shoot(AssemblySpec(tubes=[_tube()]), SolverOptions(**settings))
+
     def test_no_convergence_carries_a_report(self):
         asm = AssemblySpec(
             tubes=[_tube(length=0.2)],
@@ -614,6 +650,14 @@ class TestFailureReport:
         assert report.continuation_steps >= 1
         assert report.scaled_residual > 1.0
         assert report.message
+        # The scaled figure and the residual come from the same Newton
+        # solve, although most ramp steps here fail at their start guess.
+        tol = np.where(np.array(build_problem(asm, opts).residual_classes)
+                       == "f", opts.force_tol, opts.moment_tol)
+        assert math.isfinite(report.scaled_residual)
+        assert report.scaled_residual == \
+            pytest.approx(np.max(np.abs(report.residual) / tol), rel=1e-12)
         d = report.as_dict()
         assert d["converged"] is False
         assert "residual_norm" in d
+        assert d["scaled_residual"] is not None
