@@ -297,7 +297,9 @@ class PiecewiseAngularRouting:
 
 
 class Strategy(enum.Enum):
-    """How distributed tendon loads attach to tubes within a segment."""
+    """How distributed tendon loads attach to tubes within a segment: to
+    the segment's outermost tube, or to the tube each tendon anchors on.
+    Anchor point loads always act on the anchoring tube."""
 
     OUTERMOST_OF_SEGMENT = "outermost_of_segment"
     TERMINATING_TUBE = "terminating_tube"
@@ -437,37 +439,16 @@ class AssemblySpec:
 
 @dataclass
 class Segment:
-    """One constant-membership stretch of the robot."""
+    """One constant-membership stretch of the robot, and the boundary at
+    its ``end``: the tubes whose tips and the tendons whose anchors lie
+    there (the robot's tip for the last segment)."""
 
     start: float
     end: float
-    tubes: list[int]     # active tube indices, outermost first
-    tendons: list[int]   # active tendon indices
-
-    @property
-    def reference_tube(self) -> int:
-        return self.tubes[0]
-
-
-@dataclass
-class BoundaryEvent:
-    """What happens at a segment boundary (or the final tip)."""
-
-    station: float
-    ending_tubes: list[int]
-    terminating_tendons: list[int]
-
-
-@dataclass
-class SegmentPlan:
-    """Segments in base-to-tip order plus the event at each segment's end."""
-
-    segments: list[Segment]
-    events: list[BoundaryEvent]
-
-    @property
-    def total_length(self) -> float:
-        return self.segments[-1].end
+    tubes: list[int]                 # active tube indices, outermost first
+    tendons: list[int]               # active tendon indices
+    ending_tubes: list[int]          # active tubes whose tip is at ``end``
+    terminating_tendons: list[int]   # active tendons anchored at ``end``
 
 
 def _snap_stations(tips: list[float],
@@ -493,8 +474,9 @@ def _snap_stations(tips: list[float],
     return merged, snapped
 
 
-def segment_plan(assembly: AssemblySpec) -> SegmentPlan:
-    """Split the assembly at every tube tip and tendon termination.
+def segment_plan(assembly: AssemblySpec) -> list[Segment]:
+    """Split the assembly at every tube tip and tendon termination; the
+    segments run base to tip.
 
     Stations within ``STATION_TOL`` of each other merge (tendon terminations
     snap onto tube tips); a termination beyond its tube's tip or at/behind
@@ -509,7 +491,6 @@ def segment_plan(assembly: AssemblySpec) -> SegmentPlan:
     boundaries = [b for b in merged if b > STATION_TOL]
 
     segments: list[Segment] = []
-    events: list[BoundaryEvent] = []
     start = 0.0
     for b in boundaries:
         # A tube is active on the segment (start, b] iff its tip is at or past b.
@@ -518,29 +499,11 @@ def segment_plan(assembly: AssemblySpec) -> SegmentPlan:
                           if snapped_terms[j] >= b - STATION_TOL]
         if not active_tubes:
             raise ValidationError([f"no tube spans segment ending at {b:.6f} m"])
-        segments.append(Segment(start, b, active_tubes, active_tendons))
-        events.append(BoundaryEvent(
-            station=b,
+        segments.append(Segment(
+            start, b, active_tubes, active_tendons,
             ending_tubes=[i for i in active_tubes if abs(tips[i] - b) <= STATION_TOL],
             terminating_tendons=[j for j in active_tendons
                                  if abs(snapped_terms[j] - b) <= STATION_TOL],
         ))
         start = b
-    return SegmentPlan(segments, events)
-
-
-def assign_tendons(assembly: AssemblySpec, plan: SegmentPlan) -> list[dict[int, int]]:
-    """Distributed-load attachment per segment: tendon index -> tube index.
-
-    With ``Strategy.OUTERMOST_OF_SEGMENT`` every active tendon loads the
-    segment's outermost active tube; with ``Strategy.TERMINATING_TUBE`` each
-    tendon loads the tube it anchors on. Anchor point loads always act on
-    the terminating tube, independent of strategy.
-    """
-    out = []
-    for seg in plan.segments:
-        if assembly.strategy is Strategy.OUTERMOST_OF_SEGMENT:
-            out.append({j: seg.reference_tube for j in seg.tendons})
-        else:
-            out.append({j: assembly.tendons[j].tube for j in seg.tendons})
-    return out
+    return segments

@@ -89,7 +89,7 @@ def _cmd_solve(args) -> int:
     tip = solution.tip_position
     rep = solution.report
     print(f"{scn.name}: converged in {rep.iterations} iterations "
-          f"({rep.continuation_steps} tension steps), "
+          f"({rep.continuation_steps} Newton solves), "
           f"residual {rep.scaled_residual:.3g} of tolerance")
     print(f"tip [m]: {tip[0]:.6f} {tip[1]:.6f} {tip[2]:.6f}")
     for path in _write_outputs(args, scn.name, payload):

@@ -34,8 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import (AssemblySpec, assign_tendons, section_stiffness,
-                       segment_plan)
+from .assembly import AssemblySpec, Strategy, section_stiffness, segment_plan
 from .errors import NoConvergence, ValidationError
 from .so3 import DRIFT_LIMIT, reorthonormalize, rot_d3
 from .statics import (COND_LIMIT, PB_DOT_MIN, RodState, SegmentContext,
@@ -131,28 +130,12 @@ class SolverOptions:
 
 
 @dataclass
-class EventContext:
-    """One boundary: who ends, who continues, which tendons anchor here."""
-
-    station: float
-    ending: list[int]                    # local tube indices in the old segment
-    continuing: list[int]                # local tube indices in the old segment
-    # (index among the old segment's carried tendons, assigned, anchored)
-    terminating: list[tuple[int, int, int]]
-
-    @property
-    def final(self) -> bool:
-        return not self.continuing
-
-
-@dataclass
 class Problem:
     """Assembly compiled to per-segment contexts; :meth:`scaled` gives it
     at another tension."""
 
     assembly: AssemblySpec
     contexts: list[SegmentContext]
-    events: list[EventContext]
     residual_classes: list[str]          # "f" or "m" per residual component
 
     @property
@@ -173,12 +156,12 @@ class Problem:
 
 
 def build_problem(assembly: AssemblySpec, options: SolverOptions) -> Problem:
-    """Validate and compile ``assembly`` at full tension, once per solve;
-    other tensions come from :meth:`Problem.scaled`. No ``options`` enter
-    the problem, so one serves every grid."""
-    plan = segment_plan(assembly)
-    assignment = assign_tendons(assembly, plan)
-
+    """Check every input of a solve, ``options`` first, and compile
+    ``assembly`` at full tension, once per solve. Other tensions come from
+    :meth:`Problem.scaled`; the step count stays in the options that each
+    grid passes on, so one problem serves every grid."""
+    options.validate()
+    segments = segment_plan(assembly)
     stiff = [section_stiffness(tube) for tube in assembly.tubes]
     kse = np.stack([pair.kse_diag for pair in stiff])
     kbt = np.stack([pair.kbt_diag for pair in stiff])
@@ -190,13 +173,17 @@ def build_problem(assembly: AssemblySpec, options: SolverOptions) -> Problem:
                       for tube in assembly.tubes])
 
     tendons = assembly.tendons
-
+    outermost = assembly.strategy is Strategy.OUTERMOST_OF_SEGMENT
     contexts = []
-    events = []
     classes: list[str] = []
-    for seg, seg_assign, event in zip(plan.segments, assignment, plan.events):
-        locals_of = {g: a for a, g in enumerate(seg.tubes)}
-        carried = sorted(seg.tendons, key=lambda j: locals_of[seg_assign[j]])
+    for seg in segments:
+        local = {g: a for a, g in enumerate(seg.tubes)}
+        # Local index of the tube that carries each tendon's distributed load.
+        carrier = {j: 0 if outermost else local[tendons[j].tube]
+                   for j in seg.tendons}
+        carried = sorted(seg.tendons, key=carrier.get)
+        ending = [local[g] for g in seg.ending_tubes]
+        continuing = [a for a in range(len(seg.tubes)) if a not in ending]
         contexts.append(SegmentContext(
             start=seg.start, end=seg.end, tubes=list(seg.tubes),
             kse=kse[seg.tubes], kbt=kbt[seg.tubes],
@@ -206,25 +193,16 @@ def build_problem(assembly: AssemblySpec, options: SolverOptions) -> Problem:
                                       for j in carried]),
             tensions=np.array([tendons[j].tension for j in carried],
                               dtype=float),
-            carriers=np.array([locals_of[seg_assign[j]] for j in carried],
-                              dtype=int)))
-
-        ending = sorted(locals_of[g] for g in event.ending_tubes)
-        continuing = [a for a in range(len(seg.tubes)) if a not in ending]
-        # A tendon anchoring here runs over the whole segment, so the
-        # segment carries it.
-        terminating = [
-            (carried.index(j), locals_of[seg_assign[j]],
-             locals_of[tendons[j].tube])
-            for j in event.terminating_tendons
-        ]
-        events.append(EventContext(station=event.station, ending=ending,
-                                   continuing=continuing,
-                                   terminating=terminating))
+            carriers=np.array([carrier[j] for j in carried], dtype=int),
+            ending=ending, continuing=continuing,
+            # A tendon anchoring here runs over the whole segment, so the
+            # segment carries it.
+            terminating=[(carried.index(j), carrier[j], local[tendons[j].tube])
+                         for j in seg.terminating_tendons]))
         classes.extend(["f", "m"] * len(ending))
         if not continuing:
             classes.extend(["f", "f", "m", "m"])
-    return Problem(assembly=assembly, contexts=contexts, events=events,
+    return Problem(assembly=assembly, contexts=contexts,
                    residual_classes=classes)
 
 
@@ -310,9 +288,9 @@ def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m @ v[..., None])[..., 0]
 
 
-def apply_transition(state: RodState, event: EventContext, ctx: SegmentContext,
-                     failed: np.ndarray):
-    """Transfer loads across a boundary and rebuild the next segment's state.
+def apply_transition(state: RodState, ctx: SegmentContext, failed: np.ndarray):
+    """Transfer loads across the boundary at the end of segment ``ctx`` and
+    rebuild the next segment's state.
 
     Tendons anchoring here pull a point force/moment on their anchor tube.
     Each ending tube's remaining twist/axial wrench components become
@@ -331,7 +309,7 @@ def apply_transition(state: RodState, event: EventContext, ctx: SegmentContext,
     # Each tube's leftover wrench, in its own frame, after the point loads
     # of the tendons anchoring on it.
     left_n, left_m = strains.n, strains.m
-    for i, assigned, anchored in event.terminating:
+    for i, assigned, anchored in ctx.terminating:
         r, rdot, _ = ctx.routings[i].eval(state.s + ctx.routing_offsets[i])
         pb = np.cross(strains.u[..., assigned, :], r) + rdot \
             + strains.v[..., assigned, :]
@@ -342,19 +320,19 @@ def apply_transition(state: RodState, event: EventContext, ctx: SegmentContext,
         left_m[..., anchored, :] -= _mv(spin, np.cross(r, f_a))
 
     residual = []
-    for e in event.ending:
+    for e in ctx.ending:
         residual.append(left_n[..., e, 2])
         residual.append(left_m[..., e, 2])
 
     # The whole stack's leftover wrench in the segment's reference frame.
     comp_f = _mv(strains.rot, left_n).sum(axis=-2)
     comp_m = _mv(strains.rot, left_m).sum(axis=-2)
-    if event.final:
+    if not ctx.continuing:
         residual.extend([comp_f[..., 0], comp_f[..., 1],
                          comp_m[..., 0], comp_m[..., 1]])
         return None, residual, failed
 
-    cont = event.continuing
+    cont = ctx.continuing
     ref = cont[0]
     rot_ref = strains.rot[..., ref, :, :]
     rel = theta[..., cont] - theta[..., ref, None]
@@ -406,7 +384,7 @@ def apply_transition(state: RodState, event: EventContext, ctx: SegmentContext,
         u1=np.concatenate([u1_xy, u_z[..., 0:1]], axis=-1),
         v1=np.concatenate([v1_xy, v1_z[..., None]], axis=-1),
         theta=rel[..., 1:], u_d3=u_z[..., 1:], beta=betas,
-        s=event.station,
+        s=ctx.end,
     )
     return new_state, residual, failed
 
@@ -446,12 +424,12 @@ def boundary_residual(guess: np.ndarray, problem: Problem,
     parts: list[np.ndarray] = []
     trail = []
     cond_max = np.zeros(guess.shape[:-1])
-    for ctx, event in zip(problem.contexts, problem.events):
+    for ctx in problem.contexts:
         state, rec, cond, failed = integrate_segment(
             state, ctx, options.steps_per_segment, failed)
         cond_max = np.maximum(cond_max, cond)
         trail.append(rec)
-        state, res, failed = apply_transition(state, event, ctx, failed)
+        state, res, failed = apply_transition(state, ctx, failed)
         parts.extend(res)
     residual = np.stack(parts, axis=-1)
     if failed.any():
@@ -859,7 +837,6 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
     diagnostic report when every route fails.
     """
     options = options or SolverOptions()
-    options.validate()
     problem = build_problem(assembly, options)
     rest = problem.scaled(0.0)
     coarse = _coarse_steps(rest, options)

@@ -28,12 +28,13 @@ the system.
 
 Each segment is one :class:`SegmentContext` record, built once per
 problem: stiffness and constant rest strains stacked per active tube, the
-tendon loads stacked per carried tendon, and the constant parts of the
-assembly (the tendon-free blocks, the carrier one-hot, the constant part
-of C_i, the placement, and the tendon levers of station-independent
-routings). :func:`tube_strains` is the one map from a state to every
-tube's strains and internal wrench; the assembly here, the boundary
-transfer and the recording pass all read it.
+tendon loads stacked per carried tendon, the boundary at the segment's end
+(the tubes that end there and the tendons that anchor there), and the
+constant parts of the assembly (the tendon-free blocks, the carrier
+one-hot, the constant part of C_i, the placement, and the tendon levers of
+station-independent routings). :func:`tube_strains` is the one map from a
+state to every tube's strains and internal wrench; the assembly here, the
+boundary transfer and the recording pass all read it.
 
 ``nestrod.oracles.stack_system`` assembles the same system tube by tube
 from first principles; a regression test pins this module against it.
@@ -78,7 +79,8 @@ _SPIN_ROWS = [0, 1, 3, 4]
 
 @dataclass
 class SegmentContext:
-    """Everything the ODE needs between two boundaries, stacked per tube.
+    """Everything the ODE needs between two boundaries, stacked per tube,
+    and the boundary at the segment's ``end``.
 
     Every per-tube array holds the segment's active tubes on its first
     axis, outermost first. ``tubes[0]`` is the segment's reference tube:
@@ -88,6 +90,11 @@ class SegmentContext:
     load the segment carries, grouped by carrying tube under the
     scenario's strategy; they are the problem's one record of the tendon
     tensions, and the anchor loads at the segment's end read them too.
+
+    The boundary at ``end``, in local tube indices: the ``ending`` tubes
+    leave the stack there and the ``continuing`` ones go on (none at the
+    robot's tip); each ``terminating`` tendon is (its index among the
+    carried tendons, its carrying tube, its anchor tube).
 
     The constant parts of the assembly are built once, here: ``stiffness``
     and ``rest`` join [Kbt, Kse] and [u*, v*] per tube; ``block`` is each
@@ -111,6 +118,9 @@ class SegmentContext:
     routing_offsets: np.ndarray   # (T,) routing station - composite station
     tensions: np.ndarray          # (T,)
     carriers: np.ndarray          # (T,) local index of the carrying tube
+    ending: list[int]             # local tubes that end at ``end``
+    continuing: list[int]         # local tubes that go on past ``end``
+    terminating: list[tuple[int, int, int]]  # (tendon, carrier, anchor)
     stiffness: np.ndarray = field(init=False)   # (k, 6) [Kbt, Kse]
     rest: np.ndarray = field(init=False)        # (k, 6) [u*, v*]
     block: np.ndarray = field(init=False)       # (k, 6, 7)

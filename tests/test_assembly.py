@@ -20,11 +20,11 @@ from nestrod.assembly import (
     Strategy,
     TendonSpec,
     TubeSpec,
-    assign_tendons,
     section_stiffness,
     segment_plan,
 )
 from nestrod.errors import OutOfDomain, ValidationError
+from nestrod.shooting import SolverOptions, build_problem
 
 
 def _tube(length=0.2, od=1.0e-3, idi=0.8e-3, e=60e9, g=23e9, **kw):
@@ -317,21 +317,20 @@ class TestSegmentPlan:
 
     def test_stations_and_membership(self):
         plan = segment_plan(self._three_tube())
-        starts = [seg.start for seg in plan.segments]
-        ends = [seg.end for seg in plan.segments]
+        starts = [seg.start for seg in plan]
+        ends = [seg.end for seg in plan]
         assert starts == [0.0, 0.14, 0.17, 0.20]
         assert ends == [0.14, 0.17, 0.20, 0.26]
-        assert [seg.tubes for seg in plan.segments] == \
+        assert [seg.tubes for seg in plan] == \
             [[0, 1, 2], [1, 2], [1, 2], [2]]
-        assert [seg.tendons for seg in plan.segments] == \
+        assert [seg.tendons for seg in plan] == \
             [[0, 1], [1], [], []]
-        assert plan.total_length == pytest.approx(0.26)
 
     def test_events(self):
         plan = segment_plan(self._three_tube())
-        assert [ev.ending_tubes for ev in plan.events] == \
+        assert [seg.ending_tubes for seg in plan] == \
             [[0], [], [1], [2]]
-        assert [ev.terminating_tendons for ev in plan.events] == \
+        assert [seg.terminating_tendons for seg in plan] == \
             [[0], [1], [], []]
 
     def test_retraction_shifts_boundaries(self):
@@ -339,7 +338,7 @@ class TestSegmentPlan:
         asm.tendons = []
         asm.base_offsets = [0.0, 0.03, 0.0]
         plan = segment_plan(asm)
-        assert [seg.end for seg in plan.segments] == \
+        assert [seg.end for seg in plan] == \
             pytest.approx([0.14, 0.17, 0.26])
         assert asm.tip_station(1) == pytest.approx(0.17)
 
@@ -359,17 +358,32 @@ class TestSegmentPlan:
                                 tension=1.0, tube=1,
                                 termination=0.14 + 2e-7)])
         plan = segment_plan(asm)
-        assert len(plan.segments) == 2  # termination snapped onto the tip
+        assert len(plan) == 2  # termination snapped onto the tip
 
     def test_assignment_outermost(self):
-        plan = segment_plan(self._three_tube())
-        assignment = assign_tendons(self._three_tube(), plan)
-        assert assignment[0] == {0: 0, 1: 0}
-        assert assignment[1] == {1: 1}
+        contexts = build_problem(self._three_tube(), SolverOptions()).contexts
+        assert contexts[0].carriers.tolist() == [0, 0]
+        assert contexts[1].carriers.tolist() == [0]
 
     def test_assignment_terminating(self):
         asm = self._three_tube(strategy=Strategy.TERMINATING_TUBE)
-        plan = segment_plan(asm)
-        assignment = assign_tendons(asm, plan)
-        assert assignment[0] == {0: 0, 1: 2}
-        assert assignment[1] == {1: 2}
+        contexts = build_problem(asm, SolverOptions()).contexts
+        assert contexts[0].carriers.tolist() == [0, 2]
+        assert contexts[1].carriers.tolist() == [1]
+
+    @pytest.mark.parametrize("strategy, carriers, terminating", [
+        (Strategy.OUTERMOST_OF_SEGMENT, [[0, 0], [0]], [(0, 0, 0), (0, 0, 1)]),
+        (Strategy.TERMINATING_TUBE, [[0, 2], [1]], [(0, 0, 0), (0, 1, 1)]),
+    ])
+    def test_compiled_boundaries(self, strategy, carriers, terminating):
+        # Per segment, in local tube indices: who carries each tendon, who
+        # ends and who goes on at the segment's end, and the anchors there
+        # as (index among the carried tendons, carrier, anchor tube).
+        problem = build_problem(self._three_tube(strategy), SolverOptions())
+        ctxs = problem.contexts
+        assert [c.carriers.tolist() for c in ctxs] == carriers + [[], []]
+        assert [c.ending for c in ctxs] == [[0], [], [0], [0]]
+        assert [c.continuing for c in ctxs] == [[1, 2], [0, 1], [1], []]
+        assert [c.terminating for c in ctxs] == \
+            [[terminating[0]], [terminating[1]], [], []]
+        assert "".join(problem.residual_classes) == "fmfmfmffmm"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -136,6 +137,10 @@ class TestSolveCommand:
         assert "converged" in out
         assert "tip [m]:" in out
         payload = json.loads((tmp_path / "ctr_theta_90.json").read_text())
+        # The summary's count is every Newton solve on both grids, the
+        # polish included, not a count of tension steps.
+        solves = payload["report"]["continuation_steps"]
+        assert f"({solves} Newton solves)" in out
         assert payload["format"] == "nestrod-solution"
         assert payload["scenario"] == "ctr_theta_90"
         assert payload["report"]["converged"] is True
@@ -174,6 +179,22 @@ class TestSolveCommand:
         payload = json.loads((tmp_path / "ctr_theta_0.json").read_text())
         assert len(payload["segments"][0]["stations"]) == 61
         capsys.readouterr()
+
+    def test_strategy_flag(self, tmp_path, capsys):
+        # strategy_ab_demo's spiralling tendons press on whichever tube the
+        # strategy picks, and its curved middle tube splits the tips wide.
+        runs = []
+        for strategy in ("outermost", "terminating"):
+            rc = cli.main(["solve", "strategy_ab_demo", "--strategy", strategy,
+                           "--steps", "20", "--out", str(tmp_path / strategy)])
+            assert rc == 0
+            runs.append(json.loads(
+                (tmp_path / strategy / "strategy_ab_demo.json").read_text()))
+        capsys.readouterr()
+        a, b = runs
+        assert a["digest"] != b["digest"]
+        gap = math.dist(a["tip_position"], b["tip_position"])
+        assert gap > 0.05 * a["total_length"]
 
     def test_set_override(self, tmp_path, capsys):
         # twisting the overridden scenario's inner tube by 45 degrees must

@@ -625,15 +625,20 @@ class TestFailureReport:
     @pytest.mark.parametrize("settings", [
         {"steps_per_segment": 20.0}, {"steps_per_segment": -1},
         {"force_tol": math.nan}, {"moment_tol": math.inf},
+        {"steps_per_segment": 0},
     ])
     def test_unusable_options_raise_before_integrating(self, monkeypatch,
                                                        settings):
         def never(*args, **kwargs):
-            raise AssertionError("integrated with unusable options")
+            raise AssertionError("ran with unusable options")
 
+        # build_problem, the one compile step of a solve, checks the
+        # settings before it plans the segments.
         monkeypatch.setattr(shooting, "integrate_segment", never)
-        with pytest.raises(ValidationError, match="solver: "):
-            shoot(AssemblySpec(tubes=[_tube()]), SolverOptions(**settings))
+        monkeypatch.setattr(shooting, "segment_plan", never)
+        for solve in (shoot, build_problem):
+            with pytest.raises(ValidationError, match="solver: "):
+                solve(AssemblySpec(tubes=[_tube()]), SolverOptions(**settings))
 
     def test_no_convergence_carries_a_report(self):
         asm = AssemblySpec(
