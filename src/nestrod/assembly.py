@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,10 @@ class ArcRest:
 
     constant = True
 
+    def __post_init__(self):
+        if not (math.isfinite(self.kappa) and math.isfinite(self.plane_angle)):
+            raise ValidationError("arc rest shape needs a finite curvature and plane angle")
+
     def curvature(self, s: float) -> tuple[np.ndarray, np.ndarray]:
         u = self.kappa * np.array(
             [math.cos(self.plane_angle), math.sin(self.plane_angle), 0.0]
@@ -80,8 +85,10 @@ class HelixRest:
     constant = True
 
     def __post_init__(self):
-        if self.radius <= 0 or self.pitch <= 0:
-            raise ValidationError("helix rest shape needs radius > 0 and pitch > 0")
+        if not (0 < self.radius < math.inf and 0 < self.pitch < math.inf
+                and math.isfinite(self.phase)):
+            raise ValidationError(
+                "helix rest shape needs finite radius > 0, pitch > 0 and phase")
 
     @property
     def _turn_length(self) -> float:
@@ -112,8 +119,7 @@ class HelixRest:
 class StiffnessPair:
     """Diagonal shear/extension and bending/torsion stiffness of one tube.
 
-    ``kse_diag`` holds (GA, GA, EA); ``kbt_diag`` holds (EI, EI, GJ). Stored
-    as diagonals; ``kse``/``kbt`` expose the full matrices.
+    ``kse_diag`` holds (GA, GA, EA); ``kbt_diag`` holds (EI, EI, GJ).
     """
 
     kse_diag: np.ndarray
@@ -124,16 +130,9 @@ class StiffnessPair:
         object.__setattr__(self, "kbt_diag", np.asarray(self.kbt_diag, dtype=float))
         if self.kse_diag.shape != (3,) or self.kbt_diag.shape != (3,):
             raise ValidationError("stiffness diagonals must be length-3")
-        if np.any(self.kse_diag <= 0) or np.any(self.kbt_diag <= 0):
-            raise ValidationError("stiffness entries must be positive")
-
-    @property
-    def kse(self) -> np.ndarray:
-        return np.diag(self.kse_diag)
-
-    @property
-    def kbt(self) -> np.ndarray:
-        return np.diag(self.kbt_diag)
+        diagonals = np.concatenate([self.kse_diag, self.kbt_diag])
+        if not np.all((diagonals > 0) & np.isfinite(diagonals)):
+            raise ValidationError("stiffness entries must be positive and finite")
 
     def scaled(self, factor: float) -> "StiffnessPair":
         return StiffnessPair(self.kse_diag * factor, self.kbt_diag * factor)
@@ -160,6 +159,11 @@ class TubeSpec:
 
     def validate(self, label: str = "tube") -> list[str]:
         problems = []
+        for name in ("length", "elastic_modulus", "shear_modulus",
+                     "outer_diameter", "inner_diameter"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                problems.append(f"{label}: {name} must be finite (got {value})")
         if not (self.length > 0):
             problems.append(f"{label}: length must be > 0 (got {self.length})")
         if self.stiffness is None:
@@ -222,6 +226,8 @@ class StraightRouting:
             offset = np.array([offset[0], offset[1], 0.0])
         if offset.shape != (3,) or offset[2] != 0.0:
             raise ValidationError("straight routing offset must be in-plane (z = 0)")
+        if not np.all(np.isfinite(offset)):
+            raise ValidationError("straight routing offset must be finite")
         self.offset = offset
 
     def eval(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -233,8 +239,10 @@ class HelicalRouting:
     advancing ``2*pi`` per ``period`` of arc length, starting at ``phase``."""
 
     def __init__(self, radius: float, period: float, phase: float = 0.0):
-        if radius <= 0 or period <= 0:
-            raise ValidationError("helical routing needs radius > 0 and period > 0")
+        if not (0 < radius < math.inf and 0 < period < math.inf
+                and math.isfinite(phase)):
+            raise ValidationError(
+                "helical routing needs finite radius > 0, period > 0 and phase")
         self.radius = float(radius)
         self.period = float(period)
         self.phase = float(phase)
@@ -261,6 +269,8 @@ class PiecewiseAngularRouting:
         knots = sorted((float(s), float(a), float(r)) for s, a, r in knots)
         if len(knots) < 2:
             raise ValidationError("piecewise angular routing needs at least 2 knots")
+        if not np.all(np.isfinite(knots)):
+            raise ValidationError("routing knots must be finite")
         stations = np.array([k[0] for k in knots])
         if np.any(np.diff(stations) <= 0):
             raise ValidationError("routing knot stations must be strictly increasing")
@@ -305,6 +315,11 @@ class Strategy(enum.Enum):
     TERMINATING_TUBE = "terminating_tube"
 
 
+def _is_index(i, n: int) -> bool:
+    """Whether ``i`` is a whole number in ``range(n)``."""
+    return isinstance(i, numbers.Integral) and 0 <= i < n
+
+
 @dataclass
 class TendonSpec:
     """One tendon: its routing, pull tension, and where it anchors.
@@ -325,14 +340,18 @@ class TendonSpec:
 
     def validate(self, tubes: list[TubeSpec], label: str = "tendon") -> list[str]:
         problems = []
-        if self.tension < 0:
-            problems.append(f"{label}: tension must be >= 0 (got {self.tension})")
-        if not (0 <= self.tube < len(tubes)):
+        if not (0 <= self.tension < math.inf):
+            problems.append(
+                f"{label}: tension must be >= 0 and finite (got {self.tension})")
+        if not _is_index(self.tube, len(tubes)):
             problems.append(f"{label}: terminating tube index {self.tube} out of range")
             return problems
         if self.termination is not None:
             tube_len = tubes[self.tube].length
-            if self.termination > tube_len + STATION_TOL:
+            if not math.isfinite(self.termination):
+                problems.append(f"{label}: termination must be finite "
+                                f"(got {self.termination})")
+            elif self.termination > tube_len + STATION_TOL:
                 problems.append(
                     f"{label}: termination {self.termination} m beyond its tube's "
                     f"length {tube_len} m"
@@ -375,13 +394,19 @@ class AssemblySpec:
             problems += tube.validate(f"tube {i + 1}")
         if len(self.base_twists) != n:
             problems.append(f"base_twists must have {n} entries")
-        elif self.base_twists[0] != 0.0:
-            problems.append("tube 1 is the angular reference; its base twist must be 0")
+        else:
+            if self.base_twists[0] != 0.0:
+                problems.append("tube 1 is the angular reference; its base twist must be 0")
+            problems += [f"tube {i + 1}: base twist must be finite (got {twist})"
+                         for i, twist in enumerate(self.base_twists)
+                         if not math.isfinite(twist)]
         if len(self.base_offsets) != n:
             problems.append(f"base_offsets must have {n} entries")
         else:
             for i, (tube, off) in enumerate(zip(self.tubes, self.base_offsets)):
-                if off < 0:
+                if not math.isfinite(off):
+                    problems.append(f"tube {i + 1}: base offset must be finite (got {off})")
+                elif off < 0:
                     problems.append(f"tube {i + 1}: base offset must be >= 0")
                 elif tube.length - off <= STATION_TOL:
                     problems.append(f"tube {i + 1}: fully retracted behind the base")
@@ -394,7 +419,7 @@ class AssemblySpec:
                         f"tube {i + 1} (ID {outer.inner_diameter})"
                     )
         placed = (len(self.base_offsets) == n
-                  and all(0 <= t.tube < n for t in self.tendons))
+                  and all(_is_index(t.tube, n) for t in self.tendons))
         for j, tendon in enumerate(self.tendons):
             problems += tendon.validate(self.tubes, f"tendon {j + 1}")
             # A retracted tube can carry its anchor behind the base plate

@@ -30,20 +30,23 @@ Example::
     }
 
 The JSON variant carries the same keys (placeholders become
-``{"required": ..., "reason": ...}`` objects) and is validated against the
-bundled ``data/scenario.schema.json``. Both variants canonicalize to the
-same SI text form, which is what :func:`scenario_digest` hashes.
+``{"required": ..., "reason": ...}`` objects). One loader checks both
+variants against a table of fields per block: each value must be a number,
+a list of numbers, a word or a block as its field says, and carry its
+field's unit dimension; a scenario without ``name`` is ``unnamed``. Both
+variants canonicalize to the same SI text form, which is what
+:func:`scenario_digest` hashes.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from importlib import resources
-
-import numpy as np
 
 from .assembly import (ArcRest, AssemblySpec, HelicalRouting, HelixRest,
                        PiecewiseAngularRouting, StiffnessPair, StraightRest,
@@ -70,15 +73,8 @@ _UNITS = {
 }
 
 # dimension -> canonical SI suffix
-_CANONICAL = {
-    "length": "m",
-    "angle": "rad",
-    "pressure": "Pa",
-    "force": "N",
-    "moment": "Nm",
-    "bend_stiffness": "Nm2",
-    "curvature": "per_m",
-}
+_CANONICAL = {dim: suffix for suffix, (dim, factor) in _UNITS.items()
+              if factor == 1.0}
 
 _BLOCK_LISTS = ("tube", "tendon")
 
@@ -220,51 +216,45 @@ def parse_text(text: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _schema():
-    data = resources.files("nestrod").joinpath("data/scenario.schema.json")
-    return json.loads(data.read_text())
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _from_json_node(node, where: str, problems: list[str]):
     if isinstance(node, dict):
         if set(node) == {"required", "reason"}:
-            value = node["required"]
-            value = tuple(float(v) for v in value) if isinstance(value, list) \
-                else float(value)
-            return ("required", value, str(node["reason"]))
+            value, reason = node["required"], node["reason"]
+            numbers = value if isinstance(value, list) else [value]
+            if not (numbers and all(_is_number(v) for v in numbers)
+                    and isinstance(reason, str) and reason.strip()):
+                problems.append(f"{where}: a REQUIRED value needs a number "
+                                "or a list of numbers, and a reason")
+                return None
+            return ("required", _from_json_node(value, where, problems), reason)
         return {k: _from_json_node(v, f"{where}.{k}", problems)
                 for k, v in node.items()}
     if isinstance(node, list):
         if node and isinstance(node[0], dict):
             return [_from_json_node(v, f"{where}[{i}]", problems)
                     for i, v in enumerate(node)]
-        try:
+        if all(_is_number(v) for v in node):
             return tuple(float(v) for v in node)
-        except (TypeError, ValueError):
-            problems.append(f"{where}: list entries must be numbers")
-            return ()
-    if isinstance(node, bool):
-        problems.append(f"{where}: booleans are not scenario values")
-        return 0.0
-    if isinstance(node, (int, float)):
+        problems.append(f"{where}: list entries must be numbers")
+        return ()
+    if _is_number(node):
         return float(node)
-    return str(node)
+    if isinstance(node, str):
+        return node
+    problems.append(f"{where}: {json.dumps(node)} is not a scenario value")
+    return None
 
 
 def parse_json_text(text: str) -> dict:
-    """Parse and schema-validate the JSON twin of the text format."""
-    import jsonschema
-
+    """Parse the JSON twin of the text format into the same raw tree."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError([f"invalid JSON: {exc}"]) from exc
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.path))
-    if errors:
-        raise ParseError(
-            ["/".join(str(p) for p in err.path) + ": " + err.message
-             for err in errors])
     problems: list[str] = []
     tree = _from_json_node(doc, "$", problems)
     if problems:
@@ -277,7 +267,13 @@ def parse_json_text(text: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _si_value(value, factor: float):
+def _is_placeholder(value) -> bool:
+    return isinstance(value, tuple) and bool(value) and value[0] == "required"
+
+
+def _scale(value, factor: float):
+    if _is_placeholder(value):
+        return ("required", _scale(value[1], factor), value[2])
     if isinstance(value, tuple):
         return tuple(v * factor for v in value)
     if isinstance(value, float):
@@ -285,18 +281,24 @@ def _si_value(value, factor: float):
     return value
 
 
-def _canonical_key_value(key: str, value):
-    """SI-convert one entry; returns (canonical key, converted value)."""
-    base, dim, factor = _split_unit(key)
-    if dim is None:
-        return key, value
-    ckey = f"{base}_{_CANONICAL[dim]}"
-    if isinstance(value, tuple) and value and value[0] == "required":
-        return ckey, ("required", _si_value(value[1], factor), value[2])
-    return ckey, _si_value(value, factor)
+def _si(node, leaf=lambda value: value):
+    """The tree with SI keys and values (placeholders' stand-ins too), each
+    scalar passed through ``leaf``."""
+    if isinstance(node, list):
+        return [_si(block, leaf) for block in node]
+    out = {}
+    for key, value in node.items():
+        base, dim, factor = _split_unit(key)
+        if dim is not None:
+            key = f"{base}_{_CANONICAL[dim]}"
+        out[key] = _si(value, leaf) if isinstance(value, (dict, list)) \
+            else leaf(_scale(value, factor))
+    return out
 
 
 def _fmt(v) -> str:
+    if _is_placeholder(v):
+        return f"REQUIRED({_fmt(v[1])} ; {v[2]})"
     if isinstance(v, tuple):
         return "[" + ", ".join(_fmt(x) for x in v) + "]"
     if isinstance(v, float):
@@ -305,29 +307,17 @@ def _fmt(v) -> str:
 
 
 def _canonical_lines(block: dict, indent: str, out: list[str]) -> None:
-    scalars, singles, lists = [], [], []
-    for key, value in block.items():
-        ckey, cval = _canonical_key_value(key, value)
-        if isinstance(value, dict):
-            singles.append((ckey, value))
-        elif isinstance(value, list):
-            lists.append((ckey, value))
-        else:
-            scalars.append((ckey, cval))
-    for ckey, cval in sorted(scalars):
-        if isinstance(cval, tuple) and cval and cval[0] == "required":
-            out.append(f"{indent}{ckey} REQUIRED({_fmt(cval[1])} ; {cval[2]})")
-        else:
-            out.append(f"{indent}{ckey} {_fmt(cval)}")
-    for ckey, sub in sorted(singles):
-        out.append(f"{indent}{ckey} {{")
-        _canonical_lines(sub, indent + "  ", out)
-        out.append(f"{indent}}}")
-    for ckey, blocks in sorted(lists):
-        for sub in blocks:
-            out.append(f"{indent}{ckey} {{")
-            _canonical_lines(sub, indent + "  ", out)
-            out.append(f"{indent}}}")
+    items = sorted(block.items())
+    for key, value in items:
+        if not isinstance(value, (dict, list)):
+            out.append(f"{indent}{key} {_fmt(value)}")
+    for kind in (dict, list):
+        for key, value in items:
+            if isinstance(value, kind):
+                for sub in [value] if kind is dict else value:
+                    out.append(f"{indent}{key} {{")
+                    _canonical_lines(sub, indent + "  ", out)
+                    out.append(f"{indent}}}")
 
 
 def canonical_text(tree: dict) -> str:
@@ -337,42 +327,20 @@ def canonical_text(tree: dict) -> str:
     so this is the form :func:`scenario_digest` hashes.
     """
     out: list[str] = []
-    _canonical_lines(tree, "", out)
+    _canonical_lines(_si(tree), "", out)
     return "\n".join(out) + "\n"
 
 
-def _to_json_node(value):
-    if isinstance(value, dict):
-        return {k: _to_json_node(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_to_json_node(v) for v in value]
-    if isinstance(value, tuple) and value and value[0] == "required":
-        req = value[1]
-        return {"required": list(req) if isinstance(req, tuple) else req,
-                "reason": value[2]}
-    if isinstance(value, tuple):
-        return list(value)
-    return value
+def _json_value(value):
+    if _is_placeholder(value):
+        return {"required": _json_value(value[1]), "reason": value[2]}
+    return list(value) if isinstance(value, tuple) else value
 
 
 def canonical_json(tree: dict) -> str:
     """The JSON twin of :func:`canonical_text` (SI keys, sorted, no spaces)."""
-    si: dict = {}
-    stack = [(tree, si)]
-    while stack:
-        src, dst = stack.pop()
-        for key, value in src.items():
-            ckey, cval = _canonical_key_value(key, value)
-            if isinstance(value, dict):
-                dst[ckey] = {}
-                stack.append((value, dst[ckey]))
-            elif isinstance(value, list):
-                dst[ckey] = [{} for _ in value]
-                for sub, slot in zip(value, dst[ckey]):
-                    stack.append((sub, slot))
-            else:
-                dst[ckey] = _to_json_node(cval)
-    return json.dumps(si, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(_si(tree, _json_value), sort_keys=True,
+                      separators=(",", ":")) + "\n"
 
 
 def scenario_digest(tree: dict) -> str:
@@ -391,39 +359,29 @@ def apply_overrides(tree: dict, items) -> dict:
     sibling spelling the same quantity in a different unit, so an override
     never leaves two values for one field.
     """
-    import copy
-
     tree = copy.deepcopy(tree)
     problems: list[str] = []
     for item in items:
-        if "=" not in item:
-            problems.append(f"override {item!r}: expected path=value")
+        where = f"override {item!r}"
+        path, eq, text = item.partition("=")
+        if not eq:
+            problems.append(f"{where}: expected path=value")
             continue
-        path, _, text = item.partition("=")
+        *parents, key = path.split(".")
         node = tree
-        parts = path.split(".")
-        ok = True
-        for part in parts[:-1]:
-            if isinstance(node, list):
-                try:
-                    node = node[int(part)]
-                except (ValueError, IndexError):
-                    problems.append(f"override {item!r}: bad index {part!r}")
-                    ok = False
-                    break
-            elif isinstance(node, dict) and part in node:
-                node = node[part]
-            else:
-                problems.append(f"override {item!r}: no such block {part!r}")
-                ok = False
-                break
-        if not ok:
+        try:
+            for part in parents:
+                node = node[int(part)] if isinstance(node, list) else node[part]
+        except (ValueError, IndexError):
+            problems.append(f"{where}: bad index {part!r}")
             continue
-        key = parts[-1]
-        if isinstance(node, list):
-            problems.append(f"override {item!r}: path ends on a block list")
+        except (KeyError, TypeError):
+            problems.append(f"{where}: no such block {part!r}")
             continue
-        value = _parse_value(text, f"override {item!r}", problems)
+        if not isinstance(node, dict):
+            problems.append(f"{where}: {'.'.join(parents)!r} is not a block")
+            continue
+        value = _parse_value(text, where, problems)
         if value is None:
             continue
         base, _, _ = _split_unit(key)
@@ -451,7 +409,7 @@ def resolve_placeholders(tree: dict, allow: bool):
                     for k, v in node.items()}
         if isinstance(node, list):
             return [walk(v, f"{path}[{i}]") for i, v in enumerate(node)]
-        if isinstance(node, tuple) and node and node[0] == "required":
+        if _is_placeholder(node):
             found.append(f"{path} = {_fmt(node[1])} ({node[2]})")
             return node[1]
         return node
@@ -467,216 +425,196 @@ def resolve_placeholders(tree: dict, allow: bool):
 # building runtime objects
 # ---------------------------------------------------------------------------
 
-
-class _Fields:
-    """Pulls dimension-checked values out of one resolved block."""
-
-    def __init__(self, block: dict, label: str, problems: list[str]):
-        self.block = dict(block)
-        self.label = label
-        self.problems = problems
-        self.seen: set = set()
-
-    def take(self, base: str, dim: str | None, default=None, required=False):
-        hits = [k for k in self.block if _split_unit(k)[0] == base]
-        if len(hits) > 1:
-            self.problems.append(
-                f"{self.label}: {base} given more than once ({hits})")
-        if not hits:
-            if required:
-                self.problems.append(f"{self.label}: missing {base}")
-            return default
-        key = hits[0]
-        self.seen.add(key)
-        _, key_dim, factor = _split_unit(key)
-        if key_dim != dim:
-            raise UnitError(
-                [f"{self.label}: {key} has unit dimension "
-                 f"{key_dim or 'none'}, expected {dim or 'none'}"])
-        return _si_value(self.block[key], factor)
-
-    def finish(self, blocks=()):
-        extra = [k for k in self.block
-                 if k not in self.seen and k not in blocks]
-        if extra:
-            self.problems.append(f"{self.label}: unknown keys {sorted(extra)}")
+_MISSING = object()  # the default of a field that must be given
+_BAD = object()      # a value whose problem has been listed
 
 
-def _build_rest(block, label, problems):
-    if block is None:
-        return StraightRest()
-    f = _Fields(block, label, problems)
-    kind = f.take("kind", None, default="straight")
-    if kind == "straight":
-        f.finish()
-        return StraightRest()
-    if kind == "arc":
-        kappa = f.take("curvature", "curvature", required=True)
-        plane = f.take("plane_angle", "angle", default=0.0)
-        f.finish()
-        return ArcRest(kappa or 0.0, plane)
-    if kind == "helix":
-        radius = f.take("radius", "length", required=True)
-        pitch = f.take("pitch", "length", required=True)
-        phase = f.take("phase", "angle", default=0.0)
-        f.finish()
-        try:
-            if radius is not None and pitch is not None:
-                return HelixRest(radius, pitch, phase)
-        except ValidationError as exc:
-            problems.append(f"{label}: {exc}")
-        return StraightRest()
-    problems.append(f"{label}: unknown rest kind {kind!r}")
-    return StraightRest()
+@dataclass(frozen=True)
+class _Block:
+    """A block's fields, each (key, unit dimension, value type, default), in
+    the order ``make`` takes their values. A value type is a key of
+    ``_SCALARS``, a dict (a word naming one of its values), a ``_Block``, a
+    list of one ``_Block`` (a block that may repeat) or a ``_Kinds``. A field
+    left out reads its default as if given in SI; None stays None."""
+
+    make: Callable
+    fields: tuple
 
 
-def _build_routing(block, label, problems):
-    if block is None:
-        problems.append(f"{label}: tendon needs a routing block")
-        return None
-    f = _Fields(block, label, problems)
-    kind = f.take("kind", None, required=True)
+@dataclass(frozen=True)
+class _Kinds:
+    """A block whose ``kind`` word (``default`` if left out) picks its
+    ``_Block``."""
+
+    noun: str
+    blocks: dict
+    default: object = _MISSING
+
+
+# scalar value type -> (the Python types it accepts, its name in a problem);
+# an int field reads a whole number as an int and leaves any other number
+# for validate() to reject.
+_SCALARS = {float: ((int, float), "a number"), int: ((int, float), "a number"),
+            tuple: (tuple, "a list of numbers"), str: (str, "a word")}
+
+
+def _read(block, label: str, table, problems: list[str]):
+    """Check one block against its table and build it, or return _BAD.
+
+    Lists every problem found; a key of the wrong unit dimension raises
+    :class:`UnitError` at once.
+    """
+    if not isinstance(block, dict):
+        problems.append(f"{label}: must be a block, got {block!r}")
+        return _BAD
+    kind = ()
+    if isinstance(table, _Kinds):
+        word = block.get("kind", table.default)
+        if not (isinstance(word, str) and word in table.blocks):
+            problems.append(f"{label}: missing kind" if word is _MISSING
+                            else f"{label}: unknown {table.noun} kind {word!r}")
+            return _BAD
+        kind, table = (("kind", None, str, word),), table.blocks[word]
+    spellings: dict[str, list[str]] = {}
+    for key in block:
+        spellings.setdefault(_split_unit(key)[0], []).append(key)
+    values = []
+    for base, dim, vtype, default in kind + table.fields:
+        keys = spellings.pop(base, [])
+        if len(keys) > 1:
+            problems.append(f"{label}: {base} given more than once ({keys})")
+        if not keys and default is _MISSING:
+            problems.append(f"{label}: missing {base}")
+            values.append(_BAD)
+            continue
+        value, factor = default, 1.0
+        if keys:
+            _, key_dim, factor = _split_unit(keys[0])
+            if key_dim != dim:
+                raise UnitError(
+                    [f"{label}: {keys[0]} has unit dimension "
+                     f"{key_dim or 'none'}, expected {dim or 'none'}"])
+            value = block[keys[0]]
+        where = base if label == "scenario" else f"{label}.{base}"
+        values.append(_value(value, factor, vtype, where, problems))
+    if spellings:
+        extra = sorted(k for keys in spellings.values() for k in keys)
+        problems.append(f"{label}: unknown keys {extra}")
+    if any(v is _BAD for v in values):
+        return _BAD
     try:
-        if kind == "straight":
-            offset = f.take("offset", "length", required=True)
-            f.finish()
-            return StraightRouting(np.asarray(offset)) if offset is not None else None
-        if kind == "helical":
-            radius = f.take("radius", "length", required=True)
-            period = f.take("period", "length", required=True)
-            phase = f.take("phase", "angle", default=0.0)
-            f.finish()
-            if radius is not None and period is not None:
-                return HelicalRouting(radius, period, phase)
-            return None
-        if kind == "piecewise":
-            stations = f.take("stations", "length", required=True)
-            angles = f.take("angles", "angle", required=True)
-            radii = f.take("radii", "length", required=True)
-            f.finish()
-            if None in (stations, angles, radii):
-                return None
-            if not (len(stations) == len(angles) == len(radii)):
-                problems.append(
-                    f"{label}: stations/angles/radii lengths differ")
-                return None
-            return PiecewiseAngularRouting(list(zip(stations, angles, radii)))
+        return table.make(*values[len(kind):])
     except ValidationError as exc:
         problems.append(f"{label}: {exc}")
+        return _BAD
+
+
+def _value(value, factor: float, vtype, label: str, problems: list[str]):
+    """One field's value checked against its type: SI, or built, or _BAD."""
+    if value is None:
         return None
-    problems.append(f"{label}: unknown routing kind {kind!r}")
-    return None
+    if isinstance(vtype, (_Block, _Kinds)):
+        return _read(value, label, vtype, problems)
+    if isinstance(vtype, list):
+        if not isinstance(value, list):
+            problems.append(f"{label}: must be blocks, got {value!r}")
+            return _BAD
+        built = [_read(sub, f"{label}[{i}]", vtype[0], problems)
+                 for i, sub in enumerate(value)]
+        return _BAD if any(b is _BAD for b in built) else built
+    if isinstance(vtype, dict):
+        if isinstance(value, str) and value in vtype:
+            return vtype[value]
+        problems.append(f"{label}: {value!r} is not one of "
+                        + " or ".join(vtype))
+        return _BAD
+    accepted, noun = _SCALARS[vtype]
+    if not isinstance(value, accepted):
+        problems.append(f"{label}: must be {noun}, got {value!r}")
+        return _BAD
+    value = _scale(value, factor)
+    if vtype is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
 
 
-def _build_stiffness(block, label, problems):
-    if block is None:
-        return None
-    f = _Fields(block, label, problems)
-    kse = f.take("shear_axial", "force", required=True)
-    kbt = f.take("bend_twist", "bend_stiffness", required=True)
-    f.finish()
-    if kse is None or kbt is None:
-        return None
-    if len(kse) != 3 or len(kbt) != 3:
-        problems.append(f"{label}: stiffness lists must have 3 entries")
-        return None
-    return StiffnessPair(kse_diag=np.asarray(kse), kbt_diag=np.asarray(kbt))
+def _piecewise(stations, angles, radii):
+    if not len(stations) == len(angles) == len(radii):
+        raise ValidationError("stations/angles/radii lengths differ")
+    return PiecewiseAngularRouting(list(zip(stations, angles, radii)))
 
 
-def _maybe(x):
-    return None if x is None else float(x)
+def _tube(*fields):
+    """A tube's spec, base twist and base offset."""
+    *spec, twist, offset = fields
+    return TubeSpec(*spec), twist, offset
 
 
-def build_runtime(tree: dict):
-    """Resolved tree -> (name, AssemblySpec, SolverOptions).
+def _scenario(name, strategy, tubes, tendons, options):
+    specs, twists, offsets = ([tube[i] for tube in tubes] for i in range(3))
+    return name, AssemblySpec(specs, tendons, twists, offsets, strategy), options
 
-    Aggregates every structural problem into one :class:`ValidationError`;
-    unit mismatches surface as :class:`UnitError` immediately.
-    """
-    problems: list[str] = []
-    top = _Fields(tree, "scenario", problems)
-    name = top.take("name", None, default="unnamed")
-    strategy_word = top.take("strategy", None, default="outermost")
-    top.finish(blocks=("tube", "tendon", "solver"))
-    strategy = {"outermost": Strategy.OUTERMOST_OF_SEGMENT,
-                "terminating": Strategy.TERMINATING_TUBE}.get(strategy_word)
-    if strategy is None:
-        problems.append(f"scenario: unknown strategy {strategy_word!r} "
-                        "(outermost or terminating)")
-        strategy = Strategy.OUTERMOST_OF_SEGMENT
 
-    tube_blocks = tree.get("tube")
-    if tube_blocks is not None and not isinstance(tube_blocks, list):
-        problems.append("scenario: 'tube' entries must be blocks")
-        tube_blocks = None
-    tubes: list[TubeSpec] = []
-    base_twists: list[float] = []
-    base_offsets: list[float] = []
-    for i, block in enumerate(tube_blocks or []):
-        label = f"tube[{i}]"
-        f = _Fields(block, label, problems)
-        length = f.take("length", "length", required=True)
-        e_mod = f.take("elastic_modulus", "pressure")
-        g_mod = f.take("shear_modulus", "pressure")
-        od = f.take("outer_diameter", "length")
-        idi = f.take("inner_diameter", "length")
-        base_twists.append(f.take("base_twist", "angle", default=0.0))
-        base_offsets.append(f.take("base_offset", "length", default=0.0))
-        f.finish(blocks=("rest", "stiffness"))
-        rest = _build_rest(block.get("rest"), f"{label}.rest", problems)
-        stiff = _build_stiffness(block.get("stiffness"), f"{label}.stiffness",
-                                 problems)
-        tubes.append(TubeSpec(length=length or 0.0,
-                              elastic_modulus=_maybe(e_mod),
-                              shear_modulus=_maybe(g_mod),
-                              outer_diameter=_maybe(od),
-                              inner_diameter=_maybe(idi),
-                              rest_shape=rest, stiffness=stiff))
-    if not tubes:
-        problems.append("scenario: needs at least one tube block")
+_REST = _Kinds("rest", {
+    "straight": _Block(StraightRest, ()),
+    "arc": _Block(ArcRest, (
+        ("curvature", "curvature", float, _MISSING),
+        ("plane_angle", "angle", float, 0.0))),
+    "helix": _Block(HelixRest, (
+        ("radius", "length", float, _MISSING),
+        ("pitch", "length", float, _MISSING),
+        ("phase", "angle", float, 0.0))),
+}, default="straight")
 
-    tendon_blocks = tree.get("tendon")
-    if tendon_blocks is not None and not isinstance(tendon_blocks, list):
-        problems.append("scenario: 'tendon' entries must be blocks")
-        tendon_blocks = None
-    tendons: list[TendonSpec] = []
-    for i, block in enumerate(tendon_blocks or []):
-        label = f"tendon[{i}]"
-        f = _Fields(block, label, problems)
-        tube_idx = f.take("tube", None, default=0.0)
-        tension = f.take("tension", "force", required=True)
-        termination = f.take("termination", "length")
-        f.finish(blocks=("routing",))
-        routing = _build_routing(block.get("routing"), f"{label}.routing",
-                                 problems)
-        if routing is not None:
-            tendons.append(TendonSpec(routing=routing,
-                                      tension=tension or 0.0,
-                                      tube=int(tube_idx),
-                                      termination=_maybe(termination)))
+_ROUTING = _Kinds("routing", {
+    "straight": _Block(StraightRouting, (
+        ("offset", "length", tuple, _MISSING),)),
+    "helical": _Block(HelicalRouting, (
+        ("radius", "length", float, _MISSING),
+        ("period", "length", float, _MISSING),
+        ("phase", "angle", float, 0.0))),
+    "piecewise": _Block(_piecewise, (
+        ("stations", "length", tuple, _MISSING),
+        ("angles", "angle", tuple, _MISSING),
+        ("radii", "length", tuple, _MISSING))),
+})
 
-    options = SolverOptions()
-    if "solver" in tree:
-        f = _Fields(tree["solver"], "solver", problems)
-        for key, dim in (("steps_per_segment", None), ("force_tol", "force"),
-                         ("moment_tol", "moment")):
-            value = f.take(key, dim)
-            if value is not None:
-                setattr(options, key, value)
-        # A whole number reads as an int; anything else is left for
-        # SolverOptions.validate to reject.
-        steps = options.steps_per_segment
-        if isinstance(steps, float) and steps.is_integer():
-            options.steps_per_segment = int(steps)
-        f.finish()
+_STIFFNESS = _Block(StiffnessPair, (
+    ("shear_axial", "force", tuple, _MISSING),
+    ("bend_twist", "bend_stiffness", tuple, _MISSING)))
 
-    if problems:
-        raise ValidationError(problems)
-    assembly = AssemblySpec(tubes=tubes, tendons=tendons,
-                            base_twists=base_twists,
-                            base_offsets=base_offsets, strategy=strategy)
-    assembly.validate()
-    return name, assembly, options
+_TUBE = _Block(_tube, (
+    ("length", "length", float, _MISSING),
+    ("elastic_modulus", "pressure", float, None),
+    ("shear_modulus", "pressure", float, None),
+    ("outer_diameter", "length", float, None),
+    ("inner_diameter", "length", float, None),
+    ("rest", None, _REST, {}),
+    ("stiffness", None, _STIFFNESS, None),
+    ("base_twist", "angle", float, 0.0),
+    ("base_offset", "length", float, 0.0)))
+
+_TENDON = _Block(TendonSpec, (
+    ("routing", None, _ROUTING, _MISSING),
+    ("tension", "force", float, _MISSING),
+    ("tube", None, int, 0),
+    ("termination", "length", float, None)))
+
+# The solver's numbers go to SolverOptions.validate, which names any that
+# are unusable.
+_SOLVER = _Block(SolverOptions, (
+    ("steps_per_segment", None, int, SolverOptions.steps_per_segment),
+    ("force_tol", "force", float, SolverOptions.force_tol),
+    ("moment_tol", "moment", float, SolverOptions.moment_tol)))
+
+_SCENARIO = _Block(_scenario, (
+    ("name", None, str, "unnamed"),
+    ("strategy", None, {"outermost": Strategy.OUTERMOST_OF_SEGMENT,
+                        "terminating": Strategy.TERMINATING_TUBE},
+     "outermost"),
+    ("tube", None, [_TUBE], _MISSING),
+    ("tendon", None, [_TENDON], []),
+    ("solver", None, _SOLVER, {})))
 
 
 # ---------------------------------------------------------------------------
@@ -705,10 +643,20 @@ class Scenario:
 
 def build_scenario(tree: dict, allow_placeholders: bool = False,
                    overrides=()) -> Scenario:
+    """Raw tree -> Scenario, after the overrides and placeholders.
+
+    Aggregates every structural problem into one :class:`ValidationError`;
+    unit mismatches surface as :class:`UnitError` immediately.
+    """
     if overrides:
         tree = apply_overrides(tree, overrides)
     resolved, found = resolve_placeholders(tree, allow_placeholders)
-    name, assembly, options = build_runtime(resolved)
+    problems: list[str] = []
+    built = _read(resolved, "scenario", _SCENARIO, problems)
+    if problems:
+        raise ValidationError(problems)
+    name, assembly, options = built
+    assembly.validate()
     return Scenario(name=name, tree=tree, assembly=assembly, options=options,
                     placeholders=found)
 

@@ -13,8 +13,6 @@ import numpy as np
 # drifted rotation any more; reorthonormalize() flags it instead of guessing.
 DRIFT_LIMIT = 0.1
 
-E3 = np.array([0.0, 0.0, 1.0])
-
 # Row j spreads component j of a vector over the flattened skew matrix, so
 # that hat(v) is one constant contraction.
 _HAT = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],

@@ -69,8 +69,6 @@ class TestSectionStiffness:
 
     def test_pair_matrices_and_scaling(self):
         pair = StiffnessPair([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
-        np.testing.assert_array_equal(pair.kse, np.diag([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(pair.kbt, np.diag([4.0, 5.0, 6.0]))
         np.testing.assert_array_equal(pair.scaled(2.0).kbt_diag,
                                       [8.0, 10.0, 12.0])
 

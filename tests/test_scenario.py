@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nestrod import cli
+from nestrod import cli, shooting
 from nestrod.assembly import ArcRest, HelicalRouting, Strategy
 from nestrod.errors import ParseError, UnitError, UnknownPreset, ValidationError
 from nestrod.scenario import (
@@ -26,6 +27,7 @@ from nestrod.scenario import (
     preset_scenario,
     scenario_digest,
 )
+from nestrod.shooting import build_problem
 
 _SAMPLE = """\
 # two telescoped tubes, one tendon on the inner
@@ -179,17 +181,132 @@ class TestCanonicalForm:
         # the twin itself is deterministic
         assert canonical_json(back) == twin
 
-    def test_json_schema_rejects_malformed(self):
-        with pytest.raises(ParseError, match="invalid JSON"):
-            parse_json_text("{not json")
-        with pytest.raises(ParseError):
-            parse_json_text(json.dumps({"tube": []}))          # missing name
-        with pytest.raises(ParseError):
-            parse_json_text(json.dumps({"name": "x", "tube": "nope"}))
-        with pytest.raises(ParseError):
-            parse_json_text(json.dumps(
-                {"name": "x", "tube": [{"length_m": 0.1}],
-                 "strategy": "sideways"}))
+
+def _json_sample(edit) -> str:
+    """The JSON twin of ``_SAMPLE`` after ``edit`` changed its document."""
+    doc = json.loads(canonical_json(parse_text(_SAMPLE)))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _straight_offset(text: str) -> str:
+    """``_SAMPLE`` with its tendon routed straight at offset ``text``."""
+    helical = ("    kind helical\n    radius_mm 6.5\n    period_mm 720\n"
+               "    phase_deg 310\n")
+    return _SAMPLE.replace(helical, f"    kind straight\n    offset_mm {text}\n")
+
+
+# Malformed scenarios, text and JSON: each must end as bad input (a
+# ValidationError, CLI exit 1), never as another exception or a solve.
+_MALFORMED = {
+    "scn-word-for-number": (".scn", _SAMPLE.replace("tension_N 2",
+                                                    "tension_N abc")),
+    "scn-list-for-number": (".scn", _SAMPLE.replace("length_mm 140",
+                                                    "length_mm [140, 1]")),
+    "scn-word-for-list": (".scn", _straight_offset("abc")),
+    "scn-number-for-list": (".scn", _straight_offset("3")),
+    "scn-solver-scalar": (".scn", _SAMPLE.replace(
+        "solver {\n  steps_per_segment 50\n  force_tol_N 2e-8\n}\n",
+        "solver 5\n")),
+    "scn-rest-scalar": (".scn", _SAMPLE.replace(
+        "  rest {\n    kind arc\n    curvature_per_m 5\n"
+        "    plane_angle_deg 0\n  }\n", "  rest 5\n")),
+    "scn-stiffness-scalar": (".scn", _SAMPLE.replace(
+        "  length_mm 140\n", "  length_mm 140\n  stiffness 5\n")),
+    "scn-routing-scalar": (".scn", _SAMPLE.replace(
+        "  routing {\n    kind helical\n    radius_mm 6.5\n"
+        "    period_mm 720\n    phase_deg 310\n  }\n", "  routing 5\n")),
+    "scn-tube-nan": (".scn", _SAMPLE.replace("  tube 1\n", "  tube nan\n")),
+    "scn-tube-half": (".scn", _SAMPLE.replace("  tube 1\n", "  tube 0.5\n")),
+    "scn-name-number": (".scn", _SAMPLE.replace("name unit_sample",
+                                                "name 5")),
+    "json-string-value": (".json", _json_sample(
+        lambda d: d["tendon"][0].update(tension_N="abc"))),
+    "json-string-placeholder": (".json", _json_sample(
+        lambda d: d["tube"][0].update(
+            length_m={"required": "abc", "reason": "not published"}))),
+    "json-null": (".json", _json_sample(
+        lambda d: d["tendon"][0].update(tension_N=None))),
+    "json-boolean-in-list": (".json", _json_sample(
+        lambda d: d["tube"][1]["rest"].update(curvature_per_m=[True]))),
+    "json-not-json": (".json", "{not json"),
+    "json-tube-word": (".json", _json_sample(
+        lambda d: d.update(tube="nope"))),
+    "json-unknown-strategy": (".json", _json_sample(
+        lambda d: d.update(strategy="sideways"))),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("suffix, text", _MALFORMED.values(),
+                             ids=list(_MALFORMED))
+    def test_is_bad_input_before_integrating(self, tmp_path, capsys,
+                                             monkeypatch, suffix, text):
+        parse = parse_json_text if suffix == ".json" else parse_text
+        with pytest.raises(ValidationError):
+            build_scenario(parse(text))
+
+        def never(*args, **kwargs):
+            raise AssertionError("integrated malformed input")
+
+        monkeypatch.setattr(shooting, "integrate_segment", never)
+        path = tmp_path / f"malformed{suffix}"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["solve", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err and all(line.startswith("error: ")
+                           for line in err.splitlines())
+        assert not list(out.glob("*"))
+
+    def test_nameless_json_is_unnamed(self, tmp_path):
+        # As in the text form, a scenario without a name is "unnamed".
+        path = tmp_path / "nameless.json"
+        path.write_text(_json_sample(lambda d: d.pop("name")))
+        assert load_scenario(path).name == "unnamed"
+        assert build_scenario(parse_text(
+            _SAMPLE.replace("name unit_sample\n", ""))).name == "unnamed"
+
+
+def _sample_spans() -> list[tuple[int, int, str]]:
+    """(first line, last line, key) of every value and block of _SAMPLE."""
+    lines = _SAMPLE.splitlines()
+    spans, opened = [], []
+    for i, line in enumerate(lines):
+        words = line.split()
+        if not words or words[0].startswith("#"):
+            continue
+        if words[-1] == "{":
+            opened.append((i, words[0]))
+        elif words == ["}"]:
+            start, key = opened.pop()
+            spans.append((start, i, key))
+        else:
+            spans.append((i, i, words[0]))
+    return spans
+
+
+_REPLACEMENTS = ["abc", "[1, 2]", "nan", "inf", "0.5", "5", "{\n}"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_sample_spans()), st.sampled_from(_REPLACEMENTS))
+def test_fuzzed_sample_loads_or_is_bad_input(span, replacement):
+    # One value or block of the sample swapped for something of another
+    # kind: the loader and the compile step either accept it or name it
+    # as bad input; no other exception may escape.
+    first, last, key = span
+    lines = _SAMPLE.splitlines()
+    indent = lines[first][:len(lines[first]) - len(lines[first].lstrip())]
+    lines[first:last + 1] = [f"{indent}{key} {replacement}"]
+    text = "\n".join(lines) + "\n"
+    for parse in (parse_text,
+                  lambda text: parse_json_text(canonical_json(parse_text(text)))):
+        try:
+            sc = build_scenario(parse(text))
+            build_problem(sc.assembly, sc.options)
+        except ValidationError:
+            pass
 
 
 class TestOverrides:
@@ -212,11 +329,12 @@ class TestOverrides:
         tree = parse_text(_SAMPLE)
         with pytest.raises(ValidationError) as err:
             apply_overrides(tree, ["tube.7.length_mm=1", "nosuch.key=2",
-                                   "justtext"])
+                                   "justtext", "name.x=1"])
         text = str(err.value)
         assert "bad index" in text
         assert "no such block" in text
         assert "path=value" in text
+        assert "'name' is not a block" in text
 
     def test_override_through_build_scenario(self):
         sc = build_scenario(parse_text(_SAMPLE),

@@ -640,6 +640,31 @@ class TestFailureReport:
             with pytest.raises(ValidationError, match="solver: "):
                 solve(AssemblySpec(tubes=[_tube()]), SolverOptions(**settings))
 
+    @pytest.mark.parametrize("case", [
+        {"tension": math.inf}, {"tension": math.nan}, {"e": math.nan},
+        {"od": math.inf}, {"base_offset": math.nan},
+        {"termination": math.nan}, {"offset": math.nan},
+    ], ids=lambda case: "-".join(f"{k}={v}" for k, v in case.items()))
+    def test_non_finite_input_raises_before_integrating(self, monkeypatch,
+                                                        case):
+        # A non-finite number is bad input: validate() (or the routing's
+        # constructor) names it before any integration, so it neither
+        # escapes as a numpy error nor ends as a NoConvergence.
+        def never(*args, **kwargs):
+            raise AssertionError("integrated non-finite input")
+
+        monkeypatch.setattr(shooting, "integrate_segment", never)
+        with pytest.raises(ValidationError, match="finite"):
+            routing = StraightRouting([case.get("offset", 0.5e-3), 0.0])
+            asm = AssemblySpec(
+                tubes=[_tube(length=0.1, e=case.get("e", 60e9),
+                             od=case.get("od", 1.0e-3))],
+                tendons=[TendonSpec(routing=routing,
+                                    tension=case.get("tension", 1.0),
+                                    termination=case.get("termination"))],
+                base_offsets=[case.get("base_offset", 0.0)])
+            shoot(asm, SolverOptions(steps_per_segment=10))
+
     def test_no_convergence_carries_a_report(self):
         asm = AssemblySpec(
             tubes=[_tube(length=0.2)],

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from nestrod.so3 import DRIFT_LIMIT, E3, hat, reorthonormalize, rot_d3
+from nestrod.so3 import DRIFT_LIMIT, hat, reorthonormalize, rot_d3
+
+E3 = np.array([0.0, 0.0, 1.0])
 
 
 class TestHatVee:
