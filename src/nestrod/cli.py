@@ -21,7 +21,8 @@ from pathlib import Path
 
 from . import export as ex
 from . import scenario as sc
-from .errors import NestrodError, NoConvergence, ValidationError
+from .errors import (NestrodError, NoConvergence, PlaceholderOptIn,
+                     ValidationError)
 from .oracles import run_validate
 from .shooting import shoot
 
@@ -270,7 +271,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
-        if "placeholder" in str(exc):
+        if isinstance(exc, PlaceholderOptIn):
             print(f"hint: {_PLACEHOLDER_HINT}", file=sys.stderr)
         return 1
     except (NestrodError, OSError) as exc:

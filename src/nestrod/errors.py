@@ -38,6 +38,10 @@ class NoConvergence(NestrodError):
         self.report = report
 
 
+class PlaceholderOptIn(ValidationError):
+    """A scenario holds placeholder values that the caller did not accept."""
+
+
 class ParseError(ValidationError):
     """Scenario text/JSON could not be parsed. Collects every bad line."""
 

@@ -51,7 +51,8 @@ from importlib import resources
 from .assembly import (ArcRest, AssemblySpec, HelicalRouting, HelixRest,
                        PiecewiseAngularRouting, StiffnessPair, StraightRest,
                        StraightRouting, Strategy, TendonSpec, TubeSpec)
-from .errors import ParseError, UnitError, UnknownPreset, ValidationError
+from .errors import (ParseError, PlaceholderOptIn, UnitError, UnknownPreset,
+                     ValidationError)
 from .shooting import SolverOptions
 
 # ---------------------------------------------------------------------------
@@ -235,8 +236,11 @@ def _from_json_node(node, where: str, problems: list[str]):
                 for k, v in node.items()}
     if isinstance(node, list):
         if node and isinstance(node[0], dict):
-            return [_from_json_node(v, f"{where}[{i}]", problems)
-                    for i, v in enumerate(node)]
+            blocks = [_from_json_node(v, f"{where}[{i}]", problems)
+                      for i, v in enumerate(node)]
+            if not all(isinstance(block, dict) for block in blocks):
+                problems.append(f"{where}: entries must be blocks")
+            return blocks
         if all(_is_number(v) for v in node):
             return tuple(float(v) for v in node)
         problems.append(f"{where}: list entries must be numbers")
@@ -399,7 +403,7 @@ def resolve_placeholders(tree: dict, allow: bool):
 
     Returns (resolved copy, list of placeholder descriptions). When
     ``allow`` is false and any placeholder exists, raises
-    :class:`ValidationError` naming each one with its recorded reason.
+    :class:`PlaceholderOptIn` naming each one with its recorded reason.
     """
     found: list[str] = []
 
@@ -416,7 +420,7 @@ def resolve_placeholders(tree: dict, allow: bool):
 
     resolved = walk(tree, "")
     if found and not allow:
-        raise ValidationError(
+        raise PlaceholderOptIn(
             ["placeholder value needs explicit opt-in: " + f for f in found])
     return resolved, found
 

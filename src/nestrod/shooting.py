@@ -12,8 +12,10 @@ from the rest guess, so high-tension scenarios start from an already-bent
 warm guess. The ramp sizes its first step by the stack's load parameter
 T·ℓ²/EI, doubles it after an easy step and halves it after a failed one;
 each step is one Newton solve. The ramp and Newton's damped phase run on
-a coarse grid where the rest guess shows a small enough step-doubling
-error; one Newton solve at the requested step count then polishes. The
+a coarse grid, read off the compiled rest curvatures: the coarsest step
+count at which no RK4 step turns a tube's rest frame by more than a
+quarter turn (‖u*‖·h ≤ π/2), the step-size condition of Runge–Kutta on
+rotations. One Newton solve at the requested step count then polishes. The
 polish integrates the coarse solution alone; if it misses the
 tolerances, chord steps with the coarse grid's Jacobian follow, and the
 FD stencil is integrated only when a chord step contracts the residual
@@ -93,11 +95,12 @@ _RAMP_ATTEMPTS = 48
 # gets no coarse grid.
 _COARSE_FLOOR = 10
 
-# Largest RK4 step-doubling estimate of the rest guess's tip error that a
-# coarse grid may have, as a fraction of the robot's length. A coarse
-# solution that close to the fine one leaves the polish a Newton step or
-# two at most; the paper's own model error is a few percent of length.
-_COARSE_TIP_TOL = 1e-2
+# Largest angle in rad by which one coarse RK4 step may turn a tube's rest
+# frame, ‖u*‖·h. Runge–Kutta on rotations is accurate only for steps well
+# inside half a turn (Iserles et al., Lie-group methods, Acta Numerica
+# 2000); a quarter turn passes the helix backbone at 18 steps (1.09 rad),
+# where its rest guess integrates, and fails it at 12 (1.64 rad).
+_COARSE_TURN = math.pi / 2
 
 # Finite-difference steps of the Jacobian stencil on the curvatures (u₁,
 # inner twist curvatures), the strains v₁ and the dilations β.
@@ -681,14 +684,6 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
                     jacobian=jac if converged else None)
 
 
-def _rest_pass(rest: Problem, options: SolverOptions) -> tuple[np.ndarray, int]:
-    """Tip position and failure code of the rest guess integrated on the
-    tension-free problem ``rest``. A failure here does not depend on
-    tension, so no shorter ramp step can get past it."""
-    _, trail, _, failed = boundary_residual(rest_guess(rest), rest, options)
-    return trail[-1][-1, 0:3], int(failed)
-
-
 class _Level(NamedTuple):
     """How the solve on one grid ended."""
 
@@ -727,7 +722,7 @@ def _first_ramp_step(problem: Problem) -> float:
     return 1.0 / max(1, math.ceil(load / _RAMP_LOAD_STEP))
 
 
-def _solve_level(problem: Problem, rest: Problem, options: SolverOptions,
+def _solve_level(problem: Problem, options: SolverOptions,
                  guess: np.ndarray | None,
                  jacobian: np.ndarray | None) -> _Level:
     """The solve on one grid of the full-tension ``problem``. A given
@@ -735,7 +730,7 @@ def _solve_level(problem: Problem, rest: Problem, options: SolverOptions,
     :func:`_newton`). Without a guess, or if it does not converge, the
     tension ramp runs from the rest guess, one Newton solve per step; a
     failed step, the final one too, is retried at half its size. The level
-    lists every Newton solve run. ``rest`` is the tension-free problem."""
+    lists every Newton solve run."""
     solves: list[_Outcome] = []
     if guess is not None:
         out = _newton(problem, options, np.asarray(guess, dtype=float),
@@ -774,13 +769,15 @@ def _solve_level(problem: Problem, rest: Problem, options: SolverOptions,
                    f"({FAILURES[out.failure]})" if out.failure
                    else "stalled line search or iteration cap")
         # The step was too ambitious: retry at half of it, until it falls
-        # below the floor or the rest guess itself fails (see _rest_pass).
+        # below the floor or the rest guess itself fails without tension; no
+        # shorter step can get past such a failure.
         step = 0.5 * (scale - s_done)
         if step < floor:
             break
         if s_done == 0.0 and not rest_checked:
             rest_checked = True
-            code = _rest_pass(rest, options)[1]
+            rest = problem.scaled(0.0)
+            code = int(boundary_residual(rest_guess(rest), rest, options)[3])
             if code:
                 failure = ("integration fails without tension "
                            f"({FAILURES[code]})")
@@ -790,46 +787,37 @@ def _solve_level(problem: Problem, rest: Problem, options: SolverOptions,
     return _Level(solves, None, scale, failure)
 
 
-def _coarse_steps(rest: Problem, options: SolverOptions) -> int | None:
+def _coarse_steps(problem: Problem, options: SolverOptions) -> int | None:
     """Step count of the coarse grid for ``options``, or None for none.
 
     This is the coarsest count on the halving ladder below the requested
-    one, and no lower than ``_COARSE_FLOOR``, at which the rest guess
-    integrates on the tension-free problem ``rest`` with no failed row and
-    its tip moves by at most ``_COARSE_TIP_TOL`` of the robot's length when
-    the step count is doubled.
+    one, and no lower than ``_COARSE_FLOOR``, at which no step of any
+    segment turns a tube's rest frame by more than ``_COARSE_TURN``: the
+    largest ‖u*ᵢ‖ of a segment times its length, over the step count. It
+    reads the compiled rest curvatures and integrates nothing.
     """
-    ladder = []
+    turn = max(float(np.linalg.norm(ctx.ustar, axis=-1).max())
+               * (ctx.end - ctx.start) for ctx in problem.contexts)
+    coarse = None
     steps = options.steps_per_segment // 2
-    while steps >= _COARSE_FLOOR:
-        ladder.append(steps)
+    while steps >= _COARSE_FLOOR and turn / steps <= _COARSE_TURN:
+        coarse = steps
         steps //= 2
-    length = rest.contexts[-1].end
-    tips: dict[int, tuple[np.ndarray, int]] = {}
-    for steps in reversed(ladder):
-        for s in (steps, 2 * steps):
-            if s not in tips:
-                tips[s] = _rest_pass(rest, replace(options, steps_per_segment=s))
-        (coarse, failed), (fine, failed_fine) = tips[steps], tips[2 * steps]
-        if not (failed or failed_fine) and \
-                np.linalg.norm(coarse - fine) <= _COARSE_TIP_TOL * length:
-            return steps
-    return None
+    return coarse
 
 
 def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
           initial_guess: np.ndarray | None = None) -> Solution:
     """Solve the clamped-base statics of an assembly.
 
-    The assembly is compiled once (:func:`build_problem`); the rest passes
-    and ramp steps scale its tensions. A caller-supplied ``initial_guess``
-    (e.g. the previous point of a sweep) is one Newton solve at full
-    tension; if that stalls, the solver falls back to the tension ramp from
-    the rest guess. Both run first on a coarse grid (see
-    :func:`_coarse_steps`), if there is one, and then once more at the
-    requested step count, warm-started from the coarse solution; if the
-    coarse grid does not converge, the requested grid starts from the same
-    guess instead. The polish integrates the coarse solution alone on the
+    The assembly is compiled once (:func:`build_problem`); the ramp steps
+    scale its tensions. A caller-supplied ``initial_guess`` (e.g. the
+    previous point of a sweep) is one Newton solve at full tension; if that
+    stalls, the solver falls back to the tension ramp from the rest guess.
+    Both run first on a coarse grid (see :func:`_coarse_steps`), if there
+    is one, and then once more at the requested step count, warm-started
+    from the coarse solution; if the coarse grid does not converge, the
+    requested grid starts from the same guess instead. The polish integrates the coarse solution alone on the
     requested grid; if that misses the tolerances, it takes chord steps
     with the coarse grid's Jacobian, and falls back to the FD stencil when
     one contracts too little. Raises :class:`ValidationError` for unusable
@@ -838,15 +826,14 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
     """
     options = options or SolverOptions()
     problem = build_problem(assembly, options)
-    rest = problem.scaled(0.0)
-    coarse = _coarse_steps(rest, options)
+    coarse = _coarse_steps(problem, options)
     levels = [options] if coarse is None \
         else [replace(options, steps_per_segment=coarse), options]
     guess, jacobian = initial_guess, None
     solves: list[_Outcome] = []
     coarse_tip = None
     for level_options in levels:
-        level = _solve_level(problem, rest, level_options, guess, jacobian)
+        level = _solve_level(problem, level_options, guess, jacobian)
         solves += level.solves
         if level_options is not options and level.outcome is not None:
             guess, jacobian = level.outcome.guess, level.outcome.jacobian

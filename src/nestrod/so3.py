@@ -54,7 +54,8 @@ def reorthonormalize(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = np.where(finite[..., None, None], r, np.eye(3))
     u, s, vt = np.linalg.svd(r)
     out = u @ vt
-    drift = np.linalg.norm(r - out, axis=(-2, -1))
+    # Clipped at 1, which flags the matrix anyway, so squares cannot overflow.
+    drift = np.linalg.norm(np.minimum(abs(r - out), 1.0), axis=(-2, -1))
     bad = ~finite | (s[..., -1] <= 0.0) | (np.linalg.det(out) < 0.0) \
         | (drift > DRIFT_LIMIT)
     return out, bad

@@ -169,8 +169,19 @@ class TestSolveCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "explicit opt-in" in err
-        assert "--placeholders" in err      # the hint
+        assert "hint: pass --placeholders" in err
         assert not (tmp_path / "two_tube_0.json").exists()
+
+    def test_no_placeholder_hint_for_other_problems(self, tmp_path, capsys):
+        # A problem that merely mentions the word is no opt-in error, and
+        # --placeholders cannot help with it.
+        path = tmp_path / "note.scn"
+        path.write_text(_STALLING + "placeholder_note 1\n", encoding="utf-8")
+        rc = cli.main(["solve", str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "placeholder_note" in err
+        assert "hint:" not in err
 
     def test_steps_flag(self, tmp_path, capsys):
         rc = cli.main(["solve", "ctr_theta_0", "--out", str(tmp_path),

@@ -112,6 +112,18 @@ class TestParsing:
         with pytest.raises(ParseError, match="unmatched"):
             parse_text("name a\n}\n")
 
+    @pytest.mark.parametrize("doc", [
+        '{"tube": [{}, 5]}',
+        '{"tube": [{}, [1, 2]]}',
+        '{"tube": [{}, {"required": 1, "reason": "stand-in"}]}',
+    ])
+    def test_json_block_list_holds_only_blocks(self, doc):
+        # A JSON list that opens with a block is a list of blocks: any other
+        # entry is a parse problem, not a tree that canonical_json trips on.
+        with pytest.raises(ParseError, match=r"\$\.tube: entries must be "
+                                             "blocks"):
+            parse_json_text(doc)
+
     def test_comment_stripping_respects_parentheses(self):
         text = ("name c\n"
                 "tube {\n"

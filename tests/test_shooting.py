@@ -23,7 +23,7 @@ from nestrod.assembly import (
 from nestrod import shooting
 from nestrod.errors import NoConvergence, ValidationError
 from nestrod.oracles import single_tube_shoot
-from nestrod.scenario import preset
+from nestrod.scenario import preset, preset_names
 from nestrod.shooting import (
     ConvergenceReport,
     SolverOptions,
@@ -293,24 +293,23 @@ class TestNewtonBatches:
         # stencil batch, every full step carries the next stencil, and the
         # recorded shape comes from the accepted row: no record pass. The
         # polish integrates the coarse solution alone and then one chord
-        # step with the coarse grid's Jacobian, a single row each. The
-        # other single-row evaluations are the rest guess's step doubling
-        # that picks the coarse grid.
+        # step with the coarse grid's Jacobian, a single row each. Nothing
+        # else is integrated: the coarse grid is read off the rest
+        # curvatures.
         calls = _count_rows(monkeypatch)
         asm, opts = preset("ctr_theta_90")
         opts.steps_per_segment = 50
         report = shoot(asm, opts).report
         size = 8
         ladder = shooting._LINE_SEARCH_HALVINGS + 1
-        assert [c for c in calls if c[1] == 1] == \
-            [(12, 1), (24, 1), (50, 1), (50, 1)]
-        assert len(calls) - 2 == report.iterations + report.continuation_steps
+        assert [c for c in calls if c[1] == 1] == [(50, 1), (50, 1)]
+        assert len(calls) == report.iterations + report.continuation_steps
         # coarse grid: the ramp's one step and four Newton iterations
         assert Counter(c for c in calls if c[1] > 1) == \
             {(12, size + 1): 1, (12, ladder + size): 4}
         # the polish is one step at the requested count, after all coarse
         # batches
-        assert [c[0] for c in calls[2:]] == [12] * 5 + [50] * 2
+        assert [c[0] for c in calls] == [12] * 5 + [50] * 2
 
     def test_polish_without_iterations_is_one_row(self, monkeypatch):
         # two_tube_0's coarse solution already meets the tolerances at 50
@@ -450,16 +449,51 @@ class TestNewtonBatches:
         assert "coarse_steps" not in report.as_dict()
 
     def test_coarse_grid_skips_steps_that_drift(self):
-        # The helix backbone's rest guess drifts off the rotation group at
-        # 9 and 10 steps, so the ladder from 150 stops at 18, and a solve at
-        # 20 steps gets no coarse grid.
+        # The helix backbone's rest frame turns 19.7 rad over its one
+        # segment: 1.09 rad per step at 18 steps, but 2.0 at 10, where its
+        # rest guess drifts off the rotation group. So the ladder from 150
+        # stops at 18, and a solve at 20 steps gets no coarse grid.
         asm, opts = preset("single_tube_helical_backbone",
                            allow_placeholders=True)
-        rest = build_problem(asm, opts).scaled(0.0)
+        problem = build_problem(asm, opts)
         opts.steps_per_segment = 150
-        assert shooting._coarse_steps(rest, opts) == 18
+        assert shooting._coarse_steps(problem, opts) == 18
         opts.steps_per_segment = 20
-        assert shooting._coarse_steps(rest, opts) is None
+        assert shooting._coarse_steps(problem, opts) is None
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_coarse_grid_matches_rest_step_doubling(self, name):
+        # The rule once measured the coarse grid: the coarsest rung at
+        # which the rest guess integrates tension-free, with no failed row,
+        # at N_c and 2·N_c steps, and its tip moves by at most 1 % of the
+        # robot's length between the two. Reading the rest curvatures
+        # instead picks the same grid on every preset.
+        asm, opts = preset(name, allow_placeholders=True)
+        problem = build_problem(asm, opts)
+        rest = problem.scaled(0.0)
+        length = problem.contexts[-1].end
+
+        def rest_tip(steps):
+            _, trail, _, failed = boundary_residual(
+                rest_guess(rest), rest, replace(opts, steps_per_segment=steps))
+            return None if failed else trail[-1][-1, 0:3]
+
+        def measured(requested):
+            ladder = []
+            steps = requested // 2
+            while steps >= shooting._COARSE_FLOOR:
+                ladder.append(steps)
+                steps //= 2
+            for steps in reversed(ladder):
+                coarse, fine = rest_tip(steps), rest_tip(2 * steps)
+                if coarse is not None and fine is not None and \
+                        np.linalg.norm(coarse - fine) <= 1e-2 * length:
+                    return steps
+            return None
+
+        for requested in (20, 50, 150, 200):
+            opts.steps_per_segment = requested
+            assert shooting._coarse_steps(problem, opts) == measured(requested)
 
     def test_failed_coarse_grid_leaves_the_requested_grid_as_before(
             self, monkeypatch):

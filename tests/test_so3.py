@@ -117,6 +117,12 @@ class TestReorthonormalize:
     def test_rejects_large_drift(self):
         self._flags_only(np.eye(3) * (1.0 + 2.0 * DRIFT_LIMIT))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_huge_entries_without_overflow(self):
+        # A bold Newton candidate can blow a frame up this far in one RK4
+        # step; squaring its distance to the group would overflow.
+        self._flags_only(np.eye(3) * 1e200)
+
     def test_rejects_non_finite(self):
         nan = np.eye(3)
         nan[0, 1] = np.nan
