@@ -21,6 +21,17 @@ tolerances, chord steps with the coarse grid's Jacobian follow, and the
 FD stencil is integrated only when a chord step contracts the residual
 too little.
 
+A pass of one batch row, as the polish and the chord steps run, is
+integrated time-parallel segment by segment where the segment allows it
+(:func:`_time_parallel`): Parareal with one RK4 step per slice as the
+coarse propagator and all slices integrated at the fine step as one batch
+as the fine one, since a batch of ten rows costs numpy about as much per
+call as one row. It stays serial for a multi-row batch, a routing that
+reads the station, too few steps or no fitting slice count, or a slice
+whose one coarse step would turn a rest frame by more than a quarter turn;
+and a pass that fails or does not reach round-off is integrated again
+serially, so failures read exactly as before.
+
 A batch row that cannot be integrated (see :data:`FAILURES`) is a state
 of that row, not an exception: it carries a failure code, reads an
 infinite residual, and the other rows of its batch go on unchanged.
@@ -40,7 +51,8 @@ from .assembly import AssemblySpec, Strategy, section_stiffness, segment_plan
 from .errors import NoConvergence, ValidationError
 from .so3 import DRIFT_LIMIT, reorthonormalize, rot_d3
 from .statics import (COND_LIMIT, PB_DOT_MIN, RodState, SegmentContext,
-                      pack_state, state_derivative, tube_strains, unpack_state)
+                      TubeStrains, pack_state, state_derivative, tube_strains,
+                      unpack_state)
 
 # Why a batch row failed, by failure code; code 0 is a row that integrated
 # cleanly. Newton and the ramp back off from a failed row instead of
@@ -105,6 +117,21 @@ _COARSE_TURN = math.pi / 2
 # Finite-difference steps of the Jacobian stencil on the curvatures (u₁,
 # inner twist curvatures), the strains v₁ and the dilations β.
 _FD_CURVATURE, _FD_STRAIN, _FD_BETA = 1e-6, 1e-8, 1e-8
+
+# Parareal on a one-row pass (Lions, Maday & Turinici 2001; Gander &
+# Vandewalle 2007): a segment of at least _PARAREAL_MIN_STEPS steps splits
+# into at least _PARAREAL_MIN_SLICES slices of at least _PARAREAL_MIN_SLICE
+# steps each. A slice start counts as converged when it is within
+# _PARAREAL_JUMP, per component scaled by max(1, |U|), of the fine
+# integration that ends there: over every one-row pass of the bundled
+# presets' solves at 50 and 200 steps, the converged jumps lie between
+# 2e-16 and 8e-15, reached in 0-3 corrections. Past _PARAREAL_CORRECTIONS
+# corrections the segment is integrated serially.
+_PARAREAL_MIN_STEPS = 50
+_PARAREAL_MIN_SLICES = 4
+_PARAREAL_MIN_SLICE = 5
+_PARAREAL_JUMP = 1e-14
+_PARAREAL_CORRECTIONS = 4
 
 
 @dataclass
@@ -282,6 +309,103 @@ def integrate_segment(state: RodState, ctx: SegmentContext, steps: int,
     return unpack_state(y, k, ctx.end), trail, cond_max, failed
 
 
+def _rest_turn(ctx: SegmentContext) -> float:
+    """Angle in rad by which the segment turns its most curved rest frame,
+    the largest ‖u*ᵢ‖ times the segment's length."""
+    return float(np.linalg.norm(ctx.ustar, axis=-1).max()) \
+        * (ctx.end - ctx.start)
+
+
+def _time_slices(ctx: SegmentContext, steps: int) -> int | None:
+    """Slice count of a time-parallel pass over ``ctx`` at ``steps`` steps,
+    or None if the segment is integrated serially.
+
+    The right-hand side must not read the station, since every slice is
+    integrated over the first one's stations; the slice count is the
+    divisor of ``steps`` nearest √steps that gives enough slices of enough
+    steps; and one RK4 step over a slice, the coarse propagator, must turn
+    no rest frame by more than ``_COARSE_TURN``.
+    """
+    if (ctx.routings and ctx.path is None) or steps < _PARAREAL_MIN_STEPS:
+        return None
+    fits = [m for m in range(_PARAREAL_MIN_SLICES,
+                             steps // _PARAREAL_MIN_SLICE + 1)
+            if steps % m == 0]
+    slices = min(fits, key=lambda m: (abs(m - math.sqrt(steps)), m),
+                 default=None)
+    if slices is None or _rest_turn(ctx) / slices > _COARSE_TURN:
+        return None
+    return slices
+
+
+def _time_parallel(state: RodState, ctx: SegmentContext, steps: int):
+    """Parareal over one batch row of one segment, or None where the
+    segment must be integrated serially (see :func:`_time_slices`).
+
+    Both propagators are :func:`integrate_segment` over one slice: the
+    coarse one G takes a single RK4 step, the fine one F the slice's share
+    of ``steps``, and F integrates every slice at once as one batch. A
+    serial G sweep seeds the slice starts U_j, then each correction sets
+    U_{j+1} ← F(U_j^old) + G(U_j^new) − G(U_j^old) until every start is
+    at round-off from the F row that ends there. Returns what
+    :func:`integrate_segment` returns, with the F trails stitched together;
+    None also when a row of a G or F pass fails, or the starts are not at
+    round-off after ``_PARAREAL_CORRECTIONS`` corrections.
+    """
+    slices = _time_slices(ctx, steps)
+    if slices is None:
+        return None
+    k = ctx.n_active
+    batch = state.u1.shape[:-1]
+    sub = copy.copy(ctx)
+    sub.end = ctx.start + (ctx.end - ctx.start) / slices
+
+    def coarse(y: np.ndarray) -> np.ndarray | None:
+        _, rec, _, failed = integrate_segment(unpack_state(y, k, sub.start),
+                                              sub, 1)
+        return None if failed else rec[-1]
+
+    y0 = pack_state(state).reshape(-1)
+    starts = np.empty((slices, y0.size))
+    starts[0] = y0
+    coarse_ends = np.empty((slices - 1, y0.size))  # G of each start
+    for j in range(slices - 1):
+        end = coarse(starts[j])
+        if end is None:
+            return None
+        coarse_ends[j] = starts[j + 1] = end
+    for correction in range(_PARAREAL_CORRECTIONS + 1):
+        _, rec, cond, failed = integrate_segment(
+            unpack_state(starts, k, sub.start), sub, steps // slices)
+        if failed.any():
+            return None
+        ends = rec[-1]
+        scale = np.maximum(1.0, np.abs(starts[1:]))
+        if (np.abs(ends[:-1] - starts[1:]) <= _PARAREAL_JUMP * scale).all():
+            break
+        if correction == _PARAREAL_CORRECTIONS:
+            return None
+        moved = starts.copy()
+        for j in range(slices - 1):
+            # An unmoved start has an unmoved G, so F alone sets the next.
+            moved[j + 1] = ends[j]
+            if not np.array_equal(moved[j], starts[j]):
+                end = coarse(moved[j])
+                if end is None:
+                    return None
+                moved[j + 1] += end - coarse_ends[j]
+                coarse_ends[j] = end
+        starts = moved
+
+    width = starts.shape[1]
+    trail = np.empty((steps + 1, width))
+    trail[0] = starts[0]
+    trail[1:] = rec[1:].swapaxes(0, 1).reshape(steps, width)
+    trail = trail.reshape((steps + 1,) + batch + (width,))
+    return (unpack_state(trail[-1], k, ctx.end), trail,
+            np.full(batch, cond.max()), np.zeros(batch, dtype=np.int8))
+
+
 # ---------------------------------------------------------------------------
 # boundary transfer
 # ---------------------------------------------------------------------------
@@ -427,8 +551,13 @@ def boundary_residual(guess: np.ndarray, problem: Problem,
     parts: list[np.ndarray] = []
     trail = []
     cond_max = np.zeros(guess.shape[:-1])
+    one_row = guess.size == guess.shape[-1]
     for ctx in problem.contexts:
-        state, rec, cond, failed = integrate_segment(
+        # A lone row that has not failed is integrated time-parallel where
+        # the segment allows it (see _time_parallel).
+        out = _time_parallel(state, ctx, options.steps_per_segment) \
+            if one_row and not failed.any() else None
+        state, rec, cond, failed = out or integrate_segment(
             state, ctx, options.steps_per_segment, failed)
         cond_max = np.maximum(cond_max, cond)
         trail.append(rec)
@@ -482,7 +611,13 @@ def _finite(x: float) -> float | None:
 
 @dataclass
 class SegmentSolution:
-    """Sampled solution of one segment, tubes listed outermost first."""
+    """Sampled solution of one segment, tubes listed outermost first.
+
+    The state arrays are views of one recorded trail; the per-tube strains
+    and wrench are derived from them and the segment's ``stiffness`` and
+    ``rest`` through :func:`~nestrod.statics.tube_strains` on each access,
+    so a kept solution holds its trail once.
+    """
 
     start: float
     end: float
@@ -495,10 +630,38 @@ class SegmentSolution:
     theta: np.ndarray                # (S, k-1)
     u_d3: np.ndarray                 # (S, k-1)
     beta: np.ndarray                 # (S, k-1)
-    tube_u: np.ndarray               # (S, k, 3) per-tube curvature
-    tube_v: np.ndarray               # (S, k, 3)
-    tube_n: np.ndarray               # (S, k, 3) internal force, own frame
-    tube_m: np.ndarray               # (S, k, 3)
+    stiffness: np.ndarray            # (k, 6) [Kbt, Kse] per tube
+    rest: np.ndarray                 # (k, 6) [u*, v*] per tube
+
+    @property
+    def n_active(self) -> int:
+        return len(self.tubes)
+
+    def _strains(self) -> TubeStrains:
+        state = RodState(p=self.p, R=self.R, u1=self.u1, v1=self.v1,
+                         theta=self.theta, u_d3=self.u_d3, beta=self.beta,
+                         s=self.start)
+        return tube_strains(state, self)
+
+    @property
+    def tube_u(self) -> np.ndarray:
+        """(S, k, 3) per-tube curvature and twist."""
+        return self._strains().u
+
+    @property
+    def tube_v(self) -> np.ndarray:
+        """(S, k, 3) per-tube shear and extension."""
+        return self._strains().v
+
+    @property
+    def tube_n(self) -> np.ndarray:
+        """(S, k, 3) internal force, in each tube's own frame."""
+        return self._strains().n
+
+    @property
+    def tube_m(self) -> np.ndarray:
+        """(S, k, 3) internal moment, in each tube's own frame."""
+        return self._strains().m
 
 
 @dataclass
@@ -528,13 +691,11 @@ def _expand_segment(ctx: SegmentContext, trail: np.ndarray) -> SegmentSolution:
     steps = len(trail) - 1
     h = (ctx.end - ctx.start) / steps
     state = unpack_state(trail, ctx.n_active, ctx.start)
-    strains = tube_strains(state, ctx)
     return SegmentSolution(
         start=ctx.start, end=ctx.end, tubes=list(ctx.tubes),
         stations=ctx.start + h * np.arange(steps + 1), p=state.p, R=state.R,
         u1=state.u1, v1=state.v1, theta=state.theta, u_d3=state.u_d3,
-        beta=state.beta, tube_u=strains.u, tube_v=strains.v,
-        tube_n=strains.n, tube_m=strains.m)
+        beta=state.beta, stiffness=ctx.stiffness, rest=ctx.rest)
 
 
 def rest_guess(problem: Problem) -> np.ndarray:
@@ -729,7 +890,8 @@ def _solve_level(problem: Problem, options: SolverOptions,
     ``guess`` is one Newton solve, with ``jacobian`` if there is one (see
     :func:`_newton`). Without a guess, or if it does not converge, the
     tension ramp runs from the rest guess, one Newton solve per step; a
-    failed step, the final one too, is retried at half its size. The level
+    failed step, the final one too, is retried at half its size, and a step
+    whose start guess fails caps every later step at that half. The level
     lists every Newton solve run."""
     solves: list[_Outcome] = []
     if guess is not None:
@@ -741,6 +903,7 @@ def _solve_level(problem: Problem, options: SolverOptions,
 
     step = _first_ramp_step(problem)
     floor = step / _RAMP_FLOOR
+    cap = math.inf               # largest step after a start-guess failure
     history = [(0.0, rest_guess(problem))]  # (scale, guess) of converged steps
     rest_checked = False
     for _ in range(_RAMP_ATTEMPTS):
@@ -763,7 +926,7 @@ def _solve_level(problem: Problem, options: SolverOptions,
         if out.converged:
             history.append((scale, out.guess))
             if out.iterations <= _RAMP_EASY_ITERATIONS:
-                step *= 2.0
+                step = min(2.0 * step, cap)
             continue
         failure = ("integration left the physical domain "
                    f"({FAILURES[out.failure]})" if out.failure
@@ -772,6 +935,10 @@ def _solve_level(problem: Problem, options: SolverOptions,
         # below the floor or the rest guess itself fails without tension; no
         # shorter step can get past such a failure.
         step = 0.5 * (scale - s_done)
+        if out.failure:
+            # A start guess that leaves the physical domain is not a basin
+            # Newton can stall in: doubling back to it only fails again.
+            cap = min(cap, step)
         if step < floor:
             break
         if s_done == 0.0 and not rest_checked:
@@ -796,8 +963,7 @@ def _coarse_steps(problem: Problem, options: SolverOptions) -> int | None:
     largest ‖u*ᵢ‖ of a segment times its length, over the step count. It
     reads the compiled rest curvatures and integrates nothing.
     """
-    turn = max(float(np.linalg.norm(ctx.ustar, axis=-1).max())
-               * (ctx.end - ctx.start) for ctx in problem.contexts)
+    turn = max(_rest_turn(ctx) for ctx in problem.contexts)
     coarse = None
     steps = options.steps_per_segment // 2
     while steps >= _COARSE_FLOOR and turn / steps <= _COARSE_TURN:

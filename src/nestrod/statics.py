@@ -237,6 +237,8 @@ def tube_strains(state: RodState, ctx: SegmentContext) -> TubeStrains:
     u_i = rot_d3(θ_i)ᵀ u₁ with third component replaced by the stored twist
     curvature, and v_i = β_i rot_d3(θ_i)ᵀ v₁. Its wrench follows from its
     constitutive law, n_i = Kse_i (v_i − v*_i) and m_i = Kbt_i (u_i − u*_i).
+    Of ``ctx`` it reads ``n_active``, ``stiffness`` and ``rest`` only, which
+    a recorded ``nestrod.shooting.SegmentSolution`` has as well.
     """
     uv1 = np.concatenate([state.u1, state.v1], axis=-1)
     if ctx.n_active == 1:

@@ -321,15 +321,15 @@ class TestNewtonBatches:
         shoot(asm, opts)
         assert [c for c in calls if c[0] == 50] == [(50, 1)]
 
-    def test_failed_chord_step_falls_back_to_the_stencil(self, monkeypatch):
-        # A chord step that does not halve the scaled residual is dropped:
-        # the iteration goes on from the same guess with the FD stencil
-        # rows alone (its centre row is known), and ends exactly where
-        # Newton without a Jacobian in hand ends. The negated Jacobian
-        # steps away from the solution.
+    @staticmethod
+    def _chord_after_failed_step(monkeypatch, steps):
+        """Newton on ctr_theta_90 at ``steps`` from its 12-step solution,
+        without a Jacobian and with the negated 12-step one, which steps
+        away from the solution. Returns both outcomes and the rows of
+        every shooting-map call of each."""
         asm, opts = preset("ctr_theta_90")
         coarse_opts = replace(opts, steps_per_segment=12)
-        opts.steps_per_segment = 50
+        opts.steps_per_segment = steps
         guess = shoot(asm, coarse_opts).guess
         coarse = shooting._newton(build_problem(asm, coarse_opts),
                                   coarse_opts, guess)
@@ -346,8 +346,29 @@ class TestNewtonBatches:
         assert [rows for _, rows in calls] == [1, 1, size] + plain_rows[1:]
         assert out.converged
         assert out.iterations == plain.iterations + 1
+        return plain, out, plain_rows
+
+    def test_failed_chord_step_falls_back_to_the_stencil(self, monkeypatch):
+        # A chord step that does not halve the scaled residual is dropped:
+        # the iteration goes on from the same guess with the FD stencil
+        # rows alone (its centre row is known), and ends exactly where
+        # Newton without a Jacobian in hand ends. At 40 steps every pass is
+        # serial, so both end on the same bits.
+        plain, out, _ = self._chord_after_failed_step(monkeypatch, 40)
         np.testing.assert_array_equal(out.guess, plain.guess)
         np.testing.assert_array_equal(out.trail[-1], plain.trail[-1])
+
+    def test_failed_chord_step_with_a_time_parallel_guess_row(
+            self, monkeypatch):
+        # At 50 steps the chord iteration's lone guess row is integrated
+        # time-parallel and the stencil rows serially, so the two ends
+        # agree at round-off, with the same batches and iterations.
+        plain, out, plain_rows = self._chord_after_failed_step(monkeypatch, 50)
+        assert plain_rows == [9, 19]
+        assert plain.iterations == 1 and out.iterations == 2
+        np.testing.assert_allclose(out.guess, plain.guess, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(out.trail[-1], plain.trail[-1], rtol=0,
+                                   atol=1e-13)
 
     def test_warm_start_at_the_tolerance_stays_on_one_row(self, monkeypatch):
         # A guess solved at 200 steps is warm-started at 400: the coarse
@@ -599,6 +620,96 @@ class TestNewtonBatches:
         assert [t for w, t in zip(widths, tensions) if w == 1] == [0.0]
 
 
+class TestTimeParallel:
+    """A lone row that the segment allows is integrated by Parareal; the
+    reference is the same pass with every segment on integrate_segment."""
+
+    @staticmethod
+    def _passes(monkeypatch, guess, problem, opts):
+        """(the pass as run, the serial pass, (batch rows, steps) of every
+        integrate_segment call of the pass as run)."""
+        calls = []
+        inner = shooting.integrate_segment
+
+        def logged(state, ctx, steps, failed=None):
+            calls.append((math.prod(state.u1.shape[:-1]), steps))
+            return inner(state, ctx, steps, failed)
+
+        monkeypatch.setattr(shooting, "integrate_segment", logged)
+        fast = boundary_residual(guess, problem, opts)
+        monkeypatch.setattr(shooting, "integrate_segment", inner)
+        monkeypatch.setattr(shooting, "_time_parallel", lambda *args: None)
+        serial = boundary_residual(guess, problem, opts)
+        return fast, serial, calls
+
+    @pytest.mark.parametrize("name", ["two_tube_0", "three_tube_b",
+                                      "tendon_tube"])
+    def test_stitched_trail_matches_the_serial_pass(self, monkeypatch, name):
+        # At 200 steps a segment splits into 10 slices of 20 steps: the F
+        # passes run 10 rows, and the G steps one step each.
+        if name == "tendon_tube":
+            asm = AssemblySpec(
+                tubes=[_tube(length=0.15)],
+                tendons=[TendonSpec(routing=StraightRouting([3e-3, 0.0]),
+                                    tension=1.0)])
+        else:
+            asm, _ = preset(name, allow_placeholders=True)
+        opts = SolverOptions(steps_per_segment=200)
+        guess = shoot(asm, replace(opts, steps_per_segment=20)).guess
+        problem = build_problem(asm, opts)
+        fast, serial, calls = self._passes(monkeypatch, guess[None, :],
+                                           problem, opts)
+        assert set(calls) <= {(1, 1), (10, 20)}
+        assert calls.count((10, 20)) >= len(problem.contexts)
+        assert not fast[3].any() and not serial[3].any()
+        for got, want in zip(fast[1], serial[1], strict=True):
+            assert got.shape == want.shape == (201, 1, want.shape[-1])
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+        tip_gap = np.linalg.norm(fast[1][-1][-1, 0, 0:3]
+                                 - serial[1][-1][-1, 0, 0:3])
+        assert tip_gap < 1e-12
+        np.testing.assert_allclose(fast[2], serial[2], rtol=1e-12)
+
+    def test_failed_row_reads_as_the_serial_pass(self, monkeypatch):
+        # A far-off curvature drifts off the rotation group in the first
+        # G step: the segment is integrated again serially from the same
+        # start, so every output, the failure code too, is the serial one.
+        asm, _ = preset("two_tube_0", allow_placeholders=True)
+        opts = SolverOptions(steps_per_segment=200)
+        problem = build_problem(asm, opts)
+        guess = rest_guess(problem)
+        guess[0] = 2.0e4
+        fast, serial, calls = self._passes(monkeypatch, guess, problem, opts)
+        assert (1, 1) in calls and (1, 200) in calls
+        assert "rotation group" in shooting.FAILURES[fast[3]]
+        assert fast[3] == serial[3]
+        for got, want in zip(fast, serial, strict=True):
+            if isinstance(got, list):
+                for a, b in zip(got, want, strict=True):
+                    np.testing.assert_array_equal(a, b)
+            else:
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name, steps, rows", [
+        ("single_tube_helical_backbone", 150, 1),  # a slice turns too far
+        ("two_tube_helical", 200, 1),              # routing reads the station
+        ("two_tube_0", 200, 2),                    # more than one row
+        ("two_tube_0", 211, 1),                    # prime step count
+    ])
+    def test_ineligible_passes_stay_serial(self, monkeypatch, name, steps,
+                                           rows):
+        asm, _ = preset(name, allow_placeholders=True)
+        opts = SolverOptions(steps_per_segment=steps)
+        problem = build_problem(asm, opts)
+        guess = rest_guess(problem) + np.linspace(0.0, 1e-3, rows)[:, None]
+        fast, serial, calls = self._passes(monkeypatch, guess, problem, opts)
+        assert set(calls) == {(rows, steps)}
+        np.testing.assert_array_equal(fast[0], serial[0])
+        for got, want in zip(fast[1], serial[1], strict=True):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(fast[2], serial[2])
+
+
 class TestRamp:
     def test_first_step_is_sized_by_the_load_parameter(self):
         # No tendon, no load: the whole tension in one step. three_tube_c's
@@ -653,6 +764,41 @@ class TestRamp:
         assert shoot(asm, opts).report.converged
         assert spent[0] == (shooting._NEWTON_CAP, False)
         assert max(n for n, _ in spent) <= shooting._NEWTON_CAP
+
+
+    def test_start_guess_failure_caps_later_steps(self, monkeypatch):
+        # 100 N on a bare tube at 8 steps: ramp steps past a tension scale
+        # of about 0.36 fail at their start guess (the frame drifts). After
+        # such a failure no step grows past that step's half again, so the
+        # ramp never retries a size that already failed at its start.
+        asm = AssemblySpec(
+            tubes=[_tube(length=0.2)],
+            tendons=[TendonSpec(routing=StraightRouting([3e-3, 0.0]),
+                                tension=100.0)])
+        spent = []
+        inner = shooting._newton
+
+        def counted(problem, *args, **kwargs):
+            out = inner(problem, *args, **kwargs)
+            spent.append((problem.contexts[0].tensions[0] / 100.0,
+                          out.failure, out.converged))
+            return out
+
+        monkeypatch.setattr(shooting, "_newton", counted)
+        with pytest.raises(NoConvergence) as err:
+            shoot(asm, SolverOptions(steps_per_segment=8))
+        report = err.value.report
+        assert report.continuation_steps == len(spent) == 30
+        assert report.iterations == 4
+        assert "rotation group" in report.message
+        done, cap = 0.0, math.inf
+        for scale, failure, converged in spent:
+            assert scale - done <= cap * (1.0 + 1e-12)
+            if converged:
+                done = scale
+            elif failure:
+                cap = min(cap, 0.5 * (scale - done))
+        assert cap < math.inf
 
 
 class TestFailureReport:
