@@ -233,6 +233,11 @@ class StraightRouting:
     def eval(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.offset.copy(), np.zeros(3), np.zeros(3)
 
+    def angular_rate(self, start: float, end: float) -> float:
+        """Largest rate |dθ/ds| at which the path turns about the axis over
+        [start, end]: none."""
+        return 0.0
+
 
 class HelicalRouting:
     """Offset winding around the cross-section: fixed radius, the angle
@@ -255,6 +260,11 @@ class HelicalRouting:
         rdot = self.radius * w * np.array([-sn, c, 0.0])
         rddot = -(w**2) * r
         return r, rdot, rddot
+
+    def angular_rate(self, start: float, end: float) -> float:
+        """Largest rate |dθ/ds| at which the path turns about the axis over
+        [start, end]: the constant 2π / period."""
+        return 2.0 * math.pi / self.period
 
 
 class PiecewiseAngularRouting:
@@ -299,6 +309,17 @@ class PiecewiseAngularRouting:
             (ddrho - rho * da * da) * e + (2.0 * drho * da + rho * dda) * t
         )
         return r, rdot, rddot
+
+    def angular_rate(self, start: float, end: float) -> float:
+        """Largest rate |dθ/ds| at which the path turns about the axis over
+        [start, end] within the knot span. The angle's derivative is
+        quadratic between knots, so it peaks at an end, a knot, or where
+        the second derivative vanishes."""
+        lo, hi = max(start, self.stations[0]), min(end, self.stations[-1])
+        bends = self._angle.derivative(2).roots(extrapolate=False)
+        stations = np.concatenate([[lo, hi], self.stations,
+                                   bends[np.isfinite(bends)]])
+        return float(np.abs(self._angle(np.clip(stations, lo, hi), 1)).max())
 
 
 # ---------------------------------------------------------------------------

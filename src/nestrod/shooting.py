@@ -12,14 +12,19 @@ from the rest guess, so high-tension scenarios start from an already-bent
 warm guess. The ramp sizes its first step by the stack's load parameter
 T·ℓ²/EI, doubles it after an easy step and halves it after a failed one;
 each step is one Newton solve. The ramp and Newton's damped phase run on
-a coarse grid, read off the compiled rest curvatures: the coarsest step
-count at which no RK4 step turns a tube's rest frame by more than a
-quarter turn (‖u*‖·h ≤ π/2), the step-size condition of Runge–Kutta on
-rotations. One Newton solve at the requested step count then polishes. The
-polish integrates the coarse solution alone; if it misses the
-tolerances, chord steps with the coarse grid's Jacobian follow, and the
-FD stencil is integrated only when a chord step contracts the residual
-too little.
+the coarsest grid of a ladder read off the compiled problem: the requested
+step count N, then N/4, N/16, … down to the coarsest count at which no
+RK4 step turns a tube's rest frame, or a tendon's path about the axis, by
+more than a quarter turn (‖u*‖·h ≤ π/2), the step-size condition of
+Runge–Kutta on rotations. Each rung above then polishes the one below with
+one Newton solve (nested iteration): it integrates the lower rung's
+solution alone; if that misses the tolerances, chord steps with the lower
+rung's Jacobian follow, and the FD stencil is integrated only when a chord
+step contracts the residual too little. A rung that converges without an
+iteration hands its solution straight to the rung just below the requested
+grid. Every rung, the requested one too, falls back to the ramp from rest
+when its start stalls, and a rung that fails hands the next rung its own
+start.
 
 A pass of one batch row, as the polish and the chord steps run, is
 integrated time-parallel segment by segment where the segment allows it
@@ -101,17 +106,17 @@ _RAMP_FLOOR = 64
 _RAMP_ATTEMPTS = 48
 
 # Coarse-to-fine: the ramp and Newton's damped phase only have to stay in
-# the basin of the solution, so they run on a coarse grid, and one Newton
-# solve at the requested step count polishes. A coarse grid has at least
-# this many steps per segment; a solve asking for fewer than twice as many
-# gets no coarse grid.
-_COARSE_FLOOR = 10
+# the basin of the solution, so they run on the coarsest grid of a ladder
+# whose rungs grow by this factor up to the requested step count, and each
+# rung above polishes the one below (nested iteration).
+_RUNG_FACTOR = 4
 
 # Largest angle in rad by which one coarse RK4 step may turn a tube's rest
-# frame, ‖u*‖·h. Runge–Kutta on rotations is accurate only for steps well
-# inside half a turn (Iserles et al., Lie-group methods, Acta Numerica
-# 2000); a quarter turn passes the helix backbone at 18 steps (1.09 rad),
-# where its rest guess integrates, and fails it at 12 (1.64 rad).
+# frame, ‖u*‖·h, or a tendon's path about the axis. Runge–Kutta on
+# rotations is accurate only for steps well inside half a turn (Iserles et
+# al., Lie-group methods, Acta Numerica 2000); a quarter turn passes the
+# helix backbone at 18 steps (1.09 rad), where its rest guess integrates,
+# and fails it at 12 (1.64 rad).
 _COARSE_TURN = math.pi / 2
 
 # Finite-difference steps of the Jacobian stencil on the curvatures (u₁,
@@ -309,11 +314,15 @@ def integrate_segment(state: RodState, ctx: SegmentContext, steps: int,
     return unpack_state(y, k, ctx.end), trail, cond_max, failed
 
 
-def _rest_turn(ctx: SegmentContext) -> float:
-    """Angle in rad by which the segment turns its most curved rest frame,
-    the largest ‖u*ᵢ‖ times the segment's length."""
-    return float(np.linalg.norm(ctx.ustar, axis=-1).max()) \
-        * (ctx.end - ctx.start)
+def _turn(ctx: SegmentContext) -> float:
+    """Angle in rad by which the segment turns its most curved rest frame
+    or its fastest-winding tendon path: the segment's length times the
+    larger of the largest ‖u*ᵢ‖ and the largest angular rate of a routing
+    about the axis over the segment (``routing.angular_rate``)."""
+    rates = [float(np.linalg.norm(ctx.ustar, axis=-1).max())]
+    rates += [routing.angular_rate(ctx.start + offset, ctx.end + offset)
+              for routing, offset in zip(ctx.routings, ctx.routing_offsets)]
+    return max(rates) * (ctx.end - ctx.start)
 
 
 def _time_slices(ctx: SegmentContext, steps: int) -> int | None:
@@ -324,7 +333,7 @@ def _time_slices(ctx: SegmentContext, steps: int) -> int | None:
     integrated over the first one's stations; the slice count is the
     divisor of ``steps`` nearest √steps that gives enough slices of enough
     steps; and one RK4 step over a slice, the coarse propagator, must turn
-    no rest frame by more than ``_COARSE_TURN``.
+    no rest frame by more than ``_COARSE_TURN`` (see :func:`_turn`).
     """
     if (ctx.routings and ctx.path is None) or steps < _PARAREAL_MIN_STEPS:
         return None
@@ -333,7 +342,7 @@ def _time_slices(ctx: SegmentContext, steps: int) -> int | None:
             if steps % m == 0]
     slices = min(fits, key=lambda m: (abs(m - math.sqrt(steps)), m),
                  default=None)
-    if slices is None or _rest_turn(ctx) / slices > _COARSE_TURN:
+    if slices is None or _turn(ctx) / slices > _COARSE_TURN:
         return None
     return slices
 
@@ -575,14 +584,17 @@ def boundary_residual(guess: np.ndarray, problem: Problem,
 class ConvergenceReport:
     converged: bool
     iterations: int
-    continuation_steps: int           # Newton solves run, on every grid
+    # Newton solves run: those of every ramp and warm start, and one per
+    # polished rung.
+    continuation_steps: int
     scaled_residual: float            # max |component| / its tolerance
     residual: np.ndarray
     condition_max: float
     message: str = ""
     # Richardson estimate in m of the requested grid's tip error (RK4: d /
-    # ((N / N_c)⁴ − 1) for the tip gap d to the coarse grid of N_c steps),
-    # and N_c; both None when no coarse grid converged first.
+    # ((N / N_c)⁴ − 1) for the tip gap d to the rung of N_c steps just below
+    # the requested grid on the ladder), and N_c; both None when the ladder
+    # has no rung below the requested grid or that rung did not converge.
     discretization_error: float | None = None
     coarse_steps: int | None = None
 
@@ -597,8 +609,8 @@ class ConvergenceReport:
             "condition_max": _finite(self.condition_max),
             "message": self.message,
         }
-        # Left out when unset, so a solve without a coarse grid writes the
-        # same record as before there was one.
+        # Left out when unset, so a solve without a rung below writes the
+        # same record as before there was a coarse grid.
         if self.discretization_error is not None:
             out["discretization_error"] = _finite(self.discretization_error)
             out["coarse_steps"] = self.coarse_steps
@@ -763,7 +775,7 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
     failed row ends the solve where it stands: no Jacobian can be formed
     there. If the start guess itself fails, the outcome carries its code.
 
-    With a ``jacobian`` in hand (the coarse grid's, for the polish), the
+    With a ``jacobian`` in hand (the rung below's, for the polish), the
     first batch is the guess alone, and the iterations start as chord
     (simplified Newton) steps: each integrates only its full-step candidate
     and is kept while it cuts the scaled residual by ``_CHORD_CONTRACTION``
@@ -954,22 +966,28 @@ def _solve_level(problem: Problem, options: SolverOptions,
     return _Level(solves, None, scale, failure)
 
 
-def _coarse_steps(problem: Problem, options: SolverOptions) -> int | None:
-    """Step count of the coarse grid for ``options``, or None for none.
+def _coarse_steps(problem: Problem, options: SolverOptions) -> list[int]:
+    """Step counts of the grid ladder for ``options``, coarsest first and
+    the requested count last.
 
-    This is the coarsest count on the halving ladder below the requested
-    one, and no lower than ``_COARSE_FLOOR``, at which no step of any
-    segment turns a tube's rest frame by more than ``_COARSE_TURN``: the
-    largest ‖u*ᵢ‖ of a segment times its length, over the step count. It
-    reads the compiled rest curvatures and integrates nothing.
+    Below the requested count N the rungs are N // 4, N // 16, … while a
+    rung has at least one step per segment and no step of any segment turns
+    by more than ``_COARSE_TURN`` (see :func:`_turn`). Where the next ×4
+    rung fails that rule, half the last rung, the coarsest that the halving
+    ladder could still admit, ends the ladder if it passes. It reads the
+    compiled problem and integrates nothing.
     """
-    turn = max(_rest_turn(ctx) for ctx in problem.contexts)
-    coarse = None
-    steps = options.steps_per_segment // 2
-    while steps >= _COARSE_FLOOR and turn / steps <= _COARSE_TURN:
-        coarse = steps
-        steps //= 2
-    return coarse
+    turn = max(_turn(ctx) for ctx in problem.contexts)
+
+    def admits(steps: int) -> bool:
+        return steps >= 1 and turn / steps <= _COARSE_TURN
+
+    rungs = [options.steps_per_segment]
+    while admits(rungs[-1] // _RUNG_FACTOR):
+        rungs.append(rungs[-1] // _RUNG_FACTOR)
+    if admits(rungs[-1] // 2):
+        rungs.append(rungs[-1] // 2)
+    return rungs[::-1]
 
 
 def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
@@ -977,33 +995,42 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
     """Solve the clamped-base statics of an assembly.
 
     The assembly is compiled once (:func:`build_problem`); the ramp steps
-    scale its tensions. A caller-supplied ``initial_guess`` (e.g. the
-    previous point of a sweep) is one Newton solve at full tension; if that
-    stalls, the solver falls back to the tension ramp from the rest guess.
-    Both run first on a coarse grid (see :func:`_coarse_steps`), if there
-    is one, and then once more at the requested step count, warm-started
-    from the coarse solution; if the coarse grid does not converge, the
-    requested grid starts from the same guess instead. The polish integrates the coarse solution alone on the
-    requested grid; if that misses the tolerances, it takes chord steps
-    with the coarse grid's Jacobian, and falls back to the FD stencil when
-    one contracts too little. Raises :class:`ValidationError` for unusable
-    ``options`` before any integration, and :class:`NoConvergence` with a
-    diagnostic report when every route fails.
+    scale its tensions. The solve climbs a ladder of grids (see
+    :func:`_coarse_steps`). The coarsest rung takes a caller-supplied
+    ``initial_guess`` (e.g. the previous point of a sweep) as one Newton
+    solve at full tension and falls back to the tension ramp from the rest
+    guess if that stalls. Every rung above polishes the solution of the
+    rung below: it integrates that solution alone, takes chord steps with
+    the lower rung's Jacobian if it misses the tolerances, and falls back
+    to the FD stencil when one contracts too little. A rung that converges
+    without an iteration hands its solution straight to the rung just
+    below the requested grid, skipping the rungs between. Every rung, the
+    requested one too, falls back to the ramp from rest when its start
+    stalls, and a rung that fails hands the next rung its own start.
+    Raises :class:`ValidationError` for unusable ``options`` before any
+    integration, and :class:`NoConvergence` with a diagnostic report when
+    the requested grid fails.
     """
     options = options or SolverOptions()
     problem = build_problem(assembly, options)
-    coarse = _coarse_steps(problem, options)
-    levels = [options] if coarse is None \
-        else [replace(options, steps_per_segment=coarse), options]
+    rungs = _coarse_steps(problem, options)
     guess, jacobian = initial_guess, None
     solves: list[_Outcome] = []
-    coarse_tip = None
-    for level_options in levels:
-        level = _solve_level(problem, level_options, guess, jacobian)
+    level = None
+    for i, steps in enumerate(rungs):
+        # A rung that converged without an iteration, its start already
+        # within the tolerances there, hands its solution straight to the
+        # rung just below the requested grid: the rungs between would only
+        # verify it again.
+        if (i < len(rungs) - 2 and level is not None
+                and level.outcome is not None and not level.outcome.iterations):
+            continue
+        below = level
+        level = _solve_level(problem, replace(options, steps_per_segment=steps),
+                             guess, jacobian)
         solves += level.solves
-        if level_options is not options and level.outcome is not None:
+        if level.outcome is not None:
             guess, jacobian = level.outcome.guess, level.outcome.jacobian
-            coarse_tip = level.outcome.trail[-1][-1, 0:3]
     if level.outcome is None:
         report = _report(solves, level.message)
         raise NoConvergence(
@@ -1013,8 +1040,10 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
     report = _report(solves)
     segments = [_expand_segment(ctx, rec)
                 for ctx, rec in zip(problem.contexts, level.outcome.trail)]
-    if coarse_tip is not None:
-        gap = np.linalg.norm(segments[-1].p[-1] - coarse_tip)
+    if below is not None and below.outcome is not None:
+        coarse = rungs[-2]
+        gap = np.linalg.norm(segments[-1].p[-1]
+                             - below.outcome.trail[-1][-1, 0:3])
         report.discretization_error = float(
             gap / ((options.steps_per_segment / coarse) ** 4 - 1.0))
         report.coarse_steps = coarse

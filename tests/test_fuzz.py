@@ -4,8 +4,10 @@ Random stacks of one to three tubes, straight, arc-shaped or helical at
 rest, at random base twists, with up to two straight or helical tendons or
 none, are solved at coarse step counts, where bold Newton candidates easily
 leave the physical domain (frame drift, collapsed tendon tangents, singular
-rate systems), and where the coarse grid is read off strong rest
-curvatures. Whatever happens inside, ``shoot()`` must either return a
+rate systems), and where the grid ladder is read off strong rest
+curvatures and fast-winding tendons; a second, smaller set is solved at 50
+to 200 steps, where the ladder's upper rungs and the time-parallel pass
+run. Whatever happens inside, ``shoot()`` must either return a
 ``Solution`` or raise ``NoConvergence`` carrying a report: no other
 exception may escape. A failed batch row is held at a finite state, so no
 numpy overflow or invalid-value warning may be emitted either. The draws
@@ -44,7 +46,7 @@ def _rest_shapes(draw):
 
 
 @st.composite
-def _cases(draw):
+def _cases(draw, steps=st.integers(5, 40)):
     n_tubes = draw(st.integers(1, 3))
     tubes = []
     outer = draw(st.floats(0.5e-3, 2.0e-3))
@@ -73,7 +75,7 @@ def _cases(draw):
             tube=draw(st.integers(0, n_tubes - 1))))
     twists = [0.0] + [draw(_ANGLES) for _ in range(n_tubes - 1)]
     assembly = AssemblySpec(tubes=tubes, tendons=tendons, base_twists=twists)
-    options = SolverOptions(steps_per_segment=draw(st.integers(5, 40)))
+    options = SolverOptions(steps_per_segment=draw(steps))
     return assembly, options
 
 
@@ -93,3 +95,14 @@ def test_solve_converges_or_reports(case):
         return
     assert isinstance(solution, Solution)
     assert np.all(np.isfinite(solution.tip_position))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_cases(st.integers(50, 200)))
+def test_fine_solve_converges_or_reports(case):
+    # At 50 steps and more, the upper rungs of the grid ladder polish, and
+    # a lone row of a segment without a helical tendon is integrated
+    # time-parallel. The invariants are those of the coarse draws.
+    test_solve_converges_or_reports.hypothesis.inner_test(case)

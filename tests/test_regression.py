@@ -21,18 +21,21 @@ from nestrod.scenario import preset
 from nestrod.shooting import SolverOptions, shoot
 
 # (preset, steps per segment, tip in m, iterations, continuation steps,
-#  scaled residual). Both run a coarse grid (12 and 10 steps per segment)
-#  before the requested one; the counts add up both grids. Their tips lie
-#  3.3e-11 m and 1.4e-11 m from those of the single-grid build before.
-#  The load-sized ramp moved the helical pair's counts from 17 / 5 to
-#  9 / 5; its tip held within 1e-12 m.
+#  scaled residual). Both climb a grid ladder, [1, 3, 12, 50] and [1, 5,
+#  20]: the ramp runs on the 1-step rung and each rung above polishes the
+#  one below, and the counts add up every rung. Their tips lie 6.0e-12 m
+#  and 3.4e-11 m from those of the two-grid build before (12 and 10 steps,
+#  then the requested count; 5 / 2 and 9 / 5 iterations / steps). Before
+#  that, the two-grid build moved them 3.3e-11 m and 1.4e-11 m from the
+#  single-grid build, and the load-sized ramp moved the helical pair's
+#  counts from 17 / 5 to 9 / 5 with its tip held within 1e-12 m.
 _PINS = [
     ("ctr_theta_90", 50,
-     (0.026736597121270744, -0.026987057546531214, 0.14328992228271406),
-     5, 2, 3.0878077872387166e-06),
+     (0.02673659711956028, -0.026987057552174638, 0.14328992228173879),
+     10, 4, 0.06801862892369392),
     ("two_tube_helical", 20,
-     (0.059349485360322536, -0.003396979260875325, 0.27082436704353596),
-     9, 5, 0.0062088722136854095),
+     (0.05934948534955017, -0.0033969792286833874, 0.27082436704591206),
+     14, 6, 0.11228358520742887),
 ]
 
 
@@ -55,8 +58,9 @@ def test_tip_matches_pinned_build(name, steps, tip, iterations, ramp, scaled):
 
 def test_fuzz_draw_matches_pinned_build():
     # A draw of the tests/test_fuzz.py generator at 5 steps per segment,
-    # below the coarse-grid floor, so it runs on one grid as it always did,
-    # where bold line-search candidates of the old uniform ramp drifted off
+    # where its tendon's one helical turn over the tube admits no rung
+    # below, so it runs on one grid as it always did, where bold
+    # line-search candidates of the old uniform ramp drifted off
     # the rotation group. The load-sized ramp (T·L²/EI ≈ 21, a first step
     # of 1/6 that grows) holds its tip within 1e-13 m and cuts its counts
     # from 24 / 4 to 5 / 4.

@@ -15,10 +15,13 @@ from nestrod.assembly import (
     ArcRest,
     AssemblySpec,
     HelicalRouting,
+    PiecewiseAngularRouting,
+    StraightRest,
     StraightRouting,
     TendonSpec,
     TubeSpec,
     section_stiffness,
+    segment_plan,
 )
 from nestrod import shooting
 from nestrod.errors import NoConvergence, ValidationError
@@ -232,13 +235,15 @@ class TestShoot:
         assert sol.report.iterations == 0
 
     def test_warm_start_skips_the_ramp(self):
-        # Each grid, the coarse one and the requested one, takes the given
-        # guess in a single full-tension step.
+        # The ladder is [1, 3, 15, 60]. The coarsest rung takes the given
+        # guess in a single full-tension step without an iteration, so it
+        # hands the guess straight to the 15-step rung below the requested
+        # grid; each of the three takes it unchanged.
         opts = SolverOptions(steps_per_segment=60)
         first = shoot(_two_tube(tension=1.0), opts)
         again = shoot(_two_tube(tension=1.0), opts, initial_guess=first.guess)
         assert again.report.discretization_error is not None
-        assert again.report.continuation_steps == 2
+        assert again.report.continuation_steps == 3
         assert again.report.iterations == 0
         np.testing.assert_allclose(again.tip_position, first.tip_position,
                                    atol=1e-12)
@@ -289,27 +294,27 @@ class TestShoot:
 
 class TestNewtonBatches:
     def test_one_evaluation_per_iteration(self, monkeypatch):
-        # On the coarse grid, every continuation step starts from one
+        # On the coarsest rung, every continuation step starts from one
         # stencil batch, every full step carries the next stencil, and the
-        # recorded shape comes from the accepted row: no record pass. The
-        # polish integrates the coarse solution alone and then one chord
-        # step with the coarse grid's Jacobian, a single row each. Nothing
-        # else is integrated: the coarse grid is read off the rest
-        # curvatures.
+        # recorded shape comes from the accepted row: no record pass. Each
+        # rung above polishes the one below: it integrates that solution
+        # alone and then chord steps with the Jacobian handed up, a single
+        # row each. Nothing else is integrated: the ladder is read off the
+        # rest curvatures.
         calls = _count_rows(monkeypatch)
         asm, opts = preset("ctr_theta_90")
         opts.steps_per_segment = 50
         report = shoot(asm, opts).report
         size = 8
         ladder = shooting._LINE_SEARCH_HALVINGS + 1
-        assert [c for c in calls if c[1] == 1] == [(50, 1), (50, 1)]
+        assert [c for c in calls if c[1] == 1] == \
+            [(3, 1)] * 4 + [(12, 1)] * 3 + [(50, 1)] * 2
         assert len(calls) == report.iterations + report.continuation_steps
-        # coarse grid: the ramp's one step and four Newton iterations
+        # coarsest rung: the ramp's one step and four Newton iterations
         assert Counter(c for c in calls if c[1] > 1) == \
-            {(12, size + 1): 1, (12, ladder + size): 4}
-        # the polish is one step at the requested count, after all coarse
-        # batches
-        assert [c[0] for c in calls] == [12] * 5 + [50] * 2
+            {(1, size + 1): 1, (1, ladder + size): 4}
+        # one polish per rung, each after all batches of the rung below
+        assert [c[0] for c in calls] == [1] * 5 + [3] * 4 + [12] * 3 + [50] * 2
 
     def test_polish_without_iterations_is_one_row(self, monkeypatch):
         # two_tube_0's coarse solution already meets the tolerances at 50
@@ -386,15 +391,18 @@ class TestNewtonBatches:
                                    atol=1e-6)
 
     def test_stalled_warm_start_is_capped_and_counted(self, monkeypatch):
-        # A start guess 50 rad/m off in u₁ gets _NEWTON_CAP Newton
+        # A start guess 100 rad/m off in u₁ gets _NEWTON_CAP Newton
         # iterations before the ramp from rest takes over. The report counts
         # every ladder batch run, the warm start's included, as an iteration
-        # and every Newton solve as a step. At 15 steps per segment there is
-        # no coarse grid, so no chord step.
-        asm, opts = preset("two_tube_0", allow_placeholders=True)
-        opts.steps_per_segment = 15
+        # and every Newton solve as a step. The helix backbone's rest frame
+        # admits no rung below 19 steps, so its ladder is that one grid and
+        # no step is a chord step.
+        asm, opts = preset("single_tube_helical_backbone",
+                           allow_placeholders=True)
+        opts.steps_per_segment = 19
+        assert shooting._coarse_steps(build_problem(asm, opts), opts) == [19]
         guess = shoot(asm, opts).guess.copy()
-        guess[0:3] += 50.0
+        guess[0:3] += 100.0
         calls = _count_rows(monkeypatch)
         report = shoot(asm, opts, initial_guess=guess).report
         rows = [r for _, r in calls]
@@ -407,7 +415,7 @@ class TestNewtonBatches:
 
     def test_one_segment_plan_per_solve(self, monkeypatch):
         # The assembly is compiled once per solve: the ramp's steps, the
-        # rest passes and both grids scale that one problem's tensions.
+        # rest passes and every rung scale that one problem's tensions.
         calls = []
         inner = shooting.segment_plan
 
@@ -424,7 +432,7 @@ class TestNewtonBatches:
         assert len(calls) == 1
         calls.clear()
         warm = shoot(asm, opts, initial_guess=ramped.guess)
-        assert warm.report.continuation_steps == 2
+        assert warm.report.continuation_steps == 4    # rungs 1, 3, 12, 50
         assert len(calls) == 1
 
     def test_discretization_error_estimates_the_requested_grid(self):
@@ -442,8 +450,8 @@ class TestNewtonBatches:
     def test_discretization_error_matches_a_finer_solve(self):
         # Against the tip moved by a solve at 4N steps, scaled by 4⁴ / (4⁴ −
         # 1) to the requested grid's own error: within a factor of 2 on the
-        # helix backbone, whose 25-step coarse grid is the roughest of the
-        # bundled presets.
+        # helix backbone, whose rungs [25, 50, 200] are the roughest of the
+        # bundled presets; the estimate reads the 50-step rung.
         asm, opts = preset("single_tube_helical_backbone",
                            allow_placeholders=True)
         opts.steps_per_segment = 200
@@ -452,17 +460,30 @@ class TestNewtonBatches:
                       initial_guess=solution.guess)
         actual = 256.0 / 255.0 * np.linalg.norm(solution.tip_position
                                                 - finer.tip_position)
-        assert solution.report.coarse_steps == 25
+        assert solution.report.coarse_steps == 50
         assert actual / 2.0 < solution.report.discretization_error < 2.0 * actual
 
-    @pytest.mark.parametrize("requested",
-                             [10, 2 * shooting._COARSE_FLOOR - 1])
+    @pytest.mark.parametrize("requested", [10, 19])
     def test_no_coarse_grid_below_twice_the_floor(self, monkeypatch,
                                                   requested):
+        # The helix backbone's rest frame turns 19.7 rad over its one
+        # segment, so no rung of fewer than 13 steps passes the quarter-turn
+        # rule: a solve asking for fewer than 26 has no rung below, and
+        # neither grid of a request at 10 or 19 (N / 4 and N / 2) admits
+        # one. Converged (at 19) or not (at 10, where the rest guess drifts),
+        # it runs on its one grid and reports no error estimate.
         calls = _count_rows(monkeypatch)
-        asm, opts = preset("ctr_theta_90")
+        asm, opts = preset("single_tube_helical_backbone",
+                           allow_placeholders=True)
         opts.steps_per_segment = requested
-        report = shoot(asm, opts).report
+        problem = build_problem(asm, opts)
+        assert shooting._coarse_steps(problem, opts) == [requested]
+        assert shooting._coarse_steps(
+            problem, replace(opts, steps_per_segment=26)) == [13, 26]
+        try:
+            report = shoot(asm, opts).report
+        except NoConvergence as err:
+            report = err.report
         assert {steps for steps, _ in calls} == {opts.steps_per_segment}
         assert report.discretization_error is None
         assert report.coarse_steps is None
@@ -470,70 +491,180 @@ class TestNewtonBatches:
         assert "coarse_steps" not in report.as_dict()
 
     def test_coarse_grid_skips_steps_that_drift(self):
-        # The helix backbone's rest frame turns 19.7 rad over its one
-        # segment: 1.09 rad per step at 18 steps, but 2.0 at 10, where its
-        # rest guess drifts off the rotation group. So the ladder from 150
-        # stops at 18, and a solve at 20 steps gets no coarse grid.
+        # The helix backbone's rest frame turns 1.09 rad per step at 18
+        # steps, but 2.0 at 10, where its rest guess drifts off the rotation
+        # group. So the ×4 ladder from 150 stops at 37, half of it ends the
+        # ladder at 18, and a solve at 20 steps gets no rung below.
         asm, opts = preset("single_tube_helical_backbone",
                            allow_placeholders=True)
         problem = build_problem(asm, opts)
         opts.steps_per_segment = 150
-        assert shooting._coarse_steps(problem, opts) == 18
+        assert shooting._coarse_steps(problem, opts) == [18, 37, 150]
         opts.steps_per_segment = 20
-        assert shooting._coarse_steps(problem, opts) is None
+        assert shooting._coarse_steps(problem, opts) == [20]
 
     @pytest.mark.parametrize("name", preset_names())
     def test_coarse_grid_matches_rest_step_doubling(self, name):
-        # The rule once measured the coarse grid: the coarsest rung at
-        # which the rest guess integrates tension-free, with no failed row,
-        # at N_c and 2·N_c steps, and its tip moves by at most 1 % of the
-        # robot's length between the two. Reading the rest curvatures
-        # instead picks the same grid on every preset.
+        # The ladder rule on its own terms, recomputed from the scenario:
+        # a segment turns by its length times the larger of its tubes'
+        # largest rest curvature and its helical tendons' winding rate
+        # 2π / period. Every rung below the requested count N is N // 4ᵏ
+        # or, at the bottom only, half the rung above it; each step of a
+        # rung turns by at most a quarter turn, and the next ×4 or halving
+        # rung has no step or turns by more. The tension-free rest guess
+        # integrates on every rung with no failed row.
         asm, opts = preset(name, allow_placeholders=True)
         problem = build_problem(asm, opts)
         rest = problem.scaled(0.0)
-        length = problem.contexts[-1].end
+        turn = 0.0
+        for seg in segment_plan(asm):
+            rate = max(np.linalg.norm(asm.tubes[g].rest_shape.curvature(0.0)[0])
+                       for g in seg.tubes)
+            for j in seg.tendons:
+                routing = asm.tendons[j].routing
+                if isinstance(routing, HelicalRouting):
+                    rate = max(rate, 2.0 * math.pi / routing.period)
+            turn = max(turn, rate * (seg.end - seg.start))
 
-        def rest_tip(steps):
-            _, trail, _, failed = boundary_residual(
-                rest_guess(rest), rest, replace(opts, steps_per_segment=steps))
-            return None if failed else trail[-1][-1, 0:3]
+        def admits(steps):
+            return steps >= 1 and turn / steps <= math.pi / 2
 
-        def measured(requested):
-            ladder = []
-            steps = requested // 2
-            while steps >= shooting._COARSE_FLOOR:
-                ladder.append(steps)
-                steps //= 2
-            for steps in reversed(ladder):
-                coarse, fine = rest_tip(steps), rest_tip(2 * steps)
-                if coarse is not None and fine is not None and \
-                        np.linalg.norm(coarse - fine) <= 1e-2 * length:
-                    return steps
-            return None
-
-        for requested in (20, 50, 150, 200):
+        for requested in (10, 20, 50, 150, 200):
             opts.steps_per_segment = requested
-            assert shooting._coarse_steps(problem, opts) == measured(requested)
+            rungs = shooting._coarse_steps(problem, opts)
+            assert rungs[-1] == requested
+            for low, high in zip(rungs[1:-1], rungs[2:]):
+                assert low == high // 4
+            if len(rungs) > 1:
+                assert rungs[0] in (rungs[1] // 4, rungs[1] // 2)
+            assert all(admits(steps) for steps in rungs[:-1])
+            assert not admits(rungs[0] // 2)
+            for steps in rungs[:-1]:
+                failed = boundary_residual(
+                    rest_guess(rest), rest,
+                    replace(opts, steps_per_segment=steps))[3]
+                assert not failed
 
     def test_failed_coarse_grid_leaves_the_requested_grid_as_before(
             self, monkeypatch):
-        # A coarse grid that ends in NoConvergence (here: 10 steps, where
-        # the helix drifts) hands the requested grid the caller's start
-        # guess, so the solution is the one without a coarse grid.
+        # A rung that ends in NoConvergence (here: 10 steps, where the helix
+        # drifts) hands the next rung the caller's start guess, so the
+        # solution is the one without that rung, whose one stalled Newton
+        # solve counts too: on [10, 40] the requested grid ramps as on [40]
+        # alone, and on [10, 20, 40] the 20-step rung ramps as on [20, 40].
         asm, opts = preset("single_tube_helical_backbone",
                            allow_placeholders=True)
         opts.steps_per_segment = 40
-        monkeypatch.setattr(shooting, "_coarse_steps", lambda *args: None)
-        alone = shoot(asm, opts)
-        monkeypatch.setattr(shooting, "_coarse_steps", lambda *args: 10)
-        after = shoot(asm, opts)
-        np.testing.assert_array_equal(after.tip_position, alone.tip_position)
-        assert after.report.iterations == alone.report.iterations
-        # the coarse grid's one stalled step counts too
-        assert after.report.continuation_steps == \
-            alone.report.continuation_steps + 1
-        assert after.report.discretization_error is None
+        for rungs in ([40], [20, 40]):
+            monkeypatch.setattr(shooting, "_coarse_steps",
+                                lambda *args, rungs=rungs: rungs)
+            alone = shoot(asm, opts)
+            monkeypatch.setattr(shooting, "_coarse_steps",
+                                lambda *args, rungs=rungs: [10] + rungs)
+            after = shoot(asm, opts)
+            np.testing.assert_array_equal(after.tip_position,
+                                          alone.tip_position)
+            assert after.report.iterations == alone.report.iterations
+            assert after.report.continuation_steps == \
+                alone.report.continuation_steps + 1
+            assert after.report.coarse_steps == alone.report.coarse_steps
+            assert after.report.discretization_error == \
+                alone.report.discretization_error
+        assert after.report.coarse_steps == 20
+
+    def test_ladder_rungs_of_the_presets(self):
+        # Eleven presets turn by less than a quarter turn per segment, so
+        # their ladders reach a single step; the helix backbone's rest frame
+        # and strategy_ab_demo's arc tube stop theirs higher up.
+        common = {10: [1, 2, 10], 20: [1, 5, 20], 50: [1, 3, 12, 50],
+                  150: [1, 2, 9, 37, 150], 200: [1, 3, 12, 50, 200]}
+        special = {
+            "single_tube_helical_backbone": {
+                10: [10], 20: [20], 50: [25, 50], 150: [18, 37, 150],
+                200: [25, 50, 200]},
+            "strategy_ab_demo": {
+                10: [5, 10], 20: [5, 20], 50: [3, 12, 50],
+                150: [4, 9, 37, 150], 200: [3, 12, 50, 200]},
+        }
+        for name in preset_names():
+            asm, opts = preset(name, allow_placeholders=True)
+            problem = build_problem(asm, opts)
+            got = {steps: shooting._coarse_steps(
+                problem, replace(opts, steps_per_segment=steps))
+                for steps in common}
+            assert got == special.get(name, common), name
+
+    def test_routing_turn_stops_the_ladder(self, monkeypatch):
+        # A straight tube of 0.249 m whose helical tendon winds once per
+        # 99.3 mm (TestRamp's fuzz draw): the path turns 63.3 rad/m, 9.2 rad
+        # over the distal segment, so no rung of 5 steps or fewer passes: a
+        # request at 5 steps runs on its one grid, where it converges, and
+        # the ladder from 20 stops at 10. The same tube with a straight
+        # tendon, or with a period ten times as long, gets a 1-step rung.
+        def assembly(routing):
+            return AssemblySpec(
+                tubes=[_tube(length=0.104, od=1.02e-3, idi=0.565e-3,
+                             e=198e9, g=20.5e9),
+                       _tube(length=0.249, od=0.454e-3, idi=0.355e-3,
+                             e=114e9, g=58.5e9)],
+                tendons=[TendonSpec(routing=routing, tension=0.1075,
+                                    tube=1)])
+
+        def rungs(routing, steps):
+            opts = SolverOptions(steps_per_segment=steps)
+            return shooting._coarse_steps(
+                build_problem(assembly(routing), opts), opts)
+
+        helix = HelicalRouting(radius=0.519e-3, period=0.0993, phase=3.67)
+        problem = build_problem(assembly(helix), SolverOptions())
+        assert shooting._turn(problem.contexts[1]) == pytest.approx(
+            2.0 * math.pi / 0.0993 * 0.145)
+        assert rungs(helix, 5) == [5]
+        assert rungs(helix, 20) == [10, 20]
+        assert rungs(helix, 50) == [6, 12, 50]
+        slow = HelicalRouting(radius=0.519e-3, period=0.993, phase=3.67)
+        assert rungs(slow, 5) == rungs(StraightRouting([0.5e-3, 0.0]), 5) \
+            == [1, 5]
+        # A piecewise routing whose angle climbs 6 rad between its knots at
+        # 0.12 and 0.18 m turns fastest in between, where its spline's rate
+        # peaks: 16.4 rad over the distal segment, against 10.8 read at the
+        # segment's ends and middle. So no rung of 10 steps or fewer passes.
+        radius = 0.519e-3
+        piecewise = PiecewiseAngularRouting([
+            (0.0, 0.0, radius), (0.12, 0.0, radius), (0.18, 6.0, radius),
+            (0.249, 6.0, radius)])
+        distal = build_problem(assembly(piecewise), SolverOptions()).contexts[1]
+        rates = [np.linalg.norm(np.cross(*piecewise.eval(s)[:2])) / radius**2
+                 for s in np.linspace(distal.start, distal.end, 2001)]
+        assert shooting._turn(distal) == pytest.approx(
+            max(rates) * (distal.end - distal.start), rel=1e-6)
+        assert shooting._turn(distal) > 16.4
+        assert rungs(piecewise, 20) == [20]
+        assert rungs(piecewise, 50) == [12, 50]
+        calls = _count_rows(monkeypatch)
+        assert shoot(assembly(helix), SolverOptions(steps_per_segment=5)) \
+            .report.converged
+        assert {steps for steps, _ in calls} == {5}
+
+    @pytest.mark.parametrize("name, steps", [
+        ("ctr_theta_90", 50), ("single_tube_helical_backbone", 150),
+        ("two_tube_helical", 20), ("three_tube_c", 10)])
+    def test_rungs_above_the_coarsest_polish_on_one_row(self, monkeypatch,
+                                                         name, steps):
+        # The cold solves of the benchmark: the ramp and every FD stencil
+        # run on the coarsest rung, and each rung above opens with the
+        # rung below's solution as a one-row batch and integrates nothing
+        # wider.
+        asm, opts = preset(name, allow_placeholders=True)
+        opts.steps_per_segment = steps
+        rungs = shooting._coarse_steps(build_problem(asm, opts), opts)
+        calls = _count_rows(monkeypatch)
+        assert shoot(asm, opts).report.converged
+        assert len(rungs) > 1
+        assert [grid for grid, _ in calls if grid != rungs[0]][0] == rungs[1]
+        for grid in rungs[1:]:
+            assert {rows for at, rows in calls if at == grid} == {1}
+        assert min(rows for at, rows in calls if at == rungs[0]) > 1
 
     def test_condition_estimate_per_row(self):
         # Each batch row reads exactly as when it is run alone, so Newton
@@ -585,13 +716,15 @@ class TestNewtonBatches:
 
     def test_one_batch_per_iteration_on_a_hard_draw(self, monkeypatch):
         # A thin inner tube runs 10 mm past its outer one with a tendon
-        # 3 mm off its axis. At 10 steps per segment, below the coarse-grid
-        # floor, some line-search candidates leave the physical domain. Each
-        # Newton solve, one per ramp step, still starts with one stencil
-        # batch and spends one ladder-plus-stencil batch per iteration; the
-        # other batches are stencils after a shorter step. The only
-        # single-row evaluation is the ramp's tension-free check of the
-        # rest guess, made once when the first ramp step stalls.
+        # 3 mm off its axis. At 10 steps per segment the ladder is [1, 2, 10],
+        # and on its 1- and 2-step rungs some line-search candidates leave
+        # the physical domain. Each Newton solve of their ramps, one per ramp
+        # step, still starts with one stencil batch and spends one
+        # ladder-plus-stencil batch per iteration; the other batches are
+        # stencils after a shorter step. The only single-row evaluations are
+        # each ramp's tension-free check of the rest guess, made once when
+        # its first step stalls, and the requested grid's polish, which keeps
+        # the 2-step rung's solution.
         asm = AssemblySpec(
             tubes=[_tube(length=0.12, od=1.0e-3, idi=0.45e-3, e=75e9, g=29e9),
                    _tube(length=0.13, od=0.30e-3, idi=0.18e-3, e=110e9,
@@ -601,23 +734,27 @@ class TestNewtonBatches:
         opts = SolverOptions(steps_per_segment=10)
         size = build_problem(asm, opts).guess_size
         ladder = shooting._LINE_SEARCH_HALVINGS + 1
-        widths, tensions, failed_rows = [], [], []
+        steps, widths, tensions, failed_rows = [], [], [], []
         inner = shooting.boundary_residual
 
-        def counted(guess, problem, *args, **kwargs):
-            out = inner(guess, problem, *args, **kwargs)
+        def counted(guess, problem, options):
+            out = inner(guess, problem, options)
+            steps.append(options.steps_per_segment)
             widths.append(guess.shape[0] if guess.ndim == 2 else 1)
             tensions.append(problem.contexts[0].tensions[0])
             failed_rows.append(int(np.count_nonzero(out[3])))
             return out
 
         monkeypatch.setattr(shooting, "boundary_residual", counted)
+        assert shooting._coarse_steps(build_problem(asm, opts), opts) == \
+            [1, 2, 10]
         report = shoot(asm, opts).report
-        assert sum(failed_rows) > 0
-        assert widths.count(size + 1) == report.continuation_steps
+        assert report.converged and sum(failed_rows) > 0
+        assert widths.count(size + 1) == report.continuation_steps - 1
         assert widths.count(ladder + size) == report.iterations
         assert set(widths) == {1, size, size + 1, ladder + size}
-        assert [t for w, t in zip(widths, tensions) if w == 1] == [0.0]
+        assert [(n, t) for n, w, t in zip(steps, widths, tensions)
+                if w == 1] == [(1, 0.0), (2, 0.0), (10, 2.0)]
 
 
 class TestTimeParallel:
@@ -655,7 +792,12 @@ class TestTimeParallel:
         else:
             asm, _ = preset(name, allow_placeholders=True)
         opts = SolverOptions(steps_per_segment=200)
-        guess = shoot(asm, replace(opts, steps_per_segment=20)).guess
+        # The guess of a two-grid solve at 20 steps, which the tolerances
+        # were set on; the ladder's own guess moves three_tube_b's trail by
+        # up to 4.5e-12 from the serial pass.
+        with monkeypatch.context() as patch:
+            patch.setattr(shooting, "_coarse_steps", lambda *args: [10, 20])
+            guess = shoot(asm, replace(opts, steps_per_segment=20)).guess
         problem = build_problem(asm, opts)
         fast, serial, calls = self._passes(monkeypatch, guess[None, :],
                                            problem, opts)
@@ -711,6 +853,55 @@ class TestTimeParallel:
 
 
 class TestRamp:
+    def test_requested_grid_ramps_when_no_rung_below_converges(
+            self, monkeypatch):
+        # A fuzz draw whose 0.22 mm middle tube carries 80 N: on its ladder
+        # [2, 4, 19] the 2-step rung leaves the rotation group at every
+        # start, and the 4-step ramp, capped after three drifting starts,
+        # crawls out of attempts. The requested grid then ramps from rest
+        # itself and converges, as it does without the rungs below it.
+        rests = [ArcRest(kappa=18.98004286817969, plane_angle=0.0016),
+                 ArcRest(kappa=5.960464477539063e-08,
+                         plane_angle=3.2218374955717146),
+                 StraightRest()]
+        tubes = [_tube(length=length, od=od, idi=idi, e=e, g=g,
+                       rest_shape=rest)
+                 for (length, od, idi, e, g), rest in zip((
+                     (0.25540907073941893, 0.5e-3, 0.000365652173727733,
+                      213440524032.99292, 17066597649.309317),
+                     (0.06325064183793568, 0.00021939130423663983,
+                      0.00017764256390558525, 143638706549.96655,
+                      57048208591.63069),
+                     (0.09738936343306884, 0.00012790264601202138,
+                      7.854084466414886e-05, 219999999999.0, 85000000000.0)),
+                     rests)]
+        asm = AssemblySpec(
+            tubes=tubes, base_twists=[0.0, 1.3764174594594354,
+                                      2.690669231613787],
+            tendons=[
+                TendonSpec(routing=StraightRouting([0.0005252049857978625,
+                                                    -0.0009212531969022992]),
+                           tension=6.981019638722449, tube=1),
+                TendonSpec(routing=StraightRouting([-0.0007125007488593568,
+                                                    0.0010883068548460178]),
+                           tension=79.97247148016275, tube=1)])
+        opts = SolverOptions(steps_per_segment=19)
+        assert shooting._coarse_steps(build_problem(asm, opts), opts) == \
+            [2, 4, 19]
+        spent = []
+        inner = shooting._solve_level
+
+        def logged(problem, options, *args):
+            level = inner(problem, options, *args)
+            spent.append((options.steps_per_segment, level.outcome is not None))
+            return level
+
+        monkeypatch.setattr(shooting, "_solve_level", logged)
+        solution = shoot(asm, opts)
+        assert solution.report.converged
+        assert spent == [(2, False), (4, False), (19, True)]
+        assert solution.report.coarse_steps is None
+
     def test_first_step_is_sized_by_the_load_parameter(self):
         # No tendon, no load: the whole tension in one step. three_tube_c's
         # load parameter Σ T·ℓ² / Σ EI is 72.3, so a nineteenth of it.
@@ -767,10 +958,13 @@ class TestRamp:
 
 
     def test_start_guess_failure_caps_later_steps(self, monkeypatch):
-        # 100 N on a bare tube at 8 steps: ramp steps past a tension scale
-        # of about 0.36 fail at their start guess (the frame drifts). After
-        # such a failure no step grows past that step's half again, so the
-        # ramp never retries a size that already failed at its start.
+        # 100 N on a bare tube at 8 steps: each rung of the ladder [1, 2, 8]
+        # ramps from rest, and its steps past a tension scale of about
+        # 0.045, 0.09 and 0.36 fail at their start guess (the frame drifts).
+        # After such a failure no step of that ramp grows past that step's
+        # half again, so a ramp never retries a size that already failed at
+        # its start. Every rung fails, so the requested grid ramps as it
+        # would alone.
         asm = AssemblySpec(
             tubes=[_tube(length=0.2)],
             tendons=[TendonSpec(routing=StraightRouting([3e-3, 0.0]),
@@ -778,9 +972,10 @@ class TestRamp:
         spent = []
         inner = shooting._newton
 
-        def counted(problem, *args, **kwargs):
-            out = inner(problem, *args, **kwargs)
-            spent.append((problem.contexts[0].tensions[0] / 100.0,
+        def counted(problem, options, *args, **kwargs):
+            out = inner(problem, options, *args, **kwargs)
+            spent.append((options.steps_per_segment,
+                          problem.contexts[0].tensions[0] / 100.0,
                           out.failure, out.converged))
             return out
 
@@ -788,11 +983,14 @@ class TestRamp:
         with pytest.raises(NoConvergence) as err:
             shoot(asm, SolverOptions(steps_per_segment=8))
         report = err.value.report
-        assert report.continuation_steps == len(spent) == 30
-        assert report.iterations == 4
+        assert report.continuation_steps == len(spent) == 79
+        assert report.iterations == 11
         assert "rotation group" in report.message
-        done, cap = 0.0, math.inf
-        for scale, failure, converged in spent:
+        assert [steps for steps, *_ in spent] == [1] * 23 + [2] * 26 + [8] * 30
+        done, cap, grid = 0.0, math.inf, None
+        for steps, scale, failure, converged in spent:
+            if steps != grid:
+                done, cap, grid = 0.0, math.inf, steps
             assert scale - done <= cap * (1.0 + 1e-12)
             if converged:
                 done = scale
