@@ -37,21 +37,18 @@ def _out_dir(args) -> Path:
 
 
 def _load(args) -> sc.Scenario:
-    """Resolve the source argument: a file path or a bundled preset name."""
+    """Resolve the source argument: a file path or a bundled preset name.
+    Each setting is an override; ``--strategy`` and ``--steps`` come after
+    the ``--set`` ones, so they win over a ``--set`` of the same key."""
     overrides = list(args.set or [])
     if args.strategy:
         overrides.append(f"strategy={args.strategy}")
+    if args.steps is not None:
+        overrides.append(f"solver.steps_per_segment={args.steps}")
     source = args.source
     if source.endswith(".scn") or source.endswith(".json") or os.sep in source:
         return sc.load_scenario(source, args.placeholders, overrides)
     return sc.preset_scenario(source, args.placeholders, overrides)
-
-
-def _options(scn: sc.Scenario, args):
-    options = scn.options
-    if getattr(args, "steps", None) is not None:
-        options.steps_per_segment = args.steps
-    return options
 
 
 def _write_outputs(args, name: str, payload: dict) -> list[str]:
@@ -69,11 +66,10 @@ def _write_outputs(args, name: str, payload: dict) -> list[str]:
 
 def _cmd_solve(args) -> int:
     scn = _load(args)
-    options = _options(scn, args)
     for line in scn.placeholders:
         print(f"using placeholder: {line}")
     try:
-        solution = shoot(scn.assembly, options)
+        solution = shoot(scn.assembly, scn.options)
     except NoConvergence as exc:
         print(f"did not converge: {exc}", file=sys.stderr)
         if exc.report is not None:
@@ -106,44 +102,27 @@ def _sweep_values(args) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    kind, _, index_text = args.axis.partition(":")
-    try:
-        index = int(index_text)
-    except ValueError:
+    kind, _, index = args.axis.partition(":")
+    if kind not in ("tension", "twist") or not index.isdecimal():
         raise ValidationError(
             f"--axis takes tension:J or twist:I, got {args.axis!r}")
-    if kind not in ("tension", "twist"):
-        raise ValidationError(
-            f"--axis takes tension:J or twist:I, got {args.axis!r}")
+    index = int(index)
 
     scn = _load(args)
     for line in scn.placeholders:
         print(f"using placeholder: {line}")
-    limit = (len(scn.assembly.tendons) if kind == "tension"
-             else len(scn.assembly.tubes))
-    if not 0 <= index < limit:
-        raise ValidationError(
-            f"--axis {args.axis}: index out of range (have {limit})")
-    assembly = scn.assembly
-
-    def set_point(value: float) -> None:
-        if kind == "tension":
-            assembly.tendons[index].tension = value
-        else:
-            assembly.base_twists[index] = math.radians(value)
-
-    # Bad input at any point exits 1 before the first solve, as ``solve``.
-    values = _sweep_values(args)
-    for value in values:
-        set_point(value)
-        assembly.validate()
-    rows = []
+    # Each point is an override, and all are built first: bad input at any
+    # point exits 1 before the first solve, as ``solve``.
+    path = (f"tendon.{index}.tension_N" if kind == "tension"
+            else f"tube.{index}.base_twist_deg")
+    points = [(value, sc.build_scenario(scn.tree, args.placeholders,
+                                        [f"{path}={value!r}"]))
+              for value in _sweep_values(args)]
+    rows, failed = [], []
     warm = None
-    for value in values:
-        set_point(value)
-        options = _options(scn, args)
+    for value, point in points:
         try:
-            solution = shoot(assembly, options, initial_guess=warm)
+            solution = shoot(point.assembly, point.options, initial_guess=warm)
             warm = solution.guess
             tip = solution.tip_position
             rows.append((value, 1, solution.report.iterations,
@@ -154,6 +133,8 @@ def _cmd_sweep(args) -> int:
         except NoConvergence as exc:
             rows.append((value, 0, 0,
                          math.nan, math.nan, math.nan, math.nan))
+            failed.append({"value": value, "digest": point.digest,
+                           "report": exc.report and exc.report.as_dict()})
             print(f"{kind}[{index}] = {value:10.4f}  FAILED: {exc}")
     out = _out_dir(args) / f"{scn.name}_sweep.csv"
     unit = "N" if kind == "tension" else "deg"
@@ -165,7 +146,14 @@ def _cmd_sweep(args) -> int:
             fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
                               for v in row) + "\n")
     print(f"wrote {out}")
-    return 0 if all(r[1] for r in rows) else 2
+    if not failed:
+        return 0
+    out = _out_dir(args) / f"{scn.name}_sweep_failed.json"
+    ex.write_json(out, {"format": "nestrod-sweep-failure",
+                        "scenario": scn.name, "axis": args.axis,
+                        "points": failed})
+    print(f"failure report: {out}", file=sys.stderr)
+    return 2
 
 
 def _cmd_preset(args) -> int:
@@ -200,7 +188,7 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _add_source_options(p, steps=True):
+def _add_source_options(p):
     p.add_argument("source",
                    help="scenario file (.scn/.json) or bundled preset name")
     p.add_argument("--set", action="append", metavar="PATH=VALUE",
@@ -209,9 +197,9 @@ def _add_source_options(p, steps=True):
                    help="accept documented placeholder values")
     p.add_argument("--strategy", choices=("outermost", "terminating"),
                    help="override the load-attachment strategy")
-    if steps:
-        p.add_argument("--steps", type=int, metavar="N",
-                       help="integration steps per segment")
+    p.add_argument("--steps", type=int, metavar="N",
+                   help="integration steps per segment, short for "
+                        "--set solver.steps_per_segment=N")
     p.add_argument("--out", metavar="DIR",
                    help="output directory (default $NESTROD_OUT_DIR or .)")
 

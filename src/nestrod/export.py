@@ -56,13 +56,38 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+# keys the exporters read: of the payload, besides its list of segments,
+# and of each segment
+_PAYLOAD_KEYS = ("version", "tubes", "total_length")
+_SEGMENT_KEYS = ("tubes", "stations", "p", "R", "u1", "v1", "theta", "u_d3",
+                 "beta")
+
+
 def read_payload(path) -> dict:
+    """A saved solution payload; :class:`ValidationError` if the file is
+    not JSON, not a solution payload, or lacks a key the exporters read."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:      # not JSON, or not UTF-8
+            raise ValidationError(f"{path}: not JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(
+            f"{path}: not a {PAYLOAD_FORMAT} file (not a JSON object)")
     if payload.get("format") != PAYLOAD_FORMAT:
         raise ValidationError(
             f"{path}: not a {PAYLOAD_FORMAT} file "
             f"(format = {payload.get('format')!r})")
+    missing = [key for key in _PAYLOAD_KEYS if key not in payload]
+    segments = payload.get("segments")
+    if not (isinstance(segments, list) and segments):
+        missing.append("a list of segments")
+    else:
+        missing += [f"segments[{i}].{key}" for i, seg in enumerate(segments)
+                    for key in _SEGMENT_KEYS
+                    if not (isinstance(seg, dict) and key in seg)]
+    if missing:
+        raise ValidationError(f"{path}: payload lacks {', '.join(missing)}")
     return payload
 
 

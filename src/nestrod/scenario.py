@@ -361,7 +361,8 @@ def apply_overrides(tree: dict, items) -> dict:
 
     List indices are numeric path components. Setting a key removes any
     sibling spelling the same quantity in a different unit, so an override
-    never leaves two values for one field.
+    never leaves two values for one field. A block that the field table
+    gives a default (``solver``, ``tendon``, a tube's ``rest``) opens empty.
     """
     tree = copy.deepcopy(tree)
     problems: list[str] = []
@@ -372,14 +373,23 @@ def apply_overrides(tree: dict, items) -> dict:
             problems.append(f"{where}: expected path=value")
             continue
         *parents, key = path.split(".")
-        node = tree
+        node, table = tree, _SCENARIO
         try:
             for part in parents:
-                node = node[int(part)] if isinstance(node, list) else node[part]
-        except (ValueError, IndexError):
-            problems.append(f"{where}: bad index {part!r}")
+                vtype, default = _field(table, part)
+                if isinstance(node, list):
+                    if not part.isdecimal():
+                        raise IndexError
+                    node, table = node[int(part)], vtype
+                    continue
+                if isinstance(default, (dict, list)):
+                    node.setdefault(part, type(default)())
+                node, table = node[part], vtype
+        except IndexError:
+            problems.append(f"{where}: bad index {part!r}: out of range "
+                            f"(have {len(node)})")
             continue
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, AttributeError):
             problems.append(f"{where}: no such block {part!r}")
             continue
         if not isinstance(node, dict):
@@ -453,6 +463,16 @@ class _Kinds:
     noun: str
     blocks: dict
     default: object = _MISSING
+
+
+def _field(table, key: str):
+    """(value type, default) of field ``key`` of a block or a block list."""
+    if isinstance(table, list):
+        return table[0], None
+    for base, _, vtype, default in getattr(table, "fields", ()):
+        if base == key:
+            return vtype, default
+    return None, None
 
 
 # scalar value type -> (the Python types it accepts, its name in a problem);

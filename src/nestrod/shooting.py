@@ -907,8 +907,7 @@ def _solve_level(problem: Problem, options: SolverOptions,
     lists every Newton solve run."""
     solves: list[_Outcome] = []
     if guess is not None:
-        out = _newton(problem, options, np.asarray(guess, dtype=float),
-                      jacobian=jacobian)
+        out = _newton(problem, options, guess, jacobian=jacobian)
         solves.append(out)
         if out.converged:
             return _Level(solves, out, 1.0)
@@ -990,6 +989,24 @@ def _coarse_steps(problem: Problem, options: SolverOptions) -> list[int]:
     return rungs[::-1]
 
 
+def _start_guess(problem: Problem, guess) -> np.ndarray | None:
+    """A caller's start guess as a vector of 4 + 2n finite floats, or
+    None for none; anything else raises :class:`ValidationError`."""
+    if guess is None:
+        return None
+    size = problem.guess_size
+    try:
+        vector = np.asarray(guess, dtype=float)
+    except (TypeError, ValueError):
+        vector = None
+    if vector is None or vector.shape != (size,) \
+            or not np.isfinite(vector).all():
+        raise ValidationError(
+            f"initial_guess must be a vector of {size} finite numbers "
+            f"(4 + 2n for n = {problem.n_tubes} tubes)")
+    return vector
+
+
 def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
           initial_guess: np.ndarray | None = None) -> Solution:
     """Solve the clamped-base statics of an assembly.
@@ -1007,14 +1024,14 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
     below the requested grid, skipping the rungs between. Every rung, the
     requested one too, falls back to the ramp from rest when its start
     stalls, and a rung that fails hands the next rung its own start.
-    Raises :class:`ValidationError` for unusable ``options`` before any
-    integration, and :class:`NoConvergence` with a diagnostic report when
-    the requested grid fails.
+    Raises :class:`ValidationError` for unusable ``options`` or
+    ``initial_guess`` before any integration, and :class:`NoConvergence`
+    with a diagnostic report when the requested grid fails.
     """
     options = options or SolverOptions()
     problem = build_problem(assembly, options)
     rungs = _coarse_steps(problem, options)
-    guess, jacobian = initial_guess, None
+    guess, jacobian = _start_guess(problem, initial_guess), None
     solves: list[_Outcome] = []
     level = None
     for i, steps in enumerate(rungs):

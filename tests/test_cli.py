@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from nestrod import cli
+from nestrod.errors import NoConvergence
+from nestrod.scenario import preset, preset_scenario
+from nestrod.shooting import shoot
 
 _STALLING = """\
 name stall_case
@@ -191,6 +195,33 @@ class TestSolveCommand:
         assert len(payload["segments"][0]["stations"]) == 61
         capsys.readouterr()
 
+    def test_steps_is_the_solver_override(self, tmp_path, capsys):
+        # --steps N is short for --set solver.steps_per_segment=N, given
+        # after every --set: the same bytes, and the count enters the digest.
+        runs = {}
+        for tag, flags in [
+                ("steps20", ["--steps", "20"]),
+                ("set20", ["--set", "solver.steps_per_segment=20"]),
+                ("set30steps20", ["--set", "solver.steps_per_segment=30",
+                                  "--steps", "20"]),
+                ("steps30", ["--steps", "30"])]:
+            rc = cli.main(["solve", "two_tube_0", "--placeholders", *flags,
+                           "--out", str(tmp_path / tag)])
+            assert rc == 0
+            runs[tag] = (tmp_path / tag / "two_tube_0.json").read_bytes()
+        capsys.readouterr()
+        assert runs["set20"] == runs["steps20"] == runs["set30steps20"]
+        digests = [json.loads(runs[tag])["digest"]
+                   for tag in ("steps20", "steps30")]
+        assert digests[0] != digests[1]
+
+    def test_misspelt_override_block_exits_1(self, tmp_path, capsys):
+        rc = cli.main(["solve", "two_tube_0", "--placeholders",
+                       "--set", "nosuch.key=2", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "no such block 'nosuch'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.json"))
+
     def test_strategy_flag(self, tmp_path, capsys):
         # strategy_ab_demo's spiralling tendons press on whichever tube the
         # strategy picks, and its curved middle tube splits the tips wide.
@@ -334,6 +365,30 @@ class TestExportCommand:
         assert "error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("text, message", [
+        ("not json at all", "not JSON"),
+        ("[1, 2]", "(not a JSON object)"),
+        ('{"format": "nestrod-solution"}',
+         "lacks version, tubes, total_length, a list of segments"),
+        ('{"format": "nestrod-solution", "version": 1, "tubes": 1, '
+         '"total_length": 0.1, "segments": []}', "lacks a list of segments"),
+        ('{"format": "nestrod-solution", "version": 1, "tubes": 1, '
+         '"total_length": 0.1, "segments": [{"p": [[0, 0, 0]]}]}',
+         "lacks segments[0].tubes, segments[0].stations, segments[0].R"),
+    ], ids=["text", "list", "format-only", "no-segments", "segment-keys"])
+    def test_malformed_payload_exits_1(self, tmp_path, capsys, text,
+                                       message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["export", str(bad), "--csv", "--svg",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert not out.exists()
+
+
 class TestSweepCommand:
     def test_twist_sweep(self, tmp_path, capsys):
         rc = cli.main(["sweep", "ctr_theta_0", "--axis", "twist:1",
@@ -347,6 +402,70 @@ class TestSweepCommand:
                             "scaled_residual")
         assert len(lines) == 5
         assert all(row.split(",")[1] == "1" for row in lines[2:])
+
+    @pytest.mark.parametrize("source, axis, stop, values, flags", [
+        ("two_tube_0", "tension:0", "1", [0.0, 0.5, 1.0], ["--placeholders"]),
+        ("ctr_theta_0", "twist:1", "90", [0.0, 45.0, 90.0], []),
+    ])
+    def test_csv_matches_a_warm_started_shoot_loop(
+            self, tmp_path, capsys, source, axis, stop, values, flags):
+        # Each point is an override; setting the same values on one
+        # assembly by hand and warm-starting shoot gives the same rows.
+        rc = cli.main(["sweep", source, *flags, "--axis", axis, "--to", stop,
+                       "--num", "3", "--steps", "20", "--out", str(tmp_path)])
+        assert rc == 0
+        capsys.readouterr()
+        rows = (tmp_path / f"{source}_sweep.csv").read_text().splitlines()
+        kind, index = axis.split(":")
+        asm, opts = preset(source, allow_placeholders=True)
+        opts = replace(opts, steps_per_segment=20)
+        warm = None
+        for row, value in zip(rows[2:], values, strict=True):
+            if kind == "tension":
+                asm.tendons[int(index)].tension = value
+            else:
+                asm.base_twists[int(index)] = math.radians(value)
+            solution = shoot(asm, opts, initial_guess=warm)
+            warm = solution.guess
+            expected = [value, 1, solution.report.iterations,
+                        *solution.tip_position,
+                        solution.report.scaled_residual]
+            assert row == ",".join(f"{v:.17g}" if isinstance(v, float)
+                                   else str(v) for v in expected)
+        assert not list(tmp_path.glob("*_failed.json"))
+
+    def test_failed_point_keeps_its_report(self, tmp_path, capsys,
+                                           monkeypatch):
+        # A point that does not converge writes a NaN row and its report
+        # to <name>_sweep_failed.json; the other points still solve.
+        def failing(assembly, options, initial_guess=None):
+            solution = shoot(assembly, options, initial_guess=initial_guess)
+            if assembly.tendons[0].tension == 0.5:
+                report = replace(solution.report, converged=False,
+                                 message="stub stall")
+                raise NoConvergence("stub stall", report=report)
+            return solution
+
+        monkeypatch.setattr(cli, "shoot", failing)
+        rc = cli.main(["sweep", "two_tube_0", "--placeholders", "--axis",
+                       "tension:0", "--to", "1", "--num", "3", "--steps", "20",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "failure report:" in capsys.readouterr().err
+        rows = (tmp_path / "two_tube_0_sweep.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in rows[2:]] == ["1", "0", "1"]
+        failed = json.loads(
+            (tmp_path / "two_tube_0_sweep_failed.json").read_text())
+        assert failed["format"] == "nestrod-sweep-failure"
+        assert failed["scenario"] == "two_tube_0"
+        assert failed["axis"] == "tension:0"
+        [point] = failed["points"]
+        assert point["value"] == 0.5
+        assert point["report"]["converged"] is False
+        assert point["report"]["message"] == "stub stall"
+        assert point["digest"] == preset_scenario(
+            "two_tube_0", True, ["solver.steps_per_segment=20",
+                                 "tendon.0.tension_N=0.5"]).digest
 
     def test_axis_bounds_checked(self, capsys):
         assert cli.main(["sweep", "ctr_theta_0", "--axis", "tension:0",

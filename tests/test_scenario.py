@@ -348,6 +348,43 @@ class TestOverrides:
         assert "path=value" in text
         assert "'name' is not a block" in text
 
+    def test_defaulted_blocks_open(self):
+        # solver and a tube's rest have defaults in the field table, so an
+        # override may open them where the scenario leaves them out.
+        tree = parse_text(_SAMPLE)
+        del tree["solver"]
+        sc = build_scenario(tree, overrides=[
+            "solver.steps_per_segment=20", "tube.0.rest.kind=arc",
+            "tube.0.rest.curvature_per_m=2"])
+        assert sc.options.steps_per_segment == 20
+        assert sc.assembly.tubes[0].rest_shape == ArcRest(kappa=2.0)
+        assert "solver" not in tree and "rest" not in tree["tube"][0]
+
+    def test_misspelt_block_still_fails(self):
+        tree = parse_text(_SAMPLE)
+        del tree["solver"]
+        for item in ("solvr.steps_per_segment=20", "tube.0.rset.kind=arc",
+                     "tendon.0.routing.rest.kind=arc"):
+            with pytest.raises(ValidationError, match="no such block"):
+                apply_overrides(tree, [item])
+
+    def test_indices_must_name_an_entry(self):
+        # A negative index is no way to count from the end, and a block
+        # list the scenario leaves out has no entries to index.
+        tree = parse_text(_SAMPLE)
+        del tree["tendon"]
+        with pytest.raises(ValidationError) as err:
+            apply_overrides(tree, ["tube.-1.length_mm=1", "tube.2.length_mm=1",
+                                   "tendon.0.tension_N=1", "tube.x.tube=1"])
+        assert err.value.problems == [
+            "override 'tube.-1.length_mm=1': bad index '-1': out of range "
+            "(have 2)",
+            "override 'tube.2.length_mm=1': bad index '2': out of range "
+            "(have 2)",
+            "override 'tendon.0.tension_N=1': bad index '0': out of range "
+            "(have 0)",
+            "override 'tube.x.tube=1': bad index 'x': out of range (have 2)"]
+
     def test_override_through_build_scenario(self):
         sc = build_scenario(parse_text(_SAMPLE),
                             overrides=["strategy=outermost",
@@ -409,6 +446,15 @@ class TestPresets:
         canon = sc.canonical
         assert canonical_text(parse_text(canon)) == canon
         assert len(sc.digest) == 64
+
+    @pytest.mark.parametrize("name", _EXPECTED_PRESETS)
+    def test_override_opens_the_solver_block(self, name):
+        # No preset ships a solver block; an override opens one, and the
+        # step count enters the digest.
+        sc = preset_scenario(name, True, ["solver.steps_per_segment=20"])
+        assert sc.options.steps_per_segment == 20
+        assert sc.tree["solver"] == {"steps_per_segment": 20.0}
+        assert sc.digest != preset_scenario(name, True).digest
 
     def test_equal_curvature_presets_build_without_opt_in(self):
         # the fully documented presets carry no placeholders at all

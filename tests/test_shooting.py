@@ -1043,6 +1043,26 @@ class TestFailureReport:
                 base_offsets=[case.get("base_offset", 0.0)])
             shoot(asm, SolverOptions(steps_per_segment=10))
 
+    @pytest.mark.parametrize("guess", [
+        np.zeros(3), [0.0] * 10, np.zeros((2, 8)), "abc",
+        np.full(8, math.inf), np.full(8, math.nan),
+    ], ids=["short", "long-list", "matrix", "text", "inf", "nan"])
+    def test_unusable_start_guess_raises_before_integrating(
+            self, monkeypatch, guess):
+        # A caller's start guess is input like the options: a wrong shape
+        # or a non-finite entry is named before any integration, neither
+        # escaping as a numpy error nor integrating to a false answer or
+        # falling back to the ramp unseen.
+        def never(*args, **kwargs):
+            raise AssertionError("integrated from an unusable start guess")
+
+        asm, opts = preset("two_tube_0", allow_placeholders=True)
+        monkeypatch.setattr(shooting, "integrate_segment", never)
+        with pytest.raises(ValidationError,
+                           match=r"8 finite numbers \(4 \+ 2n for n = 2 "):
+            shoot(asm, replace(opts, steps_per_segment=20),
+                  initial_guess=guess)
+
     def test_no_convergence_carries_a_report(self):
         asm = AssemblySpec(
             tubes=[_tube(length=0.2)],
