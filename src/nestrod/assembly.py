@@ -337,8 +337,9 @@ class Strategy(enum.Enum):
 
 
 def _is_index(i, n: int) -> bool:
-    """Whether ``i`` is a whole number in ``range(n)``."""
-    return isinstance(i, numbers.Integral) and 0 <= i < n
+    """Whether ``i`` is a whole number in ``range(n)``, and not a bool."""
+    return isinstance(i, numbers.Integral) and not isinstance(i, bool) \
+        and 0 <= i < n
 
 
 @dataclass

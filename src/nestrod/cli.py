@@ -36,19 +36,33 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _plain_name(name) -> str:
+    """``name`` if it is a plain file name, so every output named after it
+    stays in the output directory; else :class:`ValidationError`."""
+    if not isinstance(name, str) or name in ("", ".", "..") \
+            or any(c in name for c in "/\\\0"):
+        raise ValidationError(f"scenario name {name!r} is not a plain file "
+                              "name, and outputs are named after it")
+    return name
+
+
 def _load(args) -> sc.Scenario:
-    """Resolve the source argument: a file path or a bundled preset name.
-    Each setting is an override; ``--strategy`` and ``--steps`` come after
-    the ``--set`` ones, so they win over a ``--set`` of the same key."""
+    """The scenario of a file path or bundled preset name, its placeholders
+    named. Each setting is an override; ``--strategy`` and ``--steps`` come
+    after the ``--set`` ones, so they win over a ``--set`` of the same key."""
     overrides = list(args.set or [])
     if args.strategy:
         overrides.append(f"strategy={args.strategy}")
     if args.steps is not None:
         overrides.append(f"solver.steps_per_segment={args.steps}")
     source = args.source
-    if source.endswith(".scn") or source.endswith(".json") or os.sep in source:
-        return sc.load_scenario(source, args.placeholders, overrides)
-    return sc.preset_scenario(source, args.placeholders, overrides)
+    load = sc.load_scenario if source.endswith((".scn", ".json")) \
+        or os.sep in source else sc.preset_scenario
+    scn = load(source, args.placeholders, overrides)
+    _plain_name(scn.name)
+    for line in scn.placeholders:
+        print(f"using placeholder: {line}")
+    return scn
 
 
 def _write_outputs(args, name: str, payload: dict) -> list[str]:
@@ -64,22 +78,23 @@ def _write_outputs(args, name: str, payload: dict) -> list[str]:
     return written
 
 
+def _write_failure(args, stem: str, record: dict) -> int:
+    """Write ``record`` to ``<stem>_failed.json``; a failed solve exits 2."""
+    out = _out_dir(args) / f"{stem}_failed.json"
+    ex.write_json(out, record)
+    print(f"failure report: {out}", file=sys.stderr)
+    return 2
+
+
 def _cmd_solve(args) -> int:
     scn = _load(args)
-    for line in scn.placeholders:
-        print(f"using placeholder: {line}")
     try:
         solution = shoot(scn.assembly, scn.options)
     except NoConvergence as exc:
         print(f"did not converge: {exc}", file=sys.stderr)
-        if exc.report is not None:
-            out = _out_dir(args) / f"{scn.name}_failed.json"
-            ex.write_json(out, {"format": "nestrod-failure",
-                                "scenario": scn.name,
-                                "digest": scn.digest,
-                                "report": exc.report.as_dict()})
-            print(f"failure report: {out}", file=sys.stderr)
-        return 2
+        return _write_failure(args, scn.name, {
+            "format": "nestrod-failure", "scenario": scn.name,
+            "digest": scn.digest, "report": exc.report.as_dict()})
     payload = ex.solution_payload(solution)
     payload["scenario"] = scn.name
     payload["digest"] = scn.digest
@@ -109,8 +124,6 @@ def _cmd_sweep(args) -> int:
     index = int(index)
 
     scn = _load(args)
-    for line in scn.placeholders:
-        print(f"using placeholder: {line}")
     # Each point is an override, and all are built first: bad input at any
     # point exits 1 before the first solve, as ``solve``.
     path = (f"tendon.{index}.tension_N" if kind == "tension"
@@ -134,7 +147,7 @@ def _cmd_sweep(args) -> int:
             rows.append((value, 0, 0,
                          math.nan, math.nan, math.nan, math.nan))
             failed.append({"value": value, "digest": point.digest,
-                           "report": exc.report and exc.report.as_dict()})
+                           "report": exc.report.as_dict()})
             print(f"{kind}[{index}] = {value:10.4f}  FAILED: {exc}")
     out = _out_dir(args) / f"{scn.name}_sweep.csv"
     unit = "N" if kind == "tension" else "deg"
@@ -148,12 +161,9 @@ def _cmd_sweep(args) -> int:
     print(f"wrote {out}")
     if not failed:
         return 0
-    out = _out_dir(args) / f"{scn.name}_sweep_failed.json"
-    ex.write_json(out, {"format": "nestrod-sweep-failure",
-                        "scenario": scn.name, "axis": args.axis,
-                        "points": failed})
-    print(f"failure report: {out}", file=sys.stderr)
-    return 2
+    return _write_failure(args, f"{scn.name}_sweep", {
+        "format": "nestrod-sweep-failure", "scenario": scn.name,
+        "axis": args.axis, "points": failed})
 
 
 def _cmd_preset(args) -> int:
@@ -182,7 +192,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_export(args) -> int:
     payload = ex.read_payload(args.payload)
-    name = payload.get("scenario") or Path(args.payload).stem
+    name = _plain_name(payload.get("scenario", Path(args.payload).stem))
     for path in _write_outputs(args, name, payload):
         print(f"wrote {path}")
     return 0

@@ -31,9 +31,9 @@ class OutOfDomain(NestrodError):
 
 
 class NoConvergence(NestrodError):
-    """Shooting iteration failed to meet tolerance within the iteration cap."""
+    """The solve failed; ``report`` is its ConvergenceReport."""
 
-    def __init__(self, message: str, report=None):
+    def __init__(self, message: str, report):
         super().__init__(message)
         self.report = report
 

@@ -63,13 +63,18 @@ _SEGMENT_KEYS = ("tubes", "stations", "p", "R", "u1", "v1", "theta", "u_d3",
                  "beta")
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def read_payload(path) -> dict:
     """A saved solution payload; :class:`ValidationError` if the file is
-    not JSON, not a solution payload, or lacks a key the exporters read."""
+    not JSON, not a solution payload, or lacks a key the exporters read or
+    holds one of the wrong type or shape."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
-        except ValueError as exc:      # not JSON, or not UTF-8
+            payload = json.load(fh, parse_constant=_reject_constant)
+        except ValueError as exc:      # not strict JSON, or not UTF-8
             raise ValidationError(f"{path}: not JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ValidationError(
@@ -88,7 +93,61 @@ def read_payload(path) -> dict:
                     if not (isinstance(seg, dict) and key in seg)]
     if missing:
         raise ValidationError(f"{path}: payload lacks {', '.join(missing)}")
+    problems = _payload_problems(payload)
+    if problems:
+        raise ValidationError([f"{path}: {p}" for p in problems])
     return payload
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _payload_problems(payload: dict) -> list[str]:
+    """Every entry the exporters read that has the wrong type or shape."""
+    problems = []
+    if not (_is_int(payload["version"])
+            and payload["version"] == PAYLOAD_VERSION):
+        problems.append(f"version must be {PAYLOAD_VERSION}, "
+                        f"got {payload['version']!r}")
+    if not _is_number(payload["total_length"]):
+        problems.append("total_length must be a number, "
+                        f"got {payload['total_length']!r}")
+    n = payload["tubes"]
+    if not (_is_int(n) and n > 0):
+        problems.append(f"tubes must be a positive integer, got {n!r}")
+        return problems          # the segments' tube indices need it
+    for i, seg in enumerate(payload["segments"]):
+        tubes = seg["tubes"]
+        if not (isinstance(tubes, list) and tubes
+                and all(_is_int(t) and 0 <= t < n for t in tubes)
+                and len(set(tubes)) == len(tubes)):
+            problems.append(f"segments[{i}].tubes must be distinct tube "
+                            f"indices from 0 to {n - 1}, got {tubes!r}")
+            continue
+        stations = seg["stations"]
+        if not (isinstance(stations, list) and stations
+                and all(_is_number(x) for x in stations)):
+            problems.append(f"segments[{i}].stations must be a non-empty "
+                            "list of numbers")
+            continue
+        k = len(tubes)
+        for key, width in (("p", 3), ("R", 9), ("u1", 3), ("v1", 3),
+                           ("theta", k - 1), ("u_d3", k - 1),
+                           ("beta", k - 1)):
+            rows = seg[key]
+            if not (isinstance(rows, list) and len(rows) == len(stations)
+                    and all(isinstance(row, list) and len(row) == width
+                            and all(_is_number(x) for x in row)
+                            for row in rows)):
+                problems.append(
+                    f"segments[{i}].{key} must be {len(stations)} rows "
+                    f"of width {width} (one per station), all numbers")
+    return problems
 
 
 def _g(x: float) -> str:

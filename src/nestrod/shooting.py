@@ -149,15 +149,18 @@ class SolverOptions:
     moment_tol: float = 1e-10        # N·m, per residual component
 
     def validate(self) -> None:
-        """Raise :class:`ValidationError` listing every unusable setting."""
+        """Raise :class:`ValidationError` listing every unusable setting; a
+        bool is not a number here."""
         problems = []
         steps = self.steps_per_segment
-        if not (isinstance(steps, numbers.Integral) and steps > 0):
+        if not (isinstance(steps, numbers.Integral)
+                and not isinstance(steps, bool) and steps > 0):
             problems.append("solver: steps_per_segment must be a positive "
                             f"integer, got {steps!r}")
         for key in ("force_tol", "moment_tol"):
             tol = getattr(self, key)
-            if not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
+            if not (isinstance(tol, numbers.Real)
+                    and not isinstance(tol, bool) and 0 < tol < math.inf):
                 problems.append(f"solver: {key} must be positive and finite, "
                                 f"got {tol!r}")
         if problems:
@@ -593,14 +596,16 @@ class ConvergenceReport:
     message: str = ""
     # Richardson estimate in m of the requested grid's tip error (RK4: d /
     # ((N / N_c)⁴ − 1) for the tip gap d to the rung of N_c steps just below
-    # the requested grid on the ladder), and N_c; both None when the ladder
-    # has no rung below the requested grid or that rung did not converge.
+    # the requested grid on the ladder), and N_c; both None when the solve
+    # failed, the ladder has no rung below the requested grid, or that rung
+    # did not converge.
     discretization_error: float | None = None
     coarse_steps: int | None = None
 
     def as_dict(self) -> dict:
-        """Plain-JSON record; a non-finite figure reads None (JSON null)."""
-        out = {
+        """Plain-JSON record, the same keys for every solve; a non-finite
+        or unknown figure reads None (JSON null)."""
+        return {
             "converged": self.converged,
             "iterations": self.iterations,
             "continuation_steps": self.continuation_steps,
@@ -608,17 +613,13 @@ class ConvergenceReport:
             "residual_norm": _finite(np.linalg.norm(self.residual)),
             "condition_max": _finite(self.condition_max),
             "message": self.message,
+            "discretization_error": _finite(self.discretization_error),
+            "coarse_steps": self.coarse_steps,
         }
-        # Left out when unset, so a solve without a rung below writes the
-        # same record as before there was a coarse grid.
-        if self.discretization_error is not None:
-            out["discretization_error"] = _finite(self.discretization_error)
-            out["coarse_steps"] = self.coarse_steps
-        return out
 
 
-def _finite(x: float) -> float | None:
-    return float(x) if math.isfinite(x) else None
+def _finite(x: float | None) -> float | None:
+    return float(x) if x is not None and math.isfinite(x) else None
 
 
 @dataclass
@@ -857,17 +858,7 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
                     jacobian=jac if converged else None)
 
 
-class _Level(NamedTuple):
-    """How the solve on one grid ended."""
-
-    solves: list[_Outcome]        # every Newton solve run, in order
-    outcome: _Outcome | None      # Newton's accepted full-tension solve
-    scale: float                  # tension scale where a failed ramp stalled
-    message: str = ""             # why the grid failed
-
-
-def _report(solves: list[_Outcome], failure: str | None = None
-            ) -> ConvergenceReport:
+def _report(solves: list[_Outcome], failure: str | None) -> ConvergenceReport:
     """The report of every Newton solve run, in order; ``failure`` says why
     the solve failed, None for a converged one. The residual and its scaled
     figure are those of the last solve that evaluated its start guess, or
@@ -897,20 +888,24 @@ def _first_ramp_step(problem: Problem) -> float:
 
 def _solve_level(problem: Problem, options: SolverOptions,
                  guess: np.ndarray | None,
-                 jacobian: np.ndarray | None) -> _Level:
+                 jacobian: np.ndarray | None
+                 ) -> tuple[list[_Outcome], float, str | None]:
     """The solve on one grid of the full-tension ``problem``. A given
     ``guess`` is one Newton solve, with ``jacobian`` if there is one (see
     :func:`_newton`). Without a guess, or if it does not converge, the
     tension ramp runs from the rest guess, one Newton solve per step; a
     failed step, the final one too, is retried at half its size, and a step
-    whose start guess fails caps every later step at that half. The level
-    lists every Newton solve run."""
+    whose start guess fails caps every later step at that half.
+
+    Returns every Newton solve run, in order, the tension scale where a
+    failed ramp stalled (1 on success), and why the grid failed, None if
+    the last solve is the accepted full-tension one."""
     solves: list[_Outcome] = []
     if guess is not None:
         out = _newton(problem, options, guess, jacobian=jacobian)
         solves.append(out)
         if out.converged:
-            return _Level(solves, out, 1.0)
+            return solves, 1.0, None
 
     step = _first_ramp_step(problem)
     floor = step / _RAMP_FLOOR
@@ -933,7 +928,7 @@ def _solve_level(problem: Problem, options: SolverOptions,
                       start, 1.0 if final else _RAMP_RELAX)
         solves.append(out)
         if out.converged and final:
-            return _Level(solves, out, 1.0)
+            return solves, 1.0, None
         if out.converged:
             history.append((scale, out.guess))
             if out.iterations <= _RAMP_EASY_ITERATIONS:
@@ -962,7 +957,7 @@ def _solve_level(problem: Problem, options: SolverOptions,
                 break
     else:
         failure = f"no full tension after {_RAMP_ATTEMPTS} ramp steps"
-    return _Level(solves, None, scale, failure)
+    return solves, scale, failure
 
 
 def _coarse_steps(problem: Problem, options: SolverOptions) -> list[int]:
@@ -1033,40 +1028,38 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
     rungs = _coarse_steps(problem, options)
     guess, jacobian = _start_guess(problem, initial_guess), None
     solves: list[_Outcome] = []
-    level = None
+    accepted = None          # the last rung's accepted solve, None if failed
     for i, steps in enumerate(rungs):
         # A rung that converged without an iteration, its start already
         # within the tolerances there, hands its solution straight to the
         # rung just below the requested grid: the rungs between would only
         # verify it again.
-        if (i < len(rungs) - 2 and level is not None
-                and level.outcome is not None and not level.outcome.iterations):
+        if (i < len(rungs) - 2 and accepted is not None
+                and not accepted.iterations):
             continue
-        below = level
-        level = _solve_level(problem, replace(options, steps_per_segment=steps),
-                             guess, jacobian)
-        solves += level.solves
-        if level.outcome is not None:
-            guess, jacobian = level.outcome.guess, level.outcome.jacobian
-    if level.outcome is None:
-        report = _report(solves, level.message)
+        below = accepted
+        level, scale, failure = _solve_level(
+            problem, replace(options, steps_per_segment=steps), guess, jacobian)
+        solves += level
+        accepted = None if failure else level[-1]
+        if accepted is not None:
+            guess, jacobian = accepted.guess, accepted.jacobian
+    report = _report(solves, failure)
+    if accepted is None:
         raise NoConvergence(
-            f"shooting stalled at tension scale {level.scale:.3g} with "
+            f"shooting stalled at tension scale {scale:.3g} with "
             f"scaled residual {report.scaled_residual:.3e} after "
-            f"{report.iterations} iterations: {report.message}", report=report)
-    report = _report(solves)
+            f"{report.iterations} iterations: {report.message}", report)
     segments = [_expand_segment(ctx, rec)
-                for ctx, rec in zip(problem.contexts, level.outcome.trail)]
-    if below is not None and below.outcome is not None:
+                for ctx, rec in zip(problem.contexts, accepted.trail)]
+    if below is not None:
         coarse = rungs[-2]
-        gap = np.linalg.norm(segments[-1].p[-1]
-                             - below.outcome.trail[-1][-1, 0:3])
+        gap = np.linalg.norm(segments[-1].p[-1] - below.trail[-1][-1, 0:3])
         report.discretization_error = float(
             gap / ((options.steps_per_segment / coarse) ** 4 - 1.0))
         report.coarse_steps = coarse
-    return Solution(assembly=assembly, options=options,
-                    guess=level.outcome.guess, segments=segments,
-                    report=report)
+    return Solution(assembly=assembly, options=options, guess=accepted.guess,
+                    segments=segments, report=report)
 
 
 def twist_consistency(solution: Solution) -> float:

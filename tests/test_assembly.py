@@ -209,6 +209,18 @@ class TestValidation:
         assert "tension" in text
         assert "out of range" in text
 
+    @pytest.mark.parametrize("tube", [True, False])
+    def test_tube_index_must_be_a_whole_number(self, tube):
+        # A bool is an Integral, but True is no tube index.
+        asm = AssemblySpec(
+            tubes=[_tube(length=0.2, od=1.2e-3, idi=1.0e-3),
+                   _tube(length=0.3, od=0.9e-3, idi=0.7e-3)],
+            tendons=[TendonSpec(routing=StraightRouting([3e-3, 0]),
+                                tension=1.0, tube=tube)])
+        with pytest.raises(ValidationError,
+                           match="tendon 1: terminating tube index"):
+            asm.validate()
+
     def test_station_varying_rest_is_rejected(self):
         # The solver reads rest strains once per segment, so a rest shape
         # that varies along its tube is bad input, not something to sample

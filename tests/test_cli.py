@@ -10,7 +10,8 @@ import pytest
 
 from nestrod import cli
 from nestrod.errors import NoConvergence
-from nestrod.scenario import preset, preset_scenario
+from nestrod.scenario import (canonical_json, parse_text, preset,
+                              preset_scenario)
 from nestrod.shooting import shoot
 
 _STALLING = """\
@@ -100,6 +101,36 @@ solver {{
   {setting}
 }}
 """
+
+
+# Names that are not plain file names: each would put an output outside
+# --out, or name the directory itself.
+_UNSAFE_NAMES = ["", ".", "..", "../escaped", "sub/escaped", "sub\\escaped"]
+
+
+def _named_scenario(tmp_path, name):
+    """The settings scenario renamed ``name``, written as JSON."""
+    tree = parse_text(_SOLVER_SETTING.format(setting="steps_per_segment 10"))
+    tree["name"] = name
+    path = tmp_path / "named.json"
+    path.write_text(canonical_json(tree))
+    return path
+
+
+def _payload_text(segment=None, **edits):
+    """A well-formed two-tube solution payload of one two-station segment,
+    as JSON text, with ``edits`` to its top level and ``segment`` edits to
+    its segment."""
+    eye = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+    seg = {"start": 0.0, "end": 0.1, "tubes": [0, 1], "stations": [0.0, 0.1],
+           "p": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.1]], "R": [eye, eye],
+           "u1": [[0.0] * 3] * 2, "v1": [[0.0, 0.0, 1.0]] * 2,
+           "theta": [[0.0]] * 2, "u_d3": [[0.0]] * 2, "beta": [[1.0]] * 2}
+    seg.update(segment or {})
+    payload = {"format": "nestrod-solution", "version": 1, "tubes": 2,
+               "total_length": 0.1, "segments": [seg]}
+    payload.update(edits)
+    return json.dumps(payload)
 
 
 def _reject_constant(name):
@@ -322,6 +353,23 @@ class TestSolveCommand:
         assert message in err
         assert not list(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize("name", _UNSAFE_NAMES)
+    def test_name_must_be_a_plain_file_name(self, tmp_path, capsys,
+                                            monkeypatch, name):
+        # Outputs are named after the scenario, so its name is checked
+        # before any solve or write.
+        def never(*args, **kwargs):
+            raise AssertionError("solved a scenario with an unsafe name")
+
+        monkeypatch.setattr(cli, "shoot", never)
+        scn = _named_scenario(tmp_path, name)
+        rc = cli.main(["solve", str(scn), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "not a plain file name" in err
+        assert list(tmp_path.rglob("*")) == [scn]
+
     def test_frame_drift_exits_2_with_report(self, tmp_path, capsys):
         # Ten RK4 steps cannot follow the helix backbone: the integrated
         # frame drifts off the rotation group, which ends the solve as a
@@ -375,7 +423,33 @@ class TestExportCommand:
         ('{"format": "nestrod-solution", "version": 1, "tubes": 1, '
          '"total_length": 0.1, "segments": [{"p": [[0, 0, 0]]}]}',
          "lacks segments[0].tubes, segments[0].stations, segments[0].R"),
-    ], ids=["text", "list", "format-only", "no-segments", "segment-keys"])
+        (_payload_text(version="1"), "version must be 1, got '1'"),
+        (_payload_text(tubes="2"), "tubes must be a positive integer"),
+        (_payload_text(tubes=True), "tubes must be a positive integer"),
+        (_payload_text(total_length="x"), "total_length must be a number"),
+        (_payload_text(total_length=math.nan),
+         "not JSON (NaN is not strict JSON)"),
+        (_payload_text(segment={"stations": "abc"}),
+         "segments[0].stations must be a non-empty list of numbers"),
+        (_payload_text(segment={"p": [[0.0]]}),
+         "segments[0].p must be 2 rows of width 3"),
+        (_payload_text(segment={"R": [[1.0] * 9]}),
+         "segments[0].R must be 2 rows of width 9"),
+        (_payload_text(segment={"theta": [[0.0, 0.0]] * 2}),
+         "segments[0].theta must be 2 rows of width 1"),
+        (_payload_text(segment={"beta": [["1"]] * 2}),
+         "segments[0].beta must be 2 rows of width 1"),
+        (_payload_text(segment={"tubes": [0, 7]}),
+         "segments[0].tubes must be distinct tube indices"),
+        (_payload_text(segment={"tubes": [1, 1]}),
+         "segments[0].tubes must be distinct tube indices"),
+        (_payload_text(segment={"tubes": []}),
+         "segments[0].tubes must be distinct tube indices"),
+    ], ids=["text", "list", "format-only", "no-segments", "segment-keys",
+            "version", "tubes-word", "tubes-bool", "total-length-word",
+            "total-length-nan",
+            "stations-word", "p-width", "R-rows", "theta-width",
+            "beta-word", "tube-out-of-range", "tube-twice", "no-tubes"])
     def test_malformed_payload_exits_1(self, tmp_path, capsys, text,
                                        message):
         bad = tmp_path / "bad.json"
@@ -387,6 +461,29 @@ class TestExportCommand:
         assert err.startswith("error: ")
         assert message in err
         assert not out.exists()
+
+    def test_well_formed_payload_exports(self, tmp_path, capsys):
+        # The payload that the malformed cases above each break in one way.
+        good = tmp_path / "good.json"
+        good.write_text(_payload_text())
+        out = tmp_path / "out"
+        assert cli.main(["export", str(good), "--csv", "--svg",
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["good.csv", "good.json", "good.svg"]
+
+    @pytest.mark.parametrize("name", _UNSAFE_NAMES)
+    def test_scenario_must_be_a_plain_file_name(self, tmp_path, capsys,
+                                                name):
+        bad = tmp_path / "named.json"
+        bad.write_text(_payload_text(scenario=name))
+        assert cli.main(["export", str(bad), "--csv",
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "not a plain file name" in err
+        assert list(tmp_path.rglob("*")) == [bad]
 
 
 class TestSweepCommand:
@@ -491,6 +588,22 @@ class TestSweepCommand:
         assert rc == 1
         assert "integer, got -5" in capsys.readouterr().err
         assert not list(tmp_path.glob("*_sweep.csv"))
+
+    @pytest.mark.parametrize("name", _UNSAFE_NAMES)
+    def test_name_must_be_a_plain_file_name(self, tmp_path, capsys,
+                                            monkeypatch, name):
+        def never(*args, **kwargs):
+            raise AssertionError("solved a scenario with an unsafe name")
+
+        monkeypatch.setattr(cli, "shoot", never)
+        scn = _named_scenario(tmp_path, name)
+        rc = cli.main(["sweep", str(scn), "--axis", "tension:0", "--to", "1",
+                       "--num", "2", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "not a plain file name" in err
+        assert list(tmp_path.rglob("*")) == [scn]
 
     @pytest.mark.parametrize("axis, start, message", [
         ("tension:0", "-1", "tension must be >= 0"),

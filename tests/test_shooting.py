@@ -487,8 +487,8 @@ class TestNewtonBatches:
         assert {steps for steps, _ in calls} == {opts.steps_per_segment}
         assert report.discretization_error is None
         assert report.coarse_steps is None
-        assert "discretization_error" not in report.as_dict()
-        assert "coarse_steps" not in report.as_dict()
+        assert report.as_dict()["discretization_error"] is None
+        assert report.as_dict()["coarse_steps"] is None
 
     def test_coarse_grid_skips_steps_that_drift(self):
         # The helix backbone's rest frame turns 1.09 rad per step at 18
@@ -892,9 +892,9 @@ class TestRamp:
         inner = shooting._solve_level
 
         def logged(problem, options, *args):
-            level = inner(problem, options, *args)
-            spent.append((options.steps_per_segment, level.outcome is not None))
-            return level
+            solves, scale, failure = inner(problem, options, *args)
+            spent.append((options.steps_per_segment, failure is None))
+            return solves, scale, failure
 
         monkeypatch.setattr(shooting, "_solve_level", logged)
         solution = shoot(asm, opts)
@@ -1003,7 +1003,8 @@ class TestFailureReport:
     @pytest.mark.parametrize("settings", [
         {"steps_per_segment": 20.0}, {"steps_per_segment": -1},
         {"force_tol": math.nan}, {"moment_tol": math.inf},
-        {"steps_per_segment": 0},
+        {"steps_per_segment": 0}, {"steps_per_segment": True},
+        {"force_tol": True},
     ])
     def test_unusable_options_raise_before_integrating(self, monkeypatch,
                                                        settings):
@@ -1089,3 +1090,22 @@ class TestFailureReport:
         assert d["converged"] is False
         assert "residual_norm" in d
         assert d["scaled_residual"] is not None
+
+    def test_every_report_has_the_same_keys(self):
+        # A converged solve with a rung below and a failed one (the helix
+        # backbone at 10 steps drifts off the rotation group) write the same
+        # nine keys; the failed one's error estimate is unknown, so null.
+        asm, opts = preset("ctr_theta_0", allow_placeholders=True)
+        converged = shoot(asm, replace(opts, steps_per_segment=50)).report
+        asm, opts = preset("single_tube_helical_backbone",
+                           allow_placeholders=True)
+        with pytest.raises(NoConvergence) as err:
+            shoot(asm, replace(opts, steps_per_segment=10))
+        failed = err.value.report.as_dict()
+        assert sorted(converged.as_dict()) == sorted(failed) == [
+            "coarse_steps", "condition_max", "continuation_steps",
+            "converged", "discretization_error", "iterations", "message",
+            "residual_norm", "scaled_residual"]
+        assert converged.coarse_steps == 12
+        assert failed["coarse_steps"] is None
+        assert failed["discretization_error"] is None
