@@ -26,16 +26,27 @@ grid. Every rung, the requested one too, falls back to the ramp from rest
 when its start stalls, and a rung that fails hands the next rung its own
 start.
 
+Each segment is integrated by fixed-step RK4 (:func:`integrate_segment`)
+on the strain block alone: no strain rate reads the pose, since the
+tubes share one centerline whose pose follows from the strains (ṗ = R v₁,
+Ṙ = R û₁). The pose trail is built after the loop from the exact RK4 pose
+increment of each step, with one batched projection onto the rotation
+group and one chain of products; only a step whose stage curvatures turn
+by more than ``so3.SAFE_TURN`` has its increment projected in the loop,
+where a drifted row fails at once.
+
 A pass of one batch row, as the polish and the chord steps run, is
 integrated time-parallel segment by segment where the segment allows it
-(:func:`_time_parallel`): Parareal with one RK4 step per slice as the
-coarse propagator and all slices integrated at the fine step as one batch
-as the fine one, since a batch of ten rows costs numpy about as much per
-call as one row. It stays serial for a multi-row batch, a routing that
-reads the station, too few steps or no fitting slice count, or a slice
-whose one coarse step would turn a rest frame by more than a quarter turn;
-and a pass that fails or does not reach round-off is integrated again
-serially, so failures read exactly as before.
+(:func:`_time_parallel`): Parareal on the strain block, with one RK4 step
+per slice as the coarse propagator and all slices integrated at the fine
+step as one batch as the fine one, since a batch of ten rows costs numpy
+about as much per call as one row; each slice's pose is then placed onto
+the end pose of the slice before it. It stays serial for a multi-row
+batch, a routing that reads the station, too few steps or no fitting
+slice count, or a slice whose one coarse step would turn a rest frame by
+more than a quarter turn; and a pass that fails or does not reach
+round-off is integrated again serially, so failures read exactly as
+before.
 
 A batch row that cannot be integrated (see :data:`FAILURES`) is a state
 of that row, not an exception: it carries a failure code, reads an
@@ -54,10 +65,11 @@ import numpy as np
 
 from .assembly import AssemblySpec, Strategy, section_stiffness, segment_plan
 from .errors import NoConvergence, ValidationError
-from .so3 import DRIFT_LIMIT, reorthonormalize, rot_d3
-from .statics import (COND_LIMIT, PB_DOT_MIN, RodState, SegmentContext,
-                      TubeStrains, pack_state, state_derivative, tube_strains,
-                      unpack_state)
+from .so3 import (DRIFT_LIMIT, SAFE_TURN, reorthonormalize, rk4_increment,
+                  rot_d3)
+from .statics import (COND_LIMIT, PB_DOT_MIN, POSE, RodState, SegmentContext,
+                      TubeStrains, pack_strains, state_derivative, tube_strains,
+                      unpack_state, unpack_strains)
 
 # Why a batch row failed, by failure code; code 0 is a row that integrated
 # cleanly. Newton and the ramp back off from a failed row instead of
@@ -126,11 +138,11 @@ _FD_CURVATURE, _FD_STRAIN, _FD_BETA = 1e-6, 1e-8, 1e-8
 # Parareal on a one-row pass (Lions, Maday & Turinici 2001; Gander &
 # Vandewalle 2007): a segment of at least _PARAREAL_MIN_STEPS steps splits
 # into at least _PARAREAL_MIN_SLICES slices of at least _PARAREAL_MIN_SLICE
-# steps each. A slice start counts as converged when it is within
-# _PARAREAL_JUMP, per component scaled by max(1, |U|), of the fine
+# steps each. A slice start counts as converged when its strains are
+# within _PARAREAL_JUMP, per component scaled by max(1, |U|), of the fine
 # integration that ends there: over every one-row pass of the bundled
-# presets' solves at 50 and 200 steps, the converged jumps lie between
-# 2e-16 and 8e-15, reached in 0-3 corrections. Past _PARAREAL_CORRECTIONS
+# presets' solves at 50 and 200 steps, the converged jumps lie between 0
+# and 6e-15, reached in 0-2 corrections. Past _PARAREAL_CORRECTIONS
 # corrections the segment is integrated serially.
 _PARAREAL_MIN_STEPS = 50
 _PARAREAL_MIN_SLICES = 4
@@ -265,56 +277,123 @@ def _neutral_state(k: int) -> np.ndarray:
     return y
 
 
+def _chain(start: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    """Poses X₀ … Xₙ, shaped (n + 1, ..., 3, 4), of the chain X_{i+1} =
+    X_i ∘ moves_i from X₀ = ``start``, a pose being the block [R | p] and
+    [R | p] ∘ [T | q] = [R T | p + R q]. The composition is associative, so
+    one doubling (Hillis–Steele) scan of ⌈log₂(n + 1)⌉ batched products
+    replaces n serial ones."""
+    poses = np.empty((len(moves) + 1,) + moves.shape[1:])
+    poses[0], poses[1:] = start, moves
+    d = 1
+    while d < len(poses):
+        head = poses[:-d]
+        tail = head[..., 0:3] @ poses[d:]
+        tail[..., 3] += head[..., 3]
+        poses[d:] = tail
+        d *= 2
+    return poses
+
+
+def _pose(rot: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The pose block [R | p] of frames ``rot`` and positions ``pos``."""
+    pose = np.empty(pos.shape[:-1] + (3, 4))
+    pose[..., 0:3] = rot
+    pose[..., 3] = pos
+    return pose
+
+
 def integrate_segment(state: RodState, ctx: SegmentContext, steps: int,
                       failed: np.ndarray | None = None):
     """March the cross-section ODE across one segment with fixed-step RK4.
 
-    The frame is re-projected onto the rotation group after every step so
-    drift never accumulates. ``failed`` holds the failure code of each
-    batch row so far (default: none failed); a failed row is held at a
-    neutral state. Returns (end state, packed states at every station,
-    shaped (steps + 1, *batch, width), worst condition estimate seen per
-    batch row, failure codes).
+    The loop marches the strain block alone, since no strain rate reads the
+    pose, and keeps the stage states of every step. After the loop the pose
+    trail is built from them: each step's exact RK4 increment [M | q]
+    (:func:`~nestrod.so3.rk4_increment`) turns a rotation R into R·polar(M)
+    and moves p by R q, so the frame is the one that RK4 on the whole state,
+    re-projected after every step, gives, with one batched projection of
+    all increments and one chain of products (:func:`_chain`). A step whose
+    stages all turn by at most ``SAFE_TURN`` cannot leave the rotation
+    group; a step where a row's stage turns further has its increments
+    projected in the loop, and a row that drifted fails there, as it would
+    with the frame in the loop.
+
+    ``failed`` holds the failure code of each batch row so far (default:
+    none failed); a failed row is held at a neutral state. Returns (end
+    state, packed states at every station, shaped (steps + 1, *batch,
+    width), worst condition estimate seen per batch row, failure codes).
     """
     h = (ctx.end - ctx.start) / steps
     k = ctx.n_active
-    y = pack_state(state)
-    batch = y.shape[:-1]
+    x = pack_strains(state)
+    batch = x.shape[:-1]
     failed = np.zeros(batch, dtype=np.int8) if failed is None else failed.copy()
     neutral = _neutral_state(k)
     if failed.any():
-        np.copyto(y, neutral, where=failed[..., None] != 0)
+        np.copyto(x, neutral[POSE:], where=failed[..., None] != 0)
     cond_max = np.zeros(batch)
-    trail = np.empty((steps + 1,) + y.shape)
-    trail[0] = y
+    trail = np.empty((steps + 1,) + batch + (POSE + x.shape[-1],))
+    trail[0, ..., POSE:] = x
+    x = trail[0, ..., POSE:]
+    # The four stage states of every step, the pose increments of the
+    # steps projected in the loop, and the stations where a row has failed.
+    stages = np.empty((4, steps) + x.shape)
+    moves = np.empty((steps,) + batch + (3, 4))
+    projected = np.zeros(steps, dtype=bool)
+    dead = np.zeros((steps + 1,) + batch, dtype=bool)
+    dead[0] = failed != 0
+    safe = (SAFE_TURN / h) ** 2            # ‖u‖² of a stage that turns SAFE_TURN
 
-    def rhs(yv: np.ndarray, s: float, diagnostics: bool = False) -> np.ndarray:
+    def rhs(xv: np.ndarray, s: float, diagnostics: bool = False) -> np.ndarray:
         nonlocal cond_max
-        dy, cond, collapsed, singular = state_derivative(
-            unpack_state(yv, k, s), ctx, diagnostics=diagnostics)
+        dx, cond, collapsed, singular = state_derivative(
+            unpack_strains(xv, k, s), ctx, diagnostics=diagnostics)
         if diagnostics:
             cond_max = np.maximum(cond_max, cond)
         _flag(failed, collapsed, _TENDON)
         _flag(failed, singular, _RATES)
-        return dy
+        return dx
 
     for i in range(steps):
         s = ctx.start + i * h
+        stage = stages[:, i]
+        stage[0] = x
         # The condition estimate is sampled once per macro step; the three
         # inner stages run the cheap solve.
-        k1 = rhs(y, s, diagnostics=True)
-        k2 = rhs(y + 0.5 * h * k1, s + 0.5 * h)
-        k3 = rhs(y + 0.5 * h * k2, s + 0.5 * h)
-        k4 = rhs(y + h * k3, s + h)
-        trail[i + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        y = trail[i + 1]
-        frame, drifted = reorthonormalize(y[..., 3:12].reshape(batch + (3, 3)))
-        y[..., 3:12] = frame.reshape(batch + (9,))
-        _flag(failed, drifted, _FRAME)
+        k1 = rhs(x, s, diagnostics=True)
+        k2 = rhs(np.add(x, 0.5 * h * k1, out=stage[1]), s + 0.5 * h)
+        k3 = rhs(np.add(x, 0.5 * h * k2, out=stage[2]), s + 0.5 * h)
+        k4 = rhs(np.add(x, h * k3, out=stage[3]), s + h)
+        x = np.add(x, (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                   out=trail[i + 1, ..., POSE:])
+        if not np.square(stage[..., 0:3]).sum(axis=-1).max() <= safe:
+            # A stage turned further than SAFE_TURN (or is not finite).
+            moves[i] = rk4_increment(stage[..., 0:3], stage[..., 3:6], h)
+            moves[i, ..., 0:3], drifted = reorthonormalize(moves[i, ..., 0:3])
+            projected[i] = True
+            _flag(failed, drifted, _FRAME)
         if failed.any():
-            np.copyto(y, neutral, where=failed[..., None] != 0)
+            bad = failed != 0
+            np.copyto(x, neutral[POSE:], where=bad[..., None])
+            dead[i + 1] = bad
 
-    return unpack_state(y, k, ctx.end), trail, cond_max, failed
+    fresh = ~projected
+    if fresh.any():
+        rest = stages[:, fresh]
+        block = rk4_increment(rest[..., 0:3], rest[..., 3:6], h)
+        block[..., 0:3] = reorthonormalize(block[..., 0:3])[0]
+        moves[fresh] = block
+    poses = _chain(_pose(state.R, state.p), moves)
+    # The products gather the projections' round-off, the same few ulps
+    # per step: one Newton–Schulz step takes it off again.
+    rot = poses[..., 0:3]
+    rot = rot @ (1.5 * np.eye(3) - 0.5 * rot.swapaxes(-1, -2) @ rot)
+    trail[..., 0:3] = poses[..., 3]
+    trail[..., 3:POSE] = rot.reshape(rot.shape[:-2] + (9,))
+    if dead.any():
+        np.copyto(trail, neutral, where=dead[..., None])
+    return unpack_state(trail[-1], k, ctx.end), trail, cond_max, failed
 
 
 def _turn(ctx: SegmentContext) -> float:
@@ -356,13 +435,16 @@ def _time_parallel(state: RodState, ctx: SegmentContext, steps: int):
 
     Both propagators are :func:`integrate_segment` over one slice: the
     coarse one G takes a single RK4 step, the fine one F the slice's share
-    of ``steps``, and F integrates every slice at once as one batch. A
-    serial G sweep seeds the slice starts U_j, then each correction sets
-    U_{j+1} ← F(U_j^old) + G(U_j^new) − G(U_j^old) until every start is
-    at round-off from the F row that ends there. Returns what
-    :func:`integrate_segment` returns, with the F trails stitched together;
-    None also when a row of a G or F pass fails, or the starts are not at
-    round-off after ``_PARAREAL_CORRECTIONS`` corrections.
+    of ``steps``, and F integrates every slice at once as one batch.
+    Parareal runs on the strain block, which no strain rate couples to the
+    pose: a serial G sweep seeds the slice starts U_j, then each correction
+    sets U_{j+1} ← F(U_j^old) + G(U_j^new) − G(U_j^old) until every start
+    is at round-off from the F row that ends there. Each F row starts at
+    the identity pose, and its pose trail is then placed rigidly onto the
+    end pose of the slice before it. Returns what :func:`integrate_segment`
+    returns, with the F trails stitched together; None also when a row of
+    a G or F pass fails, or the starts are not at round-off after
+    ``_PARAREAL_CORRECTIONS`` corrections.
     """
     slices = _time_slices(ctx, steps)
     if slices is None:
@@ -372,26 +454,32 @@ def _time_parallel(state: RodState, ctx: SegmentContext, steps: int):
     sub = copy.copy(ctx)
     sub.end = ctx.start + (ctx.end - ctx.start) / slices
 
-    def coarse(y: np.ndarray) -> np.ndarray | None:
-        _, rec, _, failed = integrate_segment(unpack_state(y, k, sub.start),
-                                              sub, 1)
-        return None if failed else rec[-1]
+    def from_strains(x: np.ndarray, n: int):
+        """integrate_segment over one slice in ``n`` steps from the strain
+        blocks ``x`` at the identity pose."""
+        rows = x.shape[:-1]
+        start = unpack_strains(x, k, sub.start, p=np.zeros(rows + (3,)),
+                               R=np.broadcast_to(np.eye(3), rows + (3, 3)))
+        return integrate_segment(start, sub, n)
 
-    y0 = pack_state(state).reshape(-1)
-    starts = np.empty((slices, y0.size))
-    starts[0] = y0
-    coarse_ends = np.empty((slices - 1, y0.size))  # G of each start
+    def coarse(x: np.ndarray) -> np.ndarray | None:
+        _, rec, _, failed = from_strains(x, 1)
+        return None if failed else rec[-1, POSE:]
+
+    x0 = pack_strains(state).reshape(-1)
+    starts = np.empty((slices, x0.size))
+    starts[0] = x0
+    coarse_ends = np.empty((slices - 1, starts.shape[1]))  # G of each start
     for j in range(slices - 1):
         end = coarse(starts[j])
         if end is None:
             return None
         coarse_ends[j] = starts[j + 1] = end
     for correction in range(_PARAREAL_CORRECTIONS + 1):
-        _, rec, cond, failed = integrate_segment(
-            unpack_state(starts, k, sub.start), sub, steps // slices)
+        _, rec, cond, failed = from_strains(starts, steps // slices)
         if failed.any():
             return None
-        ends = rec[-1]
+        ends = rec[-1, :, POSE:]
         scale = np.maximum(1.0, np.abs(starts[1:]))
         if (np.abs(ends[:-1] - starts[1:]) <= _PARAREAL_JUMP * scale).all():
             break
@@ -409,11 +497,22 @@ def _time_parallel(state: RodState, ctx: SegmentContext, steps: int):
                 coarse_ends[j] = end
         starts = moved
 
-    width = starts.shape[1]
-    trail = np.empty((steps + 1, width))
-    trail[0] = starts[0]
-    trail[1:] = rec[1:].swapaxes(0, 1).reshape(steps, width)
-    trail = trail.reshape((steps + 1,) + batch + (width,))
+    # Slice j's stations, placed onto the end pose E_{j−1} of the slice
+    # before it (E₋₁ the segment's start pose).
+    body = rec[1:].swapaxes(0, 1)                      # (slices, m, width)
+    poses = _pose(body[..., 3:POSE].reshape(body.shape[:2] + (3, 3)),
+                  body[..., 0:3])
+    anchors = _chain(_pose(state.R, state.p).reshape(3, 4),
+                     poses[:, -1])[:-1]
+    placed = anchors[:, None, :, 0:3] @ poses
+    placed[..., 3] += anchors[:, None, :, 3]
+    trail = np.empty((steps + 1, rec.shape[-1]))
+    trail[0, 0:3], trail[0, 3:POSE] = state.p.ravel(), state.R.ravel()
+    trail[0, POSE:] = starts[0]
+    trail[1:, 0:3] = placed[..., 3].reshape(steps, 3)
+    trail[1:, 3:POSE] = placed[..., 0:3].reshape(steps, 9)
+    trail[1:, POSE:] = body[..., POSE:].reshape(steps, -1)
+    trail = trail.reshape((steps + 1,) + batch + (trail.shape[-1],))
     return (unpack_state(trail[-1], k, ctx.end), trail,
             np.full(batch, cond.max()), np.zeros(batch, dtype=np.int8))
 

@@ -61,13 +61,15 @@ COND_LIMIT = 1e12
 _EYE3 = np.eye(3)
 _DIAG6 = np.arange(6)
 _ZERO = np.zeros(())
+# The index arrays below are read with ``take``: a list used as a fancy
+# index would be converted again on every call.
 # The wrench cross products u×m, v×n and u×n as one stacked product, read
 # from the joined [u, v] and [m, n] rows.
-_CROSS_A = [0, 1, 2, 3, 4, 5, 0, 1, 2]
-_CROSS_B = [0, 1, 2, 3, 4, 5, 3, 4, 5]
+_CROSS_A = np.array([0, 1, 2, 3, 4, 5, 0, 1, 2])
+_CROSS_B = np.array([0, 1, 2, 3, 4, 5, 3, 4, 5])
 # Spin terms of the substitution map, θ̇_i [−u_y, u_x, −v_y, v_x], in its
 # rows 0, 1, 3 and 4.
-_SPIN = [1, 0, 4, 3]
+_SPIN = np.array([1, 0, 4, 3])
 _SPIN_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
 _SPIN_ROWS = [0, 1, 3, 4]
 
@@ -179,34 +181,53 @@ class RodState:
 
     theta/u_d3/beta hold one entry per inner tube (local indices 1..k-1,
     relative to the segment's reference tube); they are empty for a
-    single-tube segment.
+    single-tube segment. No strain rate reads the pose, so the states that
+    only feed the right-hand side leave p and R None.
     """
 
-    p: np.ndarray       # (..., 3) world position
-    R: np.ndarray       # (..., 3, 3) reference-tube material frame
-    u1: np.ndarray      # (..., 3) reference curvature+twist
-    v1: np.ndarray      # (..., 3) reference shear+extension
-    theta: np.ndarray   # (..., k-1) relative twist angles
-    u_d3: np.ndarray    # (..., k-1) inner-tube twist curvature
-    beta: np.ndarray    # (..., k-1) inner-tube dilation
+    p: np.ndarray | None    # (..., 3) world position
+    R: np.ndarray | None    # (..., 3, 3) reference-tube material frame
+    u1: np.ndarray          # (..., 3) reference curvature+twist
+    v1: np.ndarray          # (..., 3) reference shear+extension
+    theta: np.ndarray       # (..., k-1) relative twist angles
+    u_d3: np.ndarray        # (..., k-1) inner-tube twist curvature
+    beta: np.ndarray        # (..., k-1) inner-tube dilation
     s: float = 0.0
 
 
+# The packed state is the pose [p (3), R (9)] followed by the strain block
+# [u₁ (3), v₁ (3), θ, u_d3, β (k-1 each)], which starts at this column.
+POSE = 12
+
+
+def pack_strains(state: RodState) -> np.ndarray:
+    """Flatten the strains to the (..., 6 + 3(k-1)) strain block."""
+    return np.concatenate([state.u1, state.v1, state.theta, state.u_d3,
+                           state.beta], axis=-1)
+
+
+def unpack_strains(x: np.ndarray, n_active: int, s: float,
+                   p: np.ndarray | None = None,
+                   R: np.ndarray | None = None) -> RodState:
+    """State over the strain block ``x`` (views of it) and the pose ``p``,
+    ``R``."""
+    k1 = n_active - 1
+    return RodState(p=p, R=R, u1=x[..., 0:3], v1=x[..., 3:6],
+                    theta=x[..., 6:6 + k1], u_d3=x[..., 6 + k1:6 + 2 * k1],
+                    beta=x[..., 6 + 2 * k1:6 + 3 * k1], s=s)
+
+
 def pack_state(state: RodState) -> np.ndarray:
-    """Flatten to (..., 18 + 3(k-1)) for the integrator."""
+    """Flatten to (..., 18 + 3(k-1)): the pose, then the strain block."""
     batch = state.p.shape[:-1]
     return np.concatenate(
-        [state.p, state.R.reshape(batch + (9,)), state.u1, state.v1,
-         state.theta, state.u_d3, state.beta], axis=-1)
+        [state.p, state.R.reshape(batch + (9,)), pack_strains(state)], axis=-1)
 
 
 def unpack_state(y: np.ndarray, n_active: int, s: float) -> RodState:
-    k1 = n_active - 1
     batch = y.shape[:-1]
-    return RodState(p=y[..., 0:3], R=y[..., 3:12].reshape(batch + (3, 3)),
-                    u1=y[..., 12:15], v1=y[..., 15:18],
-                    theta=y[..., 18:18 + k1], u_d3=y[..., 18 + k1:18 + 2 * k1],
-                    beta=y[..., 18 + 2 * k1:18 + 3 * k1], s=s)
+    return unpack_strains(y[..., POSE:], n_active, s, p=y[..., 0:3],
+                          R=y[..., 3:POSE].reshape(batch + (3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +326,7 @@ def assemble_system(state: RodState, ctx: SegmentContext):
     if ctx.routings:
         r, rdot, rddot, lever, right = ctx.path or _path_stacks(
             ctx.routings, ctx.routing_offsets, state.s)
-        uv_t = uv[..., ctx.carriers, :]                          # (..., T, 6)
+        uv_t = uv.take(ctx.carriers, axis=-2)                    # (..., T, 6)
         hu = hat(uv_t[..., 0:3])
         pb = (hu @ r[..., None])[..., 0] + rdot + uv_t[..., 3:6]
         norm2 = (pb * pb).sum(axis=-1)
@@ -324,8 +345,8 @@ def assemble_system(state: RodState, ctx: SegmentContext):
         block = np.empty(batch + (k, 6, 7))
         block[...] = ctx.block
     # b_i = −[u×m + v×n, u×n], the three cross products stacked in one.
-    cr = (hat(uv[..., _CROSS_A].reshape(batch + (k, 3, 3)))
-          @ mn[..., _CROSS_B].reshape(batch + (k, 3, 3, 1)))[..., 0]
+    cr = (hat(uv.take(_CROSS_A, axis=-1).reshape(batch + (k, 3, 3)))
+          @ mn.take(_CROSS_B, axis=-1).reshape(batch + (k, 3, 3, 1)))[..., 0]
     block[..., 0:3, 6] -= cr[..., 0, :] + cr[..., 1, :]
     block[..., 3:6, 6] -= cr[..., 2, :]
     if k == 1:
@@ -341,7 +362,8 @@ def assemble_system(state: RodState, ctx: SegmentContext):
     subst[..., 3:6, 3:6] = rt
     subst[..., 1:, 3:6, 3:6] *= state.beta[..., None, None]
     theta_dot = state.u_d3 - state.u1[..., 2:3]
-    spin = theta_dot[..., None] * uv[..., 1:, _SPIN] * _SPIN_SIGN
+    spin = theta_dot[..., None] * uv[..., 1:, :].take(_SPIN, axis=-1) \
+        * _SPIN_SIGN
     subst.reshape(batch + (-1,))[..., ctx.subst_at] = np.concatenate(
         [v_rot[..., 1:, :], spin], axis=-1).reshape(batch + (-1,))
 
@@ -398,10 +420,14 @@ def solve_rates(a_sys: np.ndarray, b_sys: np.ndarray,
 
 def state_derivative(state: RodState, ctx: SegmentContext,
                      diagnostics: bool = True):
-    """Full ODE right-hand side: pose kinematics plus solved strain rates.
+    """ODE right-hand side of the strain block: the solved strain rates
+    and the twist rates. The pose kinematics ṗ = R v₁, Ṙ = R û₁ read the
+    strains but feed nothing back, so the integrator builds the pose from
+    the strains apart (see ``nestrod.shooting.integrate_segment``) and
+    ``state``'s p and R are not read.
 
-    Returns (dy, cond, collapsed, failed): dy is d/ds of the packed state,
-    in the layout of :func:`pack_state`; cond is the rate system's
+    Returns (dx, cond, collapsed, failed): dx is d/ds of the strain block,
+    in the layout of :func:`pack_strains`; cond is the rate system's
     condition estimate, or zero with ``diagnostics=False``, which skips
     estimating it; ``collapsed`` and ``failed`` are the per-row flags of
     :func:`assemble_system` and :func:`solve_rates`. A flagged row's
@@ -409,10 +435,8 @@ def state_derivative(state: RodState, ctx: SegmentContext,
     """
     a_sys, b_sys, collapsed = assemble_system(state, ctx)
     x, cond, failed = solve_rates(a_sys, b_sys, condition=diagnostics)
-    dy = np.concatenate([
-        (state.R @ state.v1[..., None])[..., 0],
-        (state.R @ hat(state.u1)).reshape(x.shape[:-1] + (9,)),
+    dx = np.concatenate([
         x[..., 0:6],                                         # u̇₁, v̇₁
         state.u_d3 - state.u1[..., 2:3],                     # θ̇
         x[..., 6:]], axis=-1)                                # u̇_d3, β̇
-    return dy, cond, collapsed, failed
+    return dx, cond, collapsed, failed

@@ -37,8 +37,9 @@ from nestrod.shooting import (
     shoot,
     twist_consistency,
 )
-from nestrod.so3 import hat
-from nestrod.statics import RodState
+from nestrod.so3 import hat, reorthonormalize
+from nestrod.statics import (POSE, RodState, pack_state, state_derivative,
+                             unpack_state)
 
 
 def _tube(length=0.2, od=1.0e-3, idi=0.8e-3, e=60e9, g=23e9, **kw):
@@ -68,6 +69,52 @@ def _two_tube(tension=0.2):
                             tension=tension, tube=1)])
 
 
+def _full_state_rk4(state, ctx, steps, failed=None):
+    """Reference integrator: RK4 on the whole packed state [p, R, strains],
+    with ṗ = R v₁ and Ṙ = R û₁ in every stage, the frame projected after
+    every step and its drift flagged there, and a failed row held at the
+    neutral state. Returns what integrate_segment returns."""
+    h = (ctx.end - ctx.start) / steps
+    k = ctx.n_active
+    y = pack_state(state)
+    batch = y.shape[:-1]
+    failed = np.zeros(batch, dtype=np.int8) if failed is None \
+        else failed.copy()
+    neutral = shooting._neutral_state(k)
+    np.copyto(y, neutral, where=failed[..., None] != 0)
+    cond_max = np.zeros(batch)
+    trail = [y.copy()]
+
+    def flag(rows, code):
+        failed[rows & (failed == 0)] = code
+
+    def rhs(yv, s, diagnostics=False):
+        nonlocal cond_max
+        state = unpack_state(yv, k, s)
+        dx, cond, collapsed, singular = state_derivative(
+            state, ctx, diagnostics=diagnostics)
+        cond_max = np.maximum(cond_max, cond)
+        flag(collapsed, shooting._TENDON)
+        flag(singular, shooting._RATES)
+        return np.concatenate([(state.R @ state.v1[..., None])[..., 0],
+                               (state.R @ hat(state.u1)).reshape(batch + (9,)),
+                               dx], axis=-1)
+
+    for i in range(steps):
+        s = ctx.start + i * h
+        k1 = rhs(y, s, diagnostics=True)
+        k2 = rhs(y + 0.5 * h * k1, s + 0.5 * h)
+        k3 = rhs(y + 0.5 * h * k2, s + 0.5 * h)
+        k4 = rhs(y + h * k3, s + h)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        frame, drifted = reorthonormalize(y[..., 3:12].reshape(batch + (3, 3)))
+        y[..., 3:12] = frame.reshape(batch + (9,))
+        flag(drifted, shooting._FRAME)
+        np.copyto(y, neutral, where=failed[..., None] != 0)
+        trail.append(y.copy())
+    return unpack_state(y, k, ctx.end), np.stack(trail), cond_max, failed
+
+
 class TestIntegration:
     def test_arc_tube_matches_closed_form(self):
         kappa, length = 10.0, 0.1
@@ -92,6 +139,44 @@ class TestIntegration:
         np.testing.assert_allclose(end.v1, [0.0, 0.0, 1.0], atol=1e-9)
         assert trail.shape == (201, 18)
         assert cond >= 1.0
+
+    @pytest.mark.parametrize("steps", [50, 200])
+    @pytest.mark.parametrize("name, rows", [
+        ("two_tube_0", 1), ("three_tube_c", 1),
+        ("single_tube_helical_backbone", 1),   # every step turns past SAFE_TURN
+        ("two_tube_helical", 1),               # the routing reads the station
+        ("two_tube_0", 9),                     # a row drifts, one is failed
+    ])
+    def test_matches_rk4_on_the_whole_state(self, name, rows, steps):
+        # The strains are marched with the same arithmetic as RK4 on the
+        # whole state, so they, the condition estimates and the failure
+        # codes are bit-equal; the pose trail is built apart and matches
+        # to round-off.
+        asm, _ = preset(name, allow_placeholders=True)
+        problem = build_problem(asm, SolverOptions(steps_per_segment=steps))
+        rng = np.random.default_rng(7)
+        size = problem.guess_size
+        guess = rest_guess(problem) + rng.normal(size=(rows, size)) \
+            * np.repeat([3.0, 1e-3], [3, size - 3])
+        failed = np.zeros(rows, dtype=np.int8)
+        if rows > 1:
+            guess[1, 0] = 2.0e4          # leaves the rotation group at once
+            failed[2] = shooting._RATES  # failed before this pass
+        state = shooting._base_state(problem, guess)
+        for ctx in problem.contexts:
+            got = integrate_segment(state, ctx, steps, failed)
+            want = _full_state_rk4(state, ctx, steps, failed)
+            np.testing.assert_array_equal(got[1][..., POSE:],
+                                          want[1][..., POSE:])
+            np.testing.assert_allclose(got[1][..., 0:POSE],
+                                       want[1][..., 0:POSE], rtol=0,
+                                       atol=1e-13)
+            np.testing.assert_array_equal(got[2], want[2])
+            np.testing.assert_array_equal(got[3], want[3])
+            failed = got[3]
+            state, _, failed = shooting.apply_transition(got[0], ctx, failed)
+        if rows > 1:
+            assert list(failed[:3]) == [0, shooting._FRAME, shooting._RATES]
 
     def test_step_doubling_converges(self):
         asm = _two_tube(tension=0.0)
@@ -793,8 +878,9 @@ class TestTimeParallel:
             asm, _ = preset(name, allow_placeholders=True)
         opts = SolverOptions(steps_per_segment=200)
         # The guess of a two-grid solve at 20 steps, which the tolerances
-        # were set on; the ladder's own guess moves three_tube_b's trail by
-        # up to 4.5e-12 from the serial pass.
+        # were set on; the ladder's own guess moves three_tube_b's strains
+        # by up to 4.5e-12 from the serial pass, with the jump test on the
+        # strains alone as with the pose in it.
         with monkeypatch.context() as patch:
             patch.setattr(shooting, "_coarse_steps", lambda *args: [10, 20])
             guess = shoot(asm, replace(opts, steps_per_segment=20)).guess
@@ -811,6 +897,21 @@ class TestTimeParallel:
                                  - serial[1][-1][-1, 0, 0:3])
         assert tip_gap < 1e-12
         np.testing.assert_allclose(fast[2], serial[2], rtol=1e-12)
+
+    def test_strains_converge_in_one_fine_pass(self, monkeypatch):
+        # two_tube_0's one-row pass at its 50-step solution: the G sweep
+        # already puts the slice starts' strains at round-off, so each
+        # segment takes one F pass (with the pose in the jump test, two).
+        asm, _ = preset("two_tube_0", allow_placeholders=True)
+        opts = SolverOptions(steps_per_segment=50)
+        guess = shoot(asm, opts).guess
+        problem = build_problem(asm, opts)
+        fast, serial, calls = self._passes(monkeypatch, guess[None, :],
+                                           problem, opts)
+        assert calls.count((5, 10)) == len(problem.contexts) == 2
+        assert calls.count((1, 1)) == 4 * len(problem.contexts)
+        for got, want in zip(fast[1], serial[1], strict=True):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
     def test_failed_row_reads_as_the_serial_pass(self, monkeypatch):
         # A far-off curvature drifts off the rotation group in the first

@@ -1,11 +1,17 @@
-"""Rotation-group helper tests: hat, axial rotations, polar cleanup."""
+"""Rotation-group helper tests: hat, axial rotations, polar cleanup, and
+the RK4 pose increment."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
-from nestrod.so3 import DRIFT_LIMIT, hat, reorthonormalize, rot_d3
+from nestrod.so3 import (DRIFT_LIMIT, SAFE_TURN, hat, reorthonormalize,
+                         rk4_increment, rot_d3)
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -128,3 +134,65 @@ class TestReorthonormalize:
         nan[0, 1] = np.nan
         self._flags_only(nan)
         self._flags_only(np.full((3, 3), np.inf))
+
+
+_VECTOR = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+
+
+class TestRK4Increment:
+    def test_safe_turn_is_the_largest_within_the_drift_limit(self):
+        def bound(phi):
+            return math.sqrt(3.0) * (phi + phi**2 / 2 + phi**3 / 6
+                                     + phi**4 / 24)
+        assert bound(SAFE_TURN) <= DRIFT_LIMIT < bound(SAFE_TURN * (1 + 1e-12))
+        assert 0.056 < SAFE_TURN < 0.0562
+
+    @settings(max_examples=300, deadline=None)
+    @given(axes=st.lists(_VECTOR, min_size=4, max_size=4),
+           turns=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+           strains=st.lists(_VECTOR, min_size=4, max_size=4),
+           h=st.floats(1e-4, 1.0))
+    def test_steps_within_the_safe_turn_are_never_flagged(self, axes, turns,
+                                                          strains, h):
+        # Any four stage curvatures with ‖u‖·h ≤ SAFE_TURN, the edge
+        # included, give an increment that reorthonormalize passes.
+        u = np.array(axes)
+        norms = np.linalg.norm(u, axis=-1, keepdims=True)
+        u = np.where(norms > 0, u / np.where(norms > 0, norms, 1.0), 0.0)
+        u *= np.minimum(1.0, np.array(turns) * 1.5)[:, None] * SAFE_TURN / h
+        assert (np.linalg.norm(u, axis=-1) * h <= SAFE_TURN * (1 + 1e-15)).all()
+        step = rk4_increment(u, np.array(strains), h)
+        assert not reorthonormalize(step[..., 0:3])[1]
+
+    def test_larger_turns_can_be_flagged(self):
+        # Stages turning by 1 rad each, about changing axes: the increment
+        # leaves the rotation group past DRIFT_LIMIT.
+        u = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, 0, -1.0]])
+        step = rk4_increment(u, np.zeros((4, 3)), 1.0)
+        assert reorthonormalize(step[..., 0:3])[1]
+
+    def test_matches_rk4_on_the_pose(self):
+        # The increment [M | q] is RK4 on [p, R] from any rotation R: R M
+        # and p + R q, batched over leading axes after the stage axis.
+        rng = np.random.default_rng(3)
+        u, v = rng.normal(size=(2, 4, 5, 3))
+        h = 0.01
+        rot = expm(hat(rng.normal(size=3)))
+        pos = rng.normal(size=3)
+
+        def rates(frame, ui, vi):
+            return frame @ hat(ui), frame @ vi
+
+        step = rk4_increment(u, v, h)
+        assert step.shape == (5, 3, 4)
+        for row in range(5):
+            k1 = rates(rot, u[0, row], v[0, row])
+            k2 = rates(rot + 0.5 * h * k1[0], u[1, row], v[1, row])
+            k3 = rates(rot + 0.5 * h * k2[0], u[2, row], v[2, row])
+            k4 = rates(rot + h * k3[0], u[3, row], v[3, row])
+            frame = rot + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            shift = h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            np.testing.assert_allclose(rot @ step[row, :, 0:3], frame,
+                                       atol=1e-15)
+            np.testing.assert_allclose(rot @ step[row, :, 3], shift,
+                                       atol=1e-15)

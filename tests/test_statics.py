@@ -4,7 +4,7 @@ The heart of the model is the linear system in the strain rates that every
 integration step solves. The stacked production assembly is pinned over
 random states against ``oracles.stack_system``, an independently written
 tube-by-tube reference; the file also checks the LU rate solve's failure
-handling, the tendon-path kinematics and the packed derivative layout.
+handling, the tendon-path kinematics and the strain-block derivative layout.
 """
 
 from __future__ import annotations
@@ -27,13 +27,16 @@ from nestrod.oracles import stack_system
 from nestrod.shooting import build_problem, SolverOptions
 from nestrod.so3 import hat
 from nestrod.statics import (
+    POSE,
     RodState,
     assemble_system,
     pack_state,
+    pack_strains,
     solve_rates,
     state_derivative,
     tube_strains,
     unpack_state,
+    unpack_strains,
 )
 
 
@@ -127,6 +130,7 @@ class TestStateLayout:
         back = unpack_state(y, 2, state.s)
         np.testing.assert_array_equal(back.R, state.R)
         np.testing.assert_array_equal(back.beta, state.beta)
+        np.testing.assert_array_equal(y[..., POSE:], pack_strains(state))
 
 
 class TestDerivedStrains:
@@ -246,21 +250,19 @@ class TestRestEquilibrium:
         ][:k]
         ctx = build_problem(AssemblySpec(tubes=tubes),
                             SolverOptions()).contexts[0]
-        dy = state_derivative(self._rest_state(k), ctx)[0]
-        deriv = unpack_state(dy, k, 0.0)
+        dx = state_derivative(self._rest_state(k), ctx)[0]
+        deriv = unpack_strains(dx, k, 0.0)
         np.testing.assert_allclose(deriv.u1, 0.0, atol=1e-9)
         np.testing.assert_allclose(deriv.v1, 0.0, atol=1e-9)
         np.testing.assert_allclose(deriv.u_d3, 0.0, atol=1e-9)
         np.testing.assert_allclose(deriv.beta, 0.0, atol=1e-9)
         np.testing.assert_allclose(deriv.theta, 0.0, atol=1e-12)
-        # pose kinematics: straight advance along the tangent
-        np.testing.assert_allclose(deriv.p, [0.0, 0.0, 1.0], atol=1e-14)
 
     def test_precurved_tube_keeps_rest_curvature(self):
         asm = AssemblySpec(tubes=[_tube(rest_shape=ArcRest(kappa=10.0))])
         ctx = build_problem(asm, SolverOptions()).contexts[0]
-        dy = state_derivative(self._rest_state(1, u1=[10.0, 0.0, 0.0]), ctx)[0]
-        deriv = unpack_state(dy, 1, 0.0)
+        dx = state_derivative(self._rest_state(1, u1=[10.0, 0.0, 0.0]), ctx)[0]
+        deriv = unpack_strains(dx, 1, 0.0)
         np.testing.assert_allclose(deriv.u1, 0.0, atol=1e-8)
         np.testing.assert_allclose(deriv.v1, 0.0, atol=1e-8)
 
@@ -416,15 +418,19 @@ class TestStateDerivative:
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_packed_layout(self, k):
+        # The derivative covers the strain block alone, the packed state
+        # from column POSE on, and reads no pose.
         ctx = _context(k)
         rng = np.random.default_rng(97)
         state = _random_state(rng, k, batch=(2,))
-        dy, _, collapsed, failed = state_derivative(state, ctx)
+        dx, _, collapsed, failed = state_derivative(state, ctx)
         assert not collapsed.any() and not failed.any()
-        assert dy.shape == pack_state(state).shape
-        deriv = unpack_state(dy, k, state.s)
-        np.testing.assert_array_equal(deriv.p, (state.R @ state.v1[..., None])[..., 0])
-        np.testing.assert_array_equal(deriv.R, state.R @ hat(state.u1))
+        assert dx.shape == pack_strains(state).shape
+        assert dx.shape[-1] == pack_state(state).shape[-1] - POSE
+        blind = unpack_strains(pack_strains(state), k, state.s)
+        assert blind.p is None and blind.R is None
+        np.testing.assert_array_equal(state_derivative(blind, ctx)[0], dx)
+        deriv = unpack_strains(dx, k, state.s)
         np.testing.assert_array_equal(deriv.theta,
                                       state.u_d3 - state.u1[..., 2:3])
         a_sys, b_sys, _ = assemble_system(state, ctx)
