@@ -156,7 +156,11 @@ class TestRK4Increment:
                                                           strains, h):
         # Any four stage curvatures with ‖u‖·h ≤ SAFE_TURN, the edge
         # included, give an increment that reorthonormalize passes.
+        # Scale by the largest entry first: the norm of a tiny axis such
+        # as 1e-158 squares into the subnormals and comes out inexact.
         u = np.array(axes)
+        peaks = np.abs(u).max(axis=-1, keepdims=True)
+        u = np.where(peaks > 0, u / np.where(peaks > 0, peaks, 1.0), 0.0)
         norms = np.linalg.norm(u, axis=-1, keepdims=True)
         u = np.where(norms > 0, u / np.where(norms > 0, norms, 1.0), 0.0)
         u *= np.minimum(1.0, np.array(turns) * 1.5)[:, None] * SAFE_TURN / h
