@@ -3,12 +3,20 @@
 The JSON payload is the full record; CSV and SVG are derived views of it,
 so a saved payload can be re-exported later without re-solving. All output
 is deterministic: no timestamps, keys sorted, floats in shortest exact form.
+
+A JSON file is exactly the standard library's strict, key-sorted text with
+a one-space indent, ``json.dumps(payload, sort_keys=True, indent=1,
+allow_nan=False)`` plus a newline: one value per line, floats in shortest
+round-trip form. :func:`write_json` builds that text before it opens the
+file, so a payload that cannot be written (one holding a NaN or an
+infinity) raises ValueError and writes nothing.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 from .errors import ValidationError
 
@@ -20,6 +28,7 @@ def solution_payload(solution) -> dict:
     """Flatten a :class:`~nestrod.shooting.Solution` into plain containers."""
     segments = []
     for seg in solution.segments:
+        strains = seg.strains()
         segments.append({
             "start": seg.start,
             "end": seg.end,
@@ -32,10 +41,10 @@ def solution_payload(solution) -> dict:
             "theta": seg.theta.tolist(),
             "u_d3": seg.u_d3.tolist(),
             "beta": seg.beta.tolist(),
-            "tube_u": seg.tube_u.tolist(),
-            "tube_v": seg.tube_v.tolist(),
-            "tube_n": seg.tube_n.tolist(),
-            "tube_m": seg.tube_m.tolist(),
+            "tube_u": strains.u.tolist(),
+            "tube_v": strains.v.tolist(),
+            "tube_n": strains.n.tolist(),
+            "tube_m": strains.m.tolist(),
         })
     return {
         "format": PAYLOAD_FORMAT,
@@ -50,10 +59,95 @@ def solution_payload(solution) -> dict:
 
 
 def write_json(path, payload: dict) -> None:
-    """Strict JSON: a NaN or infinity in ``payload`` raises ValueError."""
+    """Strict JSON: a NaN or infinity in ``payload`` raises ValueError, and
+    nothing is written.
+
+    The text is ``json.dumps(payload, sort_keys=True, indent=1,
+    allow_nan=False)`` plus a newline, byte for byte. That call runs the
+    standard library's pure-Python encoder one token at a time; here each
+    rectangular numeric array (a solution's trails) is formatted in one call
+    of its C encoder instead.
+    """
+    text = _indented(payload, 0) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
+
+
+# The reference encoder, and the compact one that formats a whole array in
+# C. Both are strict and escape non-ASCII text, as json.dumps does.
+_INDENTED = json.JSONEncoder(sort_keys=True, indent=1, allow_nan=False)
+_COMPACT = json.JSONEncoder(allow_nan=False)
+
+
+def _indented(value, level: int) -> str:
+    """``value`` as ``_INDENTED`` writes it, with its first line at indent
+    ``level``."""
+    inner = "\n" + " " * (level + 1)
+    close = "\n" + " " * level
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        items = [_COMPACT.encode(key) + ": " + _indented(value[key], level + 1)
+                 for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + close + "}"
+    if type(value) is list and value:
+        shape = _shape(value)
+        if shape is not None:
+            return _array(value, shape, level)
+        items = [_indented(item, level + 1) for item in value]
+        return "[" + inner + ("," + inner).join(items) + close + "]"
+    # A scalar, an empty container, or one of another type or with a key
+    # that is not a string. The reference writes no newline inside a
+    # string, so indenting its text moves its lines and nothing else.
+    return _INDENTED.encode(value).replace("\n", close)
+
+
+def _shape(value: list) -> list[int] | None:
+    """The shape of a rectangular numeric array: lists nested to one length
+    at every level, with int or float leaves, or with empty lists as the
+    innermost level. None for anything else."""
+    shape = []
+    level = [value]
+    while True:
+        kinds = set(map(type, level))
+        if kinds <= {int, float}:
+            return shape
+        if kinds != {list}:
+            return None
+        lengths = set(map(len, level))
+        if len(lengths) != 1:
+            return None
+        shape.append(lengths.pop())
+        if shape[-1] == 0:
+            return shape
+        level = list(chain.from_iterable(level))
+
+
+def _array(value: list, shape: list[int], level: int) -> str:
+    """A non-empty rectangular numeric array as ``_INDENTED`` writes it at
+    indent ``level``: its compact text, with the line breaks and indents of
+    each nesting level put in."""
+    text = _COMPACT.encode(value)
+    empty = shape[-1] == 0
+    if empty:
+        # No number is written, so a digit can stand in for each innermost
+        # "[]": then every ", " separates leaves or sub-arrays, as below.
+        text = text.replace("[]", "0")
+    depth = len(shape) - empty
+    indent = ["\n" + " " * (level + j) for j in range(depth + 1)]
+
+    def opening(r):         # the last r levels' brackets, opened
+        return "".join("[" + indent[depth - r + i] for i in range(1, r + 1))
+
+    def closing(r):         # the last r levels' brackets, closed
+        return "".join(indent[depth - i] + "]" for i in range(1, r + 1))
+
+    # Sub-arrays of r levels are separated by "]" * r + ", " + "[" * r
+    # (r = 0 between leaves); the longest run is replaced first, as it holds
+    # the shorter ones.
+    for r in range(depth - 1, -1, -1):
+        text = text.replace("]" * r + ", " + "[" * r,
+                            closing(r) + "," + indent[depth - r] + opening(r))
+    text = opening(depth) + text[depth:-depth] + closing(depth)
+    return text.replace("0", "[]") if empty else text
 
 
 # keys the exporters read: of the payload, besides its list of segments,

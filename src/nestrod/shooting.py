@@ -728,7 +728,8 @@ class SegmentSolution:
     The state arrays are views of one recorded trail; the per-tube strains
     and wrench are derived from them and the segment's ``stiffness`` and
     ``rest`` through :func:`~nestrod.statics.tube_strains` on each access,
-    so a kept solution holds its trail once.
+    so a kept solution holds its trail once. A reader of more than one of
+    them takes all four from one call of :meth:`strains`.
     """
 
     start: float
@@ -749,7 +750,10 @@ class SegmentSolution:
     def n_active(self) -> int:
         return len(self.tubes)
 
-    def _strains(self) -> TubeStrains:
+    def strains(self) -> TubeStrains:
+        """Per-tube strains and wrench along the trail; its ``u``, ``v``,
+        ``n`` and ``m`` are ``tube_u``, ``tube_v``, ``tube_n`` and
+        ``tube_m``."""
         state = RodState(p=self.p, R=self.R, u1=self.u1, v1=self.v1,
                          theta=self.theta, u_d3=self.u_d3, beta=self.beta,
                          s=self.start)
@@ -758,22 +762,22 @@ class SegmentSolution:
     @property
     def tube_u(self) -> np.ndarray:
         """(S, k, 3) per-tube curvature and twist."""
-        return self._strains().u
+        return self.strains().u
 
     @property
     def tube_v(self) -> np.ndarray:
         """(S, k, 3) per-tube shear and extension."""
-        return self._strains().v
+        return self.strains().v
 
     @property
     def tube_n(self) -> np.ndarray:
         """(S, k, 3) internal force, in each tube's own frame."""
-        return self._strains().n
+        return self.strains().n
 
     @property
     def tube_m(self) -> np.ndarray:
         """(S, k, 3) internal moment, in each tube's own frame."""
-        return self._strains().m
+        return self.strains().m
 
 
 @dataclass
