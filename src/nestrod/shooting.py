@@ -41,12 +41,19 @@ integrated time-parallel segment by segment where the segment allows it
 per slice as the coarse propagator and all slices integrated at the fine
 step as one batch as the fine one, since a batch of ten rows costs numpy
 about as much per call as one row; each slice's pose is then placed onto
-the end pose of the slice before it. It stays serial for a multi-row
-batch, a routing that reads the station, too few steps or no fitting
-slice count, or a slice whose one coarse step would turn a rest frame by
-more than a quarter turn; and a pass that fails or does not reach
-round-off is integrated again serially, so failures read exactly as
-before.
+the end pose of the slice before it. A rung's first pass, at the solution
+of the rung below, is seeded where that rung converged at the guess of
+the rung under it and its trail is that rung's cubic Hermite interpolant
+to near round-off, as on segments of nearly constant curvature: the
+rung below's trail, interpolated to every station, stands in for the G
+sweep, and one RK4 step from every station is one batch, accepted when
+each step ends at round-off from the next station's seed. A pass stays
+serial for a multi-row batch or a routing that reads the station; it is
+not Parareal for too few steps, no fitting slice count, or a slice whose
+one coarse step would turn a rest frame by more than a quarter turn. A
+seeded pass that fails or misses round-off falls back to Parareal, and a
+Parareal pass that does is integrated again serially, so failures read
+exactly as before.
 
 A batch row that cannot be integrated (see :data:`FAILURES`) is a state
 of that row, not an exception: it carries a failure code, reads an
@@ -149,6 +156,12 @@ _PARAREAL_MIN_SLICES = 4
 _PARAREAL_MIN_SLICE = 5
 _PARAREAL_JUMP = 1e-14
 _PARAREAL_CORRECTIONS = 4
+
+# A rung's first pass is seeded from the trail of the rung below when that
+# trail equals the Hermite interpolant of the trail under it within this
+# much (per component, as _PARAREAL_JUMP): a ×4 finer grid shrinks a smooth
+# trail's interpolation error by 4⁴, to within _PARAREAL_JUMP.
+_SEED_GATE = _RUNG_FACTOR ** 4 * _PARAREAL_JUMP
 
 
 @dataclass
@@ -303,6 +316,13 @@ def _pose(rot: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return pose
 
 
+def _orthonormalized(rot: np.ndarray) -> np.ndarray:
+    """``rot`` after one Newton–Schulz step towards the rotation group: a
+    chain of products gathers the projections' round-off, the same few ulps
+    per product (7e-14 over 200 steps), and the step takes it off again."""
+    return rot @ (1.5 * np.eye(3) - 0.5 * rot.swapaxes(-1, -2) @ rot)
+
+
 def integrate_segment(state: RodState, ctx: SegmentContext, steps: int,
                       failed: np.ndarray | None = None):
     """March the cross-section ODE across one segment with fixed-step RK4.
@@ -385,10 +405,7 @@ def integrate_segment(state: RodState, ctx: SegmentContext, steps: int,
         block[..., 0:3] = reorthonormalize(block[..., 0:3])[0]
         moves[fresh] = block
     poses = _chain(_pose(state.R, state.p), moves)
-    # The products gather the projections' round-off, the same few ulps
-    # per step: one Newton–Schulz step takes it off again.
-    rot = poses[..., 0:3]
-    rot = rot @ (1.5 * np.eye(3) - 0.5 * rot.swapaxes(-1, -2) @ rot)
+    rot = _orthonormalized(poses[..., 0:3])
     trail[..., 0:3] = poses[..., 3]
     trail[..., 3:POSE] = rot.reshape(rot.shape[:-2] + (9,))
     if dead.any():
@@ -407,17 +424,24 @@ def _turn(ctx: SegmentContext) -> float:
     return max(rates) * (ctx.end - ctx.start)
 
 
-def _time_slices(ctx: SegmentContext, steps: int) -> int | None:
-    """Slice count of a time-parallel pass over ``ctx`` at ``steps`` steps,
-    or None if the segment is integrated serially.
+def _station_free(ctx: SegmentContext) -> bool:
+    """Whether no strain rate of ``ctx`` reads the station, so that rows
+    starting at different stations can be integrated as one batch over the
+    first one's: true unless a tendon routing reads it (helical and
+    piecewise ones)."""
+    return not ctx.routings or ctx.path is not None
 
-    The right-hand side must not read the station, since every slice is
-    integrated over the first one's stations; the slice count is the
-    divisor of ``steps`` nearest √steps that gives enough slices of enough
-    steps; and one RK4 step over a slice, the coarse propagator, must turn
-    no rest frame by more than ``_COARSE_TURN`` (see :func:`_turn`).
+
+def _time_slices(ctx: SegmentContext, steps: int) -> int | None:
+    """Slice count of a Parareal pass over ``ctx`` at ``steps`` steps, or
+    None if there is none.
+
+    The slice count is the divisor of ``steps`` nearest √steps that gives
+    enough slices of enough steps; and one RK4 step over a slice, the
+    coarse propagator, must turn no rest frame by more than
+    ``_COARSE_TURN`` (see :func:`_turn`).
     """
-    if (ctx.routings and ctx.path is None) or steps < _PARAREAL_MIN_STEPS:
+    if steps < _PARAREAL_MIN_STEPS:
         return None
     fits = [m for m in range(_PARAREAL_MIN_SLICES,
                              steps // _PARAREAL_MIN_SLICE + 1)
@@ -429,44 +453,90 @@ def _time_slices(ctx: SegmentContext, steps: int) -> int | None:
     return slices
 
 
-def _time_parallel(state: RodState, ctx: SegmentContext, steps: int):
-    """Parareal over one batch row of one segment, or None where the
-    segment must be integrated serially (see :func:`_time_slices`).
+def _hermite(ctx: SegmentContext, trail: np.ndarray, steps: int) -> np.ndarray:
+    """Strain blocks at the ``steps + 1`` stations of a ``steps``-step grid
+    over ``ctx``, interpolated by cubic Hermite from the recorded ``trail``
+    of another grid over it: the values are the trail's, the slopes come
+    from one batched :func:`state_derivative` call on it, which must not
+    read the station (:func:`_station_free`).
 
-    Both propagators are :func:`integrate_segment` over one slice: the
-    coarse one G takes a single RK4 step, the fine one F the slice's share
-    of ``steps``, and F integrates every slice at once as one batch.
-    Parareal runs on the strain block, which no strain rate couples to the
-    pose: a serial G sweep seeds the slice starts U_j, then each correction
-    sets U_{j+1} ← F(U_j^old) + G(U_j^new) − G(U_j^old) until every start
-    is at round-off from the F row that ends there. Each F row starts at
-    the identity pose, and its pose trail is then placed rigidly onto the
-    end pose of the slice before it. Returns what :func:`integrate_segment`
-    returns, with the F trails stitched together; None also when a row of
-    a G or F pass fails, or the starts are not at round-off after
-    ``_PARAREAL_CORRECTIONS`` corrections.
-    """
+    The cubic is written as the chord plus a correction, x_i + t·d + t(1 −
+    t)·[(1 − t)(H ẋ_i − d) − t(H ẋ_{i+1} − d)] with d = x_{i+1} − x_i, so a
+    strain that the trail holds constant is interpolated exactly: on a
+    trail of nearly constant strains, the form with the Hermite basis
+    weights rounds the extension v₁,z ≈ 1 by an ulp, which one RK4 step
+    carries into the curvatures as a jump of about 1e-14."""
+    coarse = len(trail) - 1
+    x = trail[:, POSE:]
+    slope = state_derivative(unpack_strains(x, ctx.n_active, ctx.start), ctx,
+                             diagnostics=False)[0]
+    slope *= (ctx.end - ctx.start) / coarse
+    j = np.arange(steps + 1)
+    i = np.minimum(j * coarse // steps, coarse - 1)
+    t = (j * coarse / steps - i)[:, None]
+    d = x[i + 1] - x[i]
+    return x[i] + t * d + t * (1.0 - t) * (
+        (1.0 - t) * (slope[i] - d) - t * (slope[i + 1] - d))
+
+
+def _joined(ends: np.ndarray, starts: np.ndarray,
+            tol: float = _PARAREAL_JUMP) -> bool:
+    """Parareal's acceptance test: every strain of ``ends`` lies within
+    ``tol``, per component scaled by max(1, |U|), of ``starts``."""
+    scale = np.maximum(1.0, np.abs(starts))
+    return bool((np.abs(ends - starts) <= tol * scale).all())
+
+
+def _slice(ctx: SegmentContext, slices: int) -> SegmentContext:
+    """The first of ``slices`` equal slices of ``ctx``."""
+    sub = copy.copy(ctx)
+    sub.end = ctx.start + (ctx.end - ctx.start) / slices
+    return sub
+
+
+def _from_strains(x: np.ndarray, sub: SegmentContext, steps: int):
+    """:func:`integrate_segment` over ``sub`` in ``steps`` steps from the
+    strain blocks ``x``, each at the identity pose."""
+    rows = x.shape[:-1]
+    start = unpack_strains(x, sub.n_active, sub.start, p=np.zeros(rows + (3,)),
+                           R=np.broadcast_to(np.eye(3), rows + (3, 3)))
+    return integrate_segment(start, sub, steps)
+
+
+def _seeded(ctx: SegmentContext, steps: int, x0: np.ndarray,
+            seed: np.ndarray):
+    """Parareal with one step per slice and the seeds in place of the G
+    sweep: the starts are ``x0`` and the Hermite interpolant of the
+    recorded ``seed`` trail at the later stations (:func:`_hermite`), and
+    one RK4 step from every start is one ``steps``-row batch. Returns
+    (starts, the batch's record, its condition estimates), or None when a
+    row fails or a start is not joined to the step that ends there."""
+    starts = _hermite(ctx, seed, steps)[:-1]
+    starts[0] = x0
+    _, rec, cond, failed = _from_strains(starts, _slice(ctx, steps), 1)
+    if failed.any() or not _joined(rec[-1, :-1, POSE:], starts[1:]):
+        return None
+    return starts, rec, cond
+
+
+def _parareal(ctx: SegmentContext, steps: int, x0: np.ndarray):
+    """Parareal from the strain block ``x0`` over ``_time_slices`` slices:
+    a serial G sweep of one RK4 step per slice seeds the slice starts U_j,
+    then F integrates every slice at its share of ``steps`` as one batch,
+    and each correction sets U_{j+1} ← F(U_j^old) + G(U_j^new) − G(U_j^old)
+    until every start is joined to the F row that ends there. Returns
+    (starts, the last F record, its condition estimates), or None where
+    the segment has no slices, a G or F row fails, or the starts are not
+    joined after ``_PARAREAL_CORRECTIONS`` corrections."""
     slices = _time_slices(ctx, steps)
     if slices is None:
         return None
-    k = ctx.n_active
-    batch = state.u1.shape[:-1]
-    sub = copy.copy(ctx)
-    sub.end = ctx.start + (ctx.end - ctx.start) / slices
-
-    def from_strains(x: np.ndarray, n: int):
-        """integrate_segment over one slice in ``n`` steps from the strain
-        blocks ``x`` at the identity pose."""
-        rows = x.shape[:-1]
-        start = unpack_strains(x, k, sub.start, p=np.zeros(rows + (3,)),
-                               R=np.broadcast_to(np.eye(3), rows + (3, 3)))
-        return integrate_segment(start, sub, n)
+    sub = _slice(ctx, slices)
 
     def coarse(x: np.ndarray) -> np.ndarray | None:
-        _, rec, _, failed = from_strains(x, 1)
+        _, rec, _, failed = _from_strains(x, sub, 1)
         return None if failed else rec[-1, POSE:]
 
-    x0 = pack_strains(state).reshape(-1)
     starts = np.empty((slices, x0.size))
     starts[0] = x0
     coarse_ends = np.empty((slices - 1, starts.shape[1]))  # G of each start
@@ -476,13 +546,12 @@ def _time_parallel(state: RodState, ctx: SegmentContext, steps: int):
             return None
         coarse_ends[j] = starts[j + 1] = end
     for correction in range(_PARAREAL_CORRECTIONS + 1):
-        _, rec, cond, failed = from_strains(starts, steps // slices)
+        _, rec, cond, failed = _from_strains(starts, sub, steps // slices)
         if failed.any():
             return None
         ends = rec[-1, :, POSE:]
-        scale = np.maximum(1.0, np.abs(starts[1:]))
-        if (np.abs(ends[:-1] - starts[1:]) <= _PARAREAL_JUMP * scale).all():
-            break
+        if _joined(ends[:-1], starts[1:]):
+            return starts, rec, cond
         if correction == _PARAREAL_CORRECTIONS:
             return None
         moved = starts.copy()
@@ -497,6 +566,37 @@ def _time_parallel(state: RodState, ctx: SegmentContext, steps: int):
                 coarse_ends[j] = end
         starts = moved
 
+
+def _time_parallel(state: RodState, ctx: SegmentContext, steps: int,
+                   seed: np.ndarray | None = None):
+    """The segment pass of one batch row integrated time-parallel, or None
+    where it must be integrated serially.
+
+    Every slice is integrated by :func:`integrate_segment` from its start's
+    strains at the identity pose, all slices as one batch, and Parareal's
+    acceptance rule (:func:`_joined`) decides whether every start is the
+    end of the slice before it. With the recorded ``seed`` trail of a
+    coarser solve at the same guess, the starts are first the trail's
+    Hermite interpolant at every station, one step per slice
+    (:func:`_seeded`); failing that, or without a seed, Parareal corrects
+    its own starts (:func:`_parareal`). Both need a right-hand side that
+    does not read the station (:func:`_station_free`). Each slice's pose
+    trail is then placed rigidly onto the end pose of the slice before it.
+    Returns what :func:`integrate_segment` returns, with the slices' trails
+    stitched together.
+    """
+    if not _station_free(ctx):
+        return None
+    k = ctx.n_active
+    batch = state.u1.shape[:-1]
+    x0 = pack_strains(state).reshape(-1)
+    found = None if seed is None else _seeded(ctx, steps, x0, seed)
+    seeded = found is not None
+    found = found or _parareal(ctx, steps, x0)
+    if found is None:
+        return None
+    starts, rec, cond = found
+
     # Slice j's stations, placed onto the end pose E_{j−1} of the slice
     # before it (E₋₁ the segment's start pose).
     body = rec[1:].swapaxes(0, 1)                      # (slices, m, width)
@@ -506,11 +606,16 @@ def _time_parallel(state: RodState, ctx: SegmentContext, steps: int):
                      poses[:, -1])[:-1]
     placed = anchors[:, None, :, 0:3] @ poses
     placed[..., 3] += anchors[:, None, :, 3]
+    rot = placed[..., 0:3]
+    if seeded:
+        # Its one-step slices chain one product per step, as the serial
+        # pass does.
+        rot = _orthonormalized(rot)
     trail = np.empty((steps + 1, rec.shape[-1]))
     trail[0, 0:3], trail[0, 3:POSE] = state.p.ravel(), state.R.ravel()
     trail[0, POSE:] = starts[0]
     trail[1:, 0:3] = placed[..., 3].reshape(steps, 3)
-    trail[1:, 3:POSE] = placed[..., 0:3].reshape(steps, 9)
+    trail[1:, 3:POSE] = rot.reshape(steps, 9)
     trail[1:, POSE:] = body[..., POSE:].reshape(steps, -1)
     trail = trail.reshape((steps + 1,) + batch + (trail.shape[-1],))
     return (unpack_state(trail[-1], k, ctx.end), trail,
@@ -646,7 +751,8 @@ def _base_state(problem: Problem, guess: np.ndarray) -> RodState:
 
 
 def boundary_residual(guess: np.ndarray, problem: Problem,
-                      options: SolverOptions):
+                      options: SolverOptions,
+                      seed_trail: list[np.ndarray] | None = None):
     """Residual vector of the shooting map for a (batched) base-strain guess.
 
     Component order: per boundary in station order, [axial force, twist
@@ -656,6 +762,10 @@ def boundary_residual(guess: np.ndarray, problem: Problem,
     :func:`integrate_segment`, worst condition estimate per batch row,
     failure code per batch row). A failed row reads an infinite residual
     and a zero condition estimate; :data:`FAILURES` names its code.
+
+    ``seed_trail``, the recorded states of a coarser solve at the same lone
+    guess (one array per segment, as returned here), seeds each segment's
+    time-parallel pass (see :func:`_time_parallel`).
     """
     state = _base_state(problem, guess)
     failed = np.zeros(guess.shape[:-1], dtype=np.int8)
@@ -663,10 +773,11 @@ def boundary_residual(guess: np.ndarray, problem: Problem,
     trail = []
     cond_max = np.zeros(guess.shape[:-1])
     one_row = guess.size == guess.shape[-1]
-    for ctx in problem.contexts:
+    seeds = seed_trail or [None] * len(problem.contexts)
+    for ctx, seed in zip(problem.contexts, seeds):
         # A lone row that has not failed is integrated time-parallel where
         # the segment allows it (see _time_parallel).
-        out = _time_parallel(state, ctx, options.steps_per_segment) \
+        out = _time_parallel(state, ctx, options.steps_per_segment, seed) \
             if one_row and not failed.any() else None
         state, rec, cond, failed = out or integrate_segment(
             state, ctx, options.steps_per_segment, failed)
@@ -862,8 +973,8 @@ def _newton_step(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
 
 
 def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
-            relax: float = 1.0,
-            jacobian: np.ndarray | None = None) -> _Outcome:
+            relax: float = 1.0, jacobian: np.ndarray | None = None,
+            seed_trail: list[np.ndarray] | None = None) -> _Outcome:
     """Damped Newton on the shooting residual.
 
     ``relax`` loosens the convergence target by that factor (the returned
@@ -885,7 +996,9 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
     and is kept while it cuts the scaled residual by ``_CHORD_CONTRACTION``
     at least. The first step that does not drops the Jacobian, and the
     iteration goes on from the current guess as above, starting with the
-    stencil rows alone.
+    stencil rows alone. That first batch is seeded with ``seed_trail``,
+    the recorded states of the rung below at ``guess``, where there is one
+    (see :func:`boundary_residual`).
     """
     n = problem.n_tubes
     tol = np.where(np.array(problem.residual_classes) == "f",
@@ -899,8 +1012,8 @@ def _newton(problem: Problem, options: SolverOptions, guess: np.ndarray,
     chord = jacobian is not None
     first = guess[None, :] if chord \
         else np.concatenate([guess[None, :], guess + offsets])
-    res_all, trail_all, cond, failed = boundary_residual(first, problem,
-                                                         options)
+    res_all, trail_all, cond, failed = boundary_residual(
+        first, problem, options, seed_trail=seed_trail if chord else None)
     res, trail, cond_max = res_all[0], _row(trail_all, 0), float(cond[0])
     metric = _scaled_max(res, tol)
     if failed[0]:
@@ -990,22 +1103,24 @@ def _first_ramp_step(problem: Problem) -> float:
 
 
 def _solve_level(problem: Problem, options: SolverOptions,
-                 guess: np.ndarray | None,
-                 jacobian: np.ndarray | None
+                 guess: np.ndarray | None, jacobian: np.ndarray | None,
+                 seed_trail: list[np.ndarray] | None = None
                  ) -> tuple[list[_Outcome], float, str | None]:
     """The solve on one grid of the full-tension ``problem``. A given
-    ``guess`` is one Newton solve, with ``jacobian`` if there is one (see
-    :func:`_newton`). Without a guess, or if it does not converge, the
-    tension ramp runs from the rest guess, one Newton solve per step; a
-    failed step, the final one too, is retried at half its size, and a step
-    whose start guess fails caps every later step at that half.
+    ``guess`` is one Newton solve, with ``jacobian`` and ``seed_trail`` if
+    there are (see :func:`_newton`). Without a guess, or if it does not
+    converge, the tension ramp runs from the rest guess, one Newton solve
+    per step; a failed step, the final one too, is retried at half its
+    size, and a step whose start guess fails caps every later step at that
+    half.
 
     Returns every Newton solve run, in order, the tension scale where a
     failed ramp stalled (1 on success), and why the grid failed, None if
     the last solve is the accepted full-tension one."""
     solves: list[_Outcome] = []
     if guess is not None:
-        out = _newton(problem, options, guess, jacobian=jacobian)
+        out = _newton(problem, options, guess, jacobian=jacobian,
+                      seed_trail=seed_trail)
         solves.append(out)
         if out.converged:
             return solves, 1.0, None
@@ -1087,6 +1202,19 @@ def _coarse_steps(problem: Problem, options: SolverOptions) -> list[int]:
     return rungs[::-1]
 
 
+def _interpolates(problem: Problem, coarse: list[np.ndarray],
+                  fine: list[np.ndarray]) -> bool:
+    """Whether the recorded trail ``fine`` of a solve equals, in every
+    segment, the Hermite interpolant (:func:`_hermite`) of the trail
+    ``coarse`` of a coarser solve at the same guess within ``_SEED_GATE``,
+    where no segment's right-hand side reads the station: then a pass one
+    ×4 rung finer, seeded from ``fine``, should be joined."""
+    return all(_station_free(ctx)
+               and _joined(_hermite(ctx, low, len(high) - 1), high[:, POSE:],
+                           _SEED_GATE)
+               for ctx, low, high in zip(problem.contexts, coarse, fine))
+
+
 def _start_guess(problem: Problem, guess) -> np.ndarray | None:
     """A caller's start guess as a vector of 4 + 2n finite floats, or
     None for none; anything else raises :class:`ValidationError`."""
@@ -1132,6 +1260,7 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
     guess, jacobian = _start_guess(problem, initial_guess), None
     solves: list[_Outcome] = []
     accepted = None          # the last rung's accepted solve, None if failed
+    seed_trail = None        # its trail, where it seeds the next rung's pass
     for i, steps in enumerate(rungs):
         # A rung that converged without an iteration, its start already
         # within the tolerances there, hands its solution straight to the
@@ -1142,10 +1271,19 @@ def shoot(assembly: AssemblySpec, options: SolverOptions | None = None,
             continue
         below = accepted
         level, scale, failure = _solve_level(
-            problem, replace(options, steps_per_segment=steps), guess, jacobian)
+            problem, replace(options, steps_per_segment=steps), guess,
+            jacobian, seed_trail)
         solves += level
         accepted = None if failure else level[-1]
+        seed_trail = None
         if accepted is not None:
+            # A rung that converged at the guess of the rung below it, its
+            # trail that rung's interpolant to near round-off, seeds the
+            # next rung's first pass with that trail (see _time_parallel).
+            if (i < len(rungs) - 1 and below is not None
+                    and np.array_equal(accepted.guess, below.guess)
+                    and _interpolates(problem, below.trail, accepted.trail)):
+                seed_trail = accepted.trail
             guess, jacobian = accepted.guess, accepted.jacobian
     report = _report(solves, failure)
     if accepted is None:

@@ -7,7 +7,10 @@ leave the physical domain (frame drift, collapsed tendon tangents, singular
 rate systems), and where the grid ladder is read off strong rest
 curvatures and fast-winding tendons; a second, smaller set is solved at 50
 to 200 steps, where the ladder's upper rungs and the time-parallel pass
-run. Whatever happens inside, ``shoot()`` must either return a
+run, seeded from the rung below or not. That set also retracts tubes
+behind the base plate, anchors tendons inside their tubes, routes them
+through guide knots, and attaches their loads by either strategy. Whatever
+happens inside, ``shoot()`` must either return a
 ``Solution`` or raise ``NoConvergence`` carrying a report: no other
 exception may escape. A failed batch row is held at a finite state, so no
 numpy overflow or invalid-value warning may be emitted either. The draws
@@ -23,7 +26,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nestrod.assembly import (ArcRest, AssemblySpec, HelicalRouting,
-                              HelixRest, StraightRest, StraightRouting,
+                              HelixRest, PiecewiseAngularRouting,
+                              StraightRest, StraightRouting, Strategy,
                               TendonSpec, TubeSpec)
 from nestrod.errors import NoConvergence
 from nestrod.shooting import ConvergenceReport, Solution, SolverOptions, shoot
@@ -46,7 +50,9 @@ def _rest_shapes(draw):
 
 
 @st.composite
-def _cases(draw, steps=st.integers(5, 40)):
+def _cases(draw, steps=st.integers(5, 40), wide=False):
+    """An assembly and options; ``wide`` also draws base offsets, interior
+    tendon terminations, knot routings and the load strategy."""
     n_tubes = draw(st.integers(1, 3))
     tubes = []
     outer = draw(st.floats(0.5e-3, 2.0e-3))
@@ -59,22 +65,48 @@ def _cases(draw, steps=st.integers(5, 40)):
             outer_diameter=outer, inner_diameter=inner,
             rest_shape=draw(_rest_shapes())))
         outer = inner * draw(st.floats(0.6, 0.95))   # next tube fits inside
+    # Retraction behind the base plate, as a share of each tube's length.
+    offsets = [tube.length * draw(st.floats(0.0, 0.5)) if wide else 0.0
+               for tube in tubes]
     tendons = []
     for _ in range(draw(st.integers(0, 2))):
         radius = draw(st.floats(0.5e-3, 5e-3))
         angle = draw(_ANGLES)
-        if draw(st.booleans()):
+        if wide:
+            kind = draw(st.sampled_from(("straight", "helical", "knots")))
+        else:
+            kind = "straight" if draw(st.booleans()) else "helical"
+        if kind == "straight":
             routing = StraightRouting([radius * math.cos(angle),
                                        radius * math.sin(angle)])
-        else:
+        elif kind == "helical":
             routing = HelicalRouting(radius=radius,
                                      period=draw(st.floats(0.05, 1.0)),
                                      phase=angle)
-        tendons.append(TendonSpec(
-            routing=routing, tension=10.0 ** draw(st.floats(-1.0, 2.2)),
-            tube=draw(st.integers(0, n_tubes - 1))))
+        else:
+            # Guide knots spread over the whole tube, in its own arc length.
+            count = draw(st.integers(2, 4))
+            knots = [(i / (count - 1), angle + draw(st.floats(-1.5, 1.5)),
+                      radius * draw(st.floats(0.5, 1.5)))
+                     for i in range(count)]
+        tension = 10.0 ** draw(st.floats(-1.0, 2.2))
+        tube = draw(st.integers(0, n_tubes - 1))
+        length, offset = tubes[tube].length, offsets[tube]
+        if kind == "knots":
+            routing = PiecewiseAngularRouting([(length * share, a, r)
+                                               for share, a, r in knots])
+        # An anchor inside the tube's part past the base plate, or its tip.
+        termination = None
+        if wide and draw(st.booleans()):
+            termination = offset + (length - offset) * draw(
+                st.floats(0.3, 0.9))
+        tendons.append(TendonSpec(routing=routing, tension=tension,
+                                  tube=tube, termination=termination))
     twists = [0.0] + [draw(_ANGLES) for _ in range(n_tubes - 1)]
-    assembly = AssemblySpec(tubes=tubes, tendons=tendons, base_twists=twists)
+    strategy = draw(st.sampled_from(Strategy)) if wide \
+        else Strategy.OUTERMOST_OF_SEGMENT
+    assembly = AssemblySpec(tubes=tubes, tendons=tendons, base_twists=twists,
+                            base_offsets=offsets, strategy=strategy)
     options = SolverOptions(steps_per_segment=draw(steps))
     return assembly, options
 
@@ -100,9 +132,10 @@ def test_solve_converges_or_reports(case):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=8, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(_cases(st.integers(50, 200)))
+@given(_cases(st.integers(50, 200), wide=True))
 def test_fine_solve_converges_or_reports(case):
     # At 50 steps and more, the upper rungs of the grid ladder polish, and
-    # a lone row of a segment without a helical tendon is integrated
-    # time-parallel. The invariants are those of the coarse draws.
+    # a lone row of a segment without a helical or knot-routed tendon is
+    # integrated time-parallel, seeded from the rung below where its trail
+    # allows. The invariants are those of the coarse draws.
     test_solve_converges_or_reports.hypothesis.inner_test(case)

@@ -91,10 +91,10 @@ def test_slow_tube_polishes_in_one_iteration(monkeypatch):
     calls = []
     inner = shooting.boundary_residual
 
-    def counted(guess, problem, options):
+    def counted(guess, problem, options, seed_trail=None):
         rows = guess.shape[0] if guess.ndim == 2 else 1
         calls.append((options.steps_per_segment, rows))
-        return inner(guess, problem, options)
+        return inner(guess, problem, options, seed_trail)
 
     monkeypatch.setattr(shooting, "boundary_residual", counted)
     options = SolverOptions()

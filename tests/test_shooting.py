@@ -52,10 +52,10 @@ def _count_rows(monkeypatch) -> list[tuple[int, int]]:
     calls = []
     inner = shooting.boundary_residual
 
-    def counted(guess, problem, options):
+    def counted(guess, problem, options, seed_trail=None):
         calls.append((options.steps_per_segment,
                       guess.shape[0] if guess.ndim == 2 else 1))
-        return inner(guess, problem, options)
+        return inner(guess, problem, options, seed_trail)
 
     monkeypatch.setattr(shooting, "boundary_residual", counted)
     return calls
@@ -822,8 +822,8 @@ class TestNewtonBatches:
         steps, widths, tensions, failed_rows = [], [], [], []
         inner = shooting.boundary_residual
 
-        def counted(guess, problem, options):
-            out = inner(guess, problem, options)
+        def counted(guess, problem, options, seed_trail=None):
+            out = inner(guess, problem, options, seed_trail)
             steps.append(options.steps_per_segment)
             widths.append(guess.shape[0] if guess.ndim == 2 else 1)
             tensions.append(problem.contexts[0].tensions[0])
@@ -847,9 +847,10 @@ class TestTimeParallel:
     reference is the same pass with every segment on integrate_segment."""
 
     @staticmethod
-    def _passes(monkeypatch, guess, problem, opts):
-        """(the pass as run, the serial pass, (batch rows, steps) of every
-        integrate_segment call of the pass as run)."""
+    def _passes(monkeypatch, guess, problem, opts, seed_trail=None):
+        """(the pass as run, seeded with ``seed_trail``, the serial pass,
+        (batch rows, steps) of every integrate_segment call of the pass as
+        run)."""
         calls = []
         inner = shooting.integrate_segment
 
@@ -858,24 +859,45 @@ class TestTimeParallel:
             return inner(state, ctx, steps, failed)
 
         monkeypatch.setattr(shooting, "integrate_segment", logged)
-        fast = boundary_residual(guess, problem, opts)
+        fast = boundary_residual(guess, problem, opts, seed_trail)
         monkeypatch.setattr(shooting, "integrate_segment", inner)
         monkeypatch.setattr(shooting, "_time_parallel", lambda *args: None)
         serial = boundary_residual(guess, problem, opts)
         return fast, serial, calls
+
+    @staticmethod
+    def _assembly(name):
+        if name == "tendon_tube":
+            return AssemblySpec(
+                tubes=[_tube(length=0.15)],
+                tendons=[TendonSpec(routing=StraightRouting([3e-3, 0.0]),
+                                    tension=1.0)])
+        return preset(name, allow_placeholders=True)[0]
+
+    @staticmethod
+    def _handed_up(monkeypatch, asm, opts):
+        """(guess row, seed trail) of every pass on the requested grid
+        that ``shoot`` seeds with the trail of a rung below."""
+        handed = []
+        inner = shooting.boundary_residual
+
+        def logged(guess, problem, options, seed_trail=None):
+            if seed_trail is not None and \
+                    options.steps_per_segment == opts.steps_per_segment:
+                handed.append((guess.copy(), seed_trail))
+            return inner(guess, problem, options, seed_trail)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(shooting, "boundary_residual", logged)
+            shoot(asm, opts)
+        return handed
 
     @pytest.mark.parametrize("name", ["two_tube_0", "three_tube_b",
                                       "tendon_tube"])
     def test_stitched_trail_matches_the_serial_pass(self, monkeypatch, name):
         # At 200 steps a segment splits into 10 slices of 20 steps: the F
         # passes run 10 rows, and the G steps one step each.
-        if name == "tendon_tube":
-            asm = AssemblySpec(
-                tubes=[_tube(length=0.15)],
-                tendons=[TendonSpec(routing=StraightRouting([3e-3, 0.0]),
-                                    tension=1.0)])
-        else:
-            asm, _ = preset(name, allow_placeholders=True)
+        asm = self._assembly(name)
         opts = SolverOptions(steps_per_segment=200)
         # The guess of a two-grid solve at 20 steps, which the tolerances
         # were set on; the ladder's own guess moves three_tube_b's strains
@@ -897,6 +919,81 @@ class TestTimeParallel:
                                  - serial[1][-1][-1, 0, 0:3])
         assert tip_gap < 1e-12
         np.testing.assert_allclose(fast[2], serial[2], rtol=1e-12)
+
+    @pytest.mark.parametrize("name", ["two_tube_0", "tendon_tube"])
+    def test_seeded_pass_matches_the_serial_pass(self, monkeypatch, name):
+        # Straight tendons on straight tubes bend each segment at nearly
+        # constant curvature: the 50-step rung converges at the guess of
+        # the 3-step one, and its trail is that rung's Hermite interpolant,
+        # so shoot seeds the 200-step polish with it. Each segment then
+        # takes one batch of 200 rows of one RK4 step, and no G step.
+        asm = self._assembly(name)
+        opts = SolverOptions(steps_per_segment=200)
+        (guess, seed), = self._handed_up(monkeypatch, asm, opts)
+        problem = build_problem(asm, opts)
+        assert [len(rec) for rec in seed] == [51] * len(problem.contexts)
+        fast, serial, calls = self._passes(monkeypatch, guess, problem,
+                                           opts, seed)
+        assert calls == [(200, 1)] * len(problem.contexts)
+        assert not fast[3].any() and not serial[3].any()
+        for got, want in zip(fast[1], serial[1], strict=True):
+            assert got.shape == want.shape == (201, 1, want.shape[-1])
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+            rot = got[:, 0, 3:POSE].reshape(-1, 3, 3)
+            np.testing.assert_allclose(rot.swapaxes(-1, -2) @ rot,
+                                       np.broadcast_to(np.eye(3), rot.shape),
+                                       rtol=0, atol=1e-15)
+        tip_gap = np.linalg.norm(fast[1][-1][-1, 0, 0:3]
+                                 - serial[1][-1][-1, 0, 0:3])
+        assert tip_gap < 1e-12
+        np.testing.assert_allclose(fast[2], serial[2], rtol=1e-12)
+
+    @pytest.mark.parametrize("name, steps, checked", [
+        ("ctr_theta_90", 50, []),                        # every rung iterates
+        ("single_tube_helical_backbone", 150, [False]),  # its trail curves
+    ])
+    def test_gate_declines_a_curving_trail(self, monkeypatch, name, steps,
+                                           checked):
+        # No rung of ctr_theta_90 converges at the guess of the rung below
+        # it; the helix's 37-step rung does, but its trail is not the
+        # Hermite interpolant of the 18-step one. Neither seeds a pass.
+        gate, seeded = [], []
+        interpolates, inner = shooting._interpolates, shooting._seeded
+
+        def checks(*args):
+            gate.append(interpolates(*args))
+            return gate[-1]
+
+        def logged(*args):
+            seeded.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(shooting, "_interpolates", checks)
+        monkeypatch.setattr(shooting, "_seeded", logged)
+        opts = SolverOptions(steps_per_segment=steps)
+        assert not self._handed_up(monkeypatch, self._assembly(name), opts)
+        assert gate == checked and not seeded
+
+    def test_perturbed_seeds_fall_back_bit_for_bit(self, monkeypatch):
+        # Seeds 1e-10 off the trail fail the jump test at the first slice
+        # start: the pass is then the unseeded one, G sweep and all.
+        asm = self._assembly("two_tube_0")
+        opts = SolverOptions(steps_per_segment=200)
+        (guess, seed), = self._handed_up(monkeypatch, asm, opts)
+        bumped = [rec.copy() for rec in seed]
+        for rec in bumped:
+            rec[:, POSE:] += 1e-10
+        problem = build_problem(asm, opts)
+        plain = boundary_residual(guess, problem, opts)
+        fast, _, calls = self._passes(monkeypatch, guess, problem, opts,
+                                      bumped)
+        assert calls[0] == (200, 1) and (1, 1) in calls and (10, 20) in calls
+        for got, want in zip(fast, plain, strict=True):
+            if isinstance(got, list):
+                for a, b in zip(got, want, strict=True):
+                    np.testing.assert_array_equal(a, b)
+            else:
+                np.testing.assert_array_equal(got, want)
 
     def test_strains_converge_in_one_fine_pass(self, monkeypatch):
         # two_tube_0's one-row pass at its 50-step solution: the G sweep
